@@ -46,7 +46,6 @@ from .errors import (
 )
 from .expr import (
     Expression,
-    Jet2,
     evaluate,
     format_expression,
     jet2,
@@ -112,7 +111,6 @@ __all__ = [
     "UnknownIdentifierError",
     "WarpcurvError",
     "Expression",
-    "Jet2",
     "evaluate",
     "format_expression",
     "jet2",

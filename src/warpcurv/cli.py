@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -58,9 +59,12 @@ def _fmt(x: float) -> str:
 
 def _parse_reals(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        values = np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise ManifestError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ManifestError(f"{what} {text!r} has a value that is not finite")
+    return values
 
 
 def _parse_box(text: str, dim: int) -> np.ndarray:
@@ -138,6 +142,8 @@ def cmd_curvature(mf: Manifest, args) -> int:
 
 
 def cmd_verify(mf: Manifest, args) -> int:
+    if args.samples < 1:
+        raise ManifestError(f"--samples must be at least 1, got {args.samples}")
     if args.box is not None:
         box = _parse_box(args.box, mf.dim)
     elif mf.box is not None:
@@ -188,6 +194,10 @@ def _trace(mf: Manifest, initial: GeodesicState, args, rhs: str):
 
 
 def cmd_geodesic(mf: Manifest, args) -> int:
+    if not (math.isfinite(args.s_end) and args.s_end >= 0.0):
+        raise ManifestError(f"--s-end must be finite and >= 0, got {args.s_end!r}")
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ManifestError(f"--step must be finite and positive, got {args.step!r}")
     pos_text, sep, vel_text = args.init.partition(";")
     if not sep:
         raise ManifestError('--init must look like "pos0,pos1,...;vel0,vel1,..."')

@@ -11,6 +11,22 @@ number carries (value, derivative); nesting duals inside duals yields second
 order.  The derivative slot may hold a float, an ndarray (one pass for a
 whole gradient), or another dual, and the arithmetic below is written to be
 agnostic about which.
+
+There are two evaluation paths for values and gradients:
+
+- value_and_gradient walks the tree once per point with dual numbers.  It
+  serves callers that have one point at a time (closed-form point data,
+  geodesic right-hand sides, the oracle's centre point), where plain floats
+  beat numpy's per-call overhead.
+- value_and_gradient_batch runs a postfix program, compiled once per
+  expression and cached on it, over an (N, arity) array of points with
+  explicit chain rules.  It serves the oracle's finite-difference stencil,
+  where one numpy call per operation covers every stencil point.
+
+Both reject exactly the same points: the batch raises EvalDomainError when
+the dual pass would raise at one of its rows, including the rules that only
+the derivative imposes (x^0.5 and sqrt at 0, a variable exponent on a base
+<= 0) and the overflows math raises on but numpy does not.
 """
 
 from __future__ import annotations
@@ -25,10 +41,10 @@ from .errors import ArityError, EvalDomainError, ParseError, UnknownIdentifierEr
 
 __all__ = [
     "Expression",
-    "Jet2",
     "parse_expression",
     "evaluate",
     "value_and_gradient",
+    "value_and_gradient_batch",
     "jet2",
     "format_expression",
     "reindex",
@@ -84,11 +100,12 @@ class BinOp(Node):
 class Expression:
     """A parsed expression together with its declared arity."""
 
-    __slots__ = ("root", "arity")
+    __slots__ = ("root", "arity", "_program")
 
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
+        self._program = None  # postfix program, compiled on first batch use
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r}, arity={self.arity})"
@@ -262,7 +279,7 @@ def _pow_const(base, p: float):
     return math.pow(base, p)
 
 
-def _pow(left, right, node):
+def _pow(left, right):
     if not isinstance(right, Dual):
         p = float(right)
         if p == 0.0:
@@ -278,24 +295,27 @@ def _pow(left, right, node):
 # Evaluation
 
 
+def _binop(op: str, left, right):
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if _realpart(right) == 0.0:
+            raise ZeroDivisionError("division by zero")
+        return left / right
+    return _pow(left, right)
+
+
 def _eval(node, env):
     kind = type(node)
     if kind is BinOp:
-        op = node.op
         left = _eval(node.left, env)
         right = _eval(node.right, env)
         try:
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if _realpart(right) == 0.0:
-                    raise ZeroDivisionError("division by zero")
-                return left / right
-            return _pow(left, right, node)
+            return _binop(node.op, left, right)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalDomainError(str(exc), node) from None
     if kind is Var:
@@ -373,6 +393,201 @@ def jet2(expr: Expression, point) -> Jet2:
         hess[i] = r.b.b
     hess = 0.5 * (hess + hess.T)
     return Jet2(value, grad, hess)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+#
+# The chain rules mirror the Dual class above, operation for operation.  A
+# constant subtree carries a float and a None gradient and is computed by
+# the scalar rules, exactly as the Dual pass computes it.  numpy's
+# elementwise functions may differ from math's in the last place, so rows
+# agree with the Dual pass to roundoff, not bitwise.
+
+_OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN = range(5)
+
+
+def _compile(root: Node, arity: int) -> tuple:
+    """Postfix (opcode, argument, node) list, built with an explicit stack
+    so that deep trees cannot reach the recursion limit.  A variable's
+    argument is its index and its one-hot gradient row."""
+    seeds = np.eye(arity)
+    program = []
+    todo = [(root, False)]
+    while todo:
+        node, expanded = todo.pop()
+        kind = type(node)
+        if kind is Const:
+            program.append((_OP_CONST, node.value, node))
+        elif kind is Var:
+            i = node.index
+            program.append((_OP_VAR, (i, seeds[i : i + 1]), node))
+        elif expanded:
+            if kind is BinOp:
+                program.append((_OP_BIN, node.op, node))
+            elif kind is Call:
+                program.append((_OP_CALL, node.name, node))
+            else:
+                program.append((_OP_NEG, None, node))
+        else:
+            todo.append((node, True))
+            if kind is BinOp:
+                todo.append((node.right, False))
+                todo.append((node.left, False))
+            else:
+                todo.append((node.arg, False))
+    return tuple(program)
+
+
+def _check_rows(bad, what: str, node):
+    if bad is not None and np.count_nonzero(bad):
+        row = int(np.argmax(bad))
+        raise EvalDomainError(f"{what}: outside the domain at batch row {row}", node)
+
+
+def _call_rows(name: str, a, b):
+    """(value, gradient, rows the scalar rules reject) of name on a dual
+    argument with values a (N,) and gradient b."""
+    if name == "sin":
+        return np.sin(a), np.cos(a)[:, None] * b, np.isinf(a)
+    if name == "cos":
+        return np.cos(a), (-np.sin(a))[:, None] * b, np.isinf(a)
+    if name == "tan":
+        t = np.tan(a)
+        return t, (1.0 + t * t)[:, None] * b, np.isinf(a)
+    if name == "exp":
+        e = np.exp(a)
+        return e, e[:, None] * b, np.isinf(e) & np.isfinite(a)
+    if name == "log":
+        return np.log(a), b / a[:, None], a <= 0.0
+    if name == "sqrt":
+        # the derivative 1/(2 sqrt) fails at 0 as well
+        r = np.sqrt(a)
+        return r, b / (2.0 * r)[:, None], a <= 0.0
+    if name == "tanh":
+        t = np.tanh(a)
+        return t, (1.0 - t * t)[:, None] * b, None
+    # sinh and cosh: the Dual rule evaluates both, and math raises when
+    # either overflows from a finite argument
+    sh, ch = np.sinh(a), np.cosh(a)
+    bad = np.isfinite(a) & (np.isinf(sh) | np.isinf(ch))
+    if name == "sinh":
+        return sh, ch[:, None] * b, bad
+    return ch, sh[:, None] * b, bad
+
+
+def _bin_rows(op: str, node, left, right):
+    """Value and gradient of a binary op with at least one dual operand."""
+    (a1, b1), (a2, b2) = left, right
+    if op == "+":
+        if b2 is None:
+            return a1 + a2, b1
+        return a1 + a2, (b2 if b1 is None else b1 + b2)
+    if op == "-":
+        if b2 is None:
+            return a1 - a2, b1
+        return a1 - a2, (-b2 if b1 is None else b1 - b2)
+    if op == "*":
+        if b2 is None:
+            return a1 * a2, b1 * a2
+        if b1 is None:
+            return a1 * a2, a1 * b2
+        return a1 * a2, b1 * a2[:, None] + a1[:, None] * b2
+    if op == "/":
+        if b2 is None:
+            if a2 == 0.0:
+                raise EvalDomainError("division by zero", node)
+            return a1 / a2, b1 / a2
+        _check_rows(a2 == 0.0, "division by zero", node)
+        q = a1 / a2
+        if b1 is None:
+            return q, (-q / a2)[:, None] * b2
+        return q, (b1 - q[:, None] * b2) / a2[:, None]
+    if b2 is None:
+        # constant exponent; math.pow fails on finite arguments whose power
+        # is not finite, and the Dual rule also takes a1^(p-1)
+        p = float(a2)
+        if p == 0.0:
+            return 1.0, None
+        r = np.power(a1, p)
+        r1 = np.power(a1, p - 1.0)
+        if math.isfinite(p):
+            _check_rows(
+                np.isfinite(a1) & ~(np.isfinite(r) & np.isfinite(r1)), "power", node
+            )
+        return r, (p * r1)[:, None] * b1
+    # variable exponent: exp(v * log(u)), which needs u > 0
+    if b1 is None:
+        if a1 <= 0.0:
+            raise EvalDomainError("power with variable exponent needs positive base", node)
+        log_u = (math.log(a1), None)
+    else:
+        _check_rows(a1 <= 0.0, "power with variable exponent", node)
+        log_u = (np.log(a1), b1 / a1[:, None])
+    z, zb = _bin_rows("*", node, right, log_u)
+    e, grad, bad = _call_rows("exp", z, zb)
+    _check_rows(bad, "power", node)
+    return e, grad
+
+
+def value_and_gradient_batch(expr: Expression, points):
+    """Values (N,) and gradients (N, arity) at every row of an (N, arity)
+    array, from the expression's compiled program.
+
+    Each row equals value_and_gradient at that row up to roundoff, and the
+    call raises EvalDomainError exactly when value_and_gradient would raise
+    at some row.  Suits many points at once; a single point is faster
+    through value_and_gradient.
+    """
+    x = np.asarray(points, dtype=float)
+    n = expr.arity
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"points have shape {x.shape}, expected (N, {n})")
+    rows = x.shape[0]
+    if rows == 0:
+        return np.zeros(0), np.zeros((0, n))
+    program = expr._program
+    if program is None:
+        program = expr._program = _compile(expr.root, n)
+    stack = []
+    push, pop = stack.append, stack.pop
+    with np.errstate(all="ignore"):
+        for code, arg, node in program:
+            if code is _OP_VAR:
+                push((x[:, arg[0]], arg[1]))
+            elif code is _OP_CONST:
+                push((arg, None))
+            elif code is _OP_NEG:
+                a, b = pop()
+                push((-a, None if b is None else -b))
+            elif code is _OP_CALL:
+                a, b = pop()
+                if b is not None:
+                    a, b, bad = _call_rows(arg, a, b)
+                    _check_rows(bad, arg, node)
+                else:
+                    try:
+                        a = _FUNCTIONS[arg](a)
+                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                        raise EvalDomainError(f"{arg}: {exc}", node) from None
+                push((a, b))
+            else:
+                right = pop()
+                left = pop()
+                if left[1] is not None or right[1] is not None:
+                    push(_bin_rows(arg, node, left, right))
+                else:
+                    try:
+                        push((_binop(arg, left[0], right[0]), None))
+                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                        raise EvalDomainError(str(exc), node) from None
+    value, grad = pop()
+    out_value = np.empty(rows)
+    out_value[:] = value
+    out_grad = np.zeros((rows, n))
+    if grad is not None:
+        out_grad[:] = grad
+    return out_value, out_grad
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +693,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows to infinity", pos)
+            return Const(value)
         if kind == "ident":
             if text in _FUNCTIONS:
                 k2, t2, p2 = self.peek()

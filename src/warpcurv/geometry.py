@@ -5,19 +5,28 @@ x0..x{dim-1}.  Entry (i, j) and entry (j, i) are the same Expression object,
 so symmetry of everything downstream (metric values, Christoffel symbols in
 their lower pair, covariant Hessians) holds bitwise, not just to roundoff.
 
-Partial derivatives of metric entries come from dual numbers, never from
-finite differences; the only approximation anywhere in this module is the
-linear solve for the inverse metric.
+Partial derivatives of metric entries come from dual numbers (one point) or
+the compiled batch evaluator (a stack of points), never from finite
+differences; the only approximation anywhere in this module is the linear
+solve for the inverse metric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .expr import Expression, evaluate, jet2, parse_expression, value_and_gradient
+from .expr import (
+    Expression,
+    evaluate,
+    jet2,
+    parse_expression,
+    value_and_gradient,
+    value_and_gradient_batch,
+)
 
 __all__ = [
     "MetricSpec",
@@ -132,9 +141,12 @@ def metric_at(spec: MetricSpec, point) -> np.ndarray:
 
 def _inverse_of(g: np.ndarray) -> np.ndarray:
     dim = g.shape[0]
+    peak = float(np.abs(g).max())
+    if not math.isfinite(peak):
+        raise DegenerateMetricError("metric is not finite at this point", math.nan)
     det = float(np.linalg.det(g))
     # determinant scales like entries^dim, so the degeneracy cutoff must too
-    scale = max(1.0, float(np.abs(g).max())) ** dim
+    scale = max(1.0, peak) ** dim
     if abs(det) < 1e-12 * scale:
         raise DegenerateMetricError(
             f"metric determinant {det!r} is degenerate at this point", det
@@ -173,6 +185,38 @@ def christoffels_of(spec: MetricSpec, point) -> np.ndarray:
     c = _coords(point, spec.dim)
     g, D = _metric_and_first_derivs(spec, c)
     return _christoffels_from_parts(_inverse_of(g), D)
+
+
+def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
+    """christoffels_of at every row of an (N, dim) array, [n, k, i, j].
+
+    One compiled pass per metric component gives the stacked metric and
+    its first derivatives.  Raises EvalDomainError or DegenerateMetricError
+    when christoffels_of would raise at some row; which row is left to the
+    caller.
+    """
+    rows, dim = len(xs), spec.dim
+    g = np.empty((rows, dim, dim))
+    D = np.empty((rows, dim, dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            v, grad = value_and_gradient_batch(spec.components[i][j], xs)
+            g[:, i, j] = g[:, j, i] = v
+            D[:, :, i, j] = grad
+            D[:, :, j, i] = grad
+    # the same rule as _inverse_of, row by row
+    with np.errstate(all="ignore"):
+        peak = np.abs(g).max(axis=(1, 2))
+        det = np.linalg.det(g)
+        cutoff = 1e-12 * np.maximum(1.0, peak) ** dim
+    bad = ~(np.isfinite(peak) & (np.abs(det) >= cutoff))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DegenerateMetricError(
+            f"metric determinant {det[row]!r} is degenerate at batch row {row}", det[row]
+        )
+    term = D + D.transpose(0, 2, 1, 3) - D.transpose(0, 2, 3, 1)
+    return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(g), term)
 
 
 def covariant_hessian(spec: MetricSpec, fieldspec: ScalarFieldSpec, point) -> np.ndarray:

@@ -6,6 +6,14 @@ themselves are exact (dual numbers); only their derivatives are numerical,
 so a single layer of central differences with Richardson extrapolation is
 the entire error budget.
 
+The centre point is evaluated alone, through christoffels_of, so a bundle's
+Christoffels and the errors raised at the centre are those of the geometry
+module.  The 2*d*L stencil points around it are stacked and evaluated in
+one batched pass (compiled expressions, stacked inverse, one einsum).  When
+that pass fails, the stencil is walked again point by point in the order
+axis, level, +h before -h, so that StencilDomainError names the first
+failing point.
+
 Deliberately imports nothing from the warped-product or closed-form
 modules: its value as a cross-check depends on that separation.
 """
@@ -24,7 +32,14 @@ from .errors import (
     NumericalInstabilityError,
     StencilDomainError,
 )
-from .geometry import MetricSpec, christoffels_of, metric_at, _coords, _inverse_of
+from .geometry import (
+    MetricSpec,
+    christoffels_of,
+    metric_at,
+    _christoffels_stacked,
+    _coords,
+    _inverse_of,
+)
 
 __all__ = [
     "DiffPolicy",
@@ -79,23 +94,31 @@ def _gamma_shifted(spec: MetricSpec, coords: np.ndarray, axis: int, delta: float
 def _dgamma(spec: MetricSpec, coords: np.ndarray, policy: DiffPolicy) -> np.ndarray:
     """out[l, k, i, j] = d_l Gamma^k_ij by extrapolated central differences."""
     d = spec.dim
-    steps = policy.steps_at(coords)
-    out = np.empty((d, d, d, d))
+    levels = policy.richardson_levels
+    h = policy.steps_at(coords)[:, None] / 2.0 ** np.arange(levels)  # [axis, level]
+    deltas = np.stack([h, -h], axis=-1)  # [axis, level, sign]: +h, then -h
+    xs = np.tile(coords, (d, levels, 2, 1))
     for axis in range(d):
-        tableau = []
-        for level in range(policy.richardson_levels):
-            h = steps[axis] / (2.0**level)
-            gp = _gamma_shifted(spec, coords, axis, +h)
-            gm = _gamma_shifted(spec, coords, axis, -h)
-            tableau.append((gp - gm) / (2.0 * h))
-        for k in range(1, len(tableau)):
-            fac = 4.0**k
-            tableau = [
-                (fac * tableau[i + 1] - tableau[i]) / (fac - 1.0)
-                for i in range(len(tableau) - 1)
+        xs[axis, :, :, axis] += deltas[axis]
+    try:
+        gammas = _christoffels_stacked(spec, xs.reshape(-1, d))
+    except (EvalDomainError, DegenerateMetricError):
+        # Redo the stencil point by point in the same order, so that the
+        # error names the first point that fails.
+        gammas = np.array(
+            [
+                _gamma_shifted(spec, coords, axis, deltas[axis, level, sign])
+                for axis in range(d)
+                for level in range(levels)
+                for sign in range(2)
             ]
-        out[axis] = tableau[0]
-    return out
+        )
+    gammas = gammas.reshape(d, levels, 2, d, d, d)
+    tableau = (gammas[:, :, 0] - gammas[:, :, 1]) / (2.0 * h)[:, :, None, None, None]
+    for k in range(1, levels):
+        fac = 4.0**k
+        tableau = (fac * tableau[:, 1:] - tableau[:, :-1]) / (fac - 1.0)
+    return tableau[:, 0]
 
 
 def _riemann_common(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

@@ -264,3 +264,29 @@ def test_geodesic_init_validation(capsys):
 
 def test_missing_manifest_file(capsys):
     assert main(["curvature", "/nonexistent.json", "--point", "0,0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", catalog("unit-sphere"), "--samples", "0"],
+        ["verify", catalog("unit-sphere"), "--samples", "-5"],
+        ["curvature", catalog("unit-sphere"), "--point", "nan,0"],
+        ["curvature", catalog("unit-sphere"), "--point", "1,inf"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,nan;0,1", "--s-end", "1"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,-inf", "--s-end", "1"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "inf"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "nan"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "-1"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "nan"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "0"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "-0.1"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+)
+def test_bad_numeric_flags_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err and "\n" not in err and "Traceback" not in err

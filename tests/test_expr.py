@@ -16,6 +16,7 @@ from warpcurv.expr import (
     parse_expression,
     reindex,
     value_and_gradient,
+    value_and_gradient_batch,
 )
 
 from fd_reference import fd_gradient, fd_hessian
@@ -117,6 +118,10 @@ def test_parse_errors_carry_position():
         parse_expression("sin x0", 1)
     with pytest.raises(ParseError):
         parse_expression("2 3", 0)
+    # a literal that overflows to inf is rejected where it stands
+    with pytest.raises(ParseError) as exc:
+        parse_expression("x0 + 1e400", 1)
+    assert exc.value.position == 5
 
 
 def test_unknown_identifier():
@@ -350,3 +355,123 @@ def test_reindex_rejects_overflow():
     expr = parse_expression("x0 + x1", 2)
     with pytest.raises(ValueError):
         reindex(expr, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation against the scalar dual pass
+
+
+def _scalar_rows(expr, points):
+    """value_and_gradient per row; None where the row raises."""
+    out = []
+    for x in points:
+        try:
+            out.append(value_and_gradient(expr, x))
+        except EvalDomainError:
+            out.append(None)
+    return out
+
+
+def _assert_rows_agree(expr, points, rows):
+    values, grads = value_and_gradient_batch(expr, points)
+    assert values.shape == (len(points),)
+    assert grads.shape == (len(points), expr.arity)
+    for i, (v, g) in enumerate(rows):
+        text = f"{format_expression(expr)} at {points[i].tolist()}"
+        assert values[i] == pytest.approx(v, rel=1e-12, abs=0.0, nan_ok=True), text
+        np.testing.assert_allclose(grads[i], g, rtol=1e-12, atol=0.0, err_msg=text)
+
+
+def _check_batch_like_scalar(expr, points):
+    rows = _scalar_rows(expr, points)
+    if any(r is None for r in rows):
+        with pytest.raises(EvalDomainError):
+            value_and_gradient_batch(expr, points)
+    good = [i for i, r in enumerate(rows) if r is not None]
+    if good:
+        _assert_rows_agree(expr, points[good], [rows[i] for i in good])
+    return len(good) < len(rows)
+
+
+def test_batch_matches_scalar_on_random_expressions():
+    rng = np.random.default_rng(20261017)
+    raised = 0
+    for _ in range(400):
+        arity = int(rng.integers(1, 4))
+        expr = parse_expression(random_expr_text(rng, arity, int(rng.integers(1, 5))), arity)
+        # mostly inside the usual domain, with zeros and huge values mixed in
+        points = rng.uniform(-2.0, 2.0, size=(12, arity))
+        points[rng.random(points.shape) < 0.08] = 0.0
+        points[rng.random(points.shape) < 0.04] = 800.0
+        raised += _check_batch_like_scalar(expr, points)
+    assert 25 < raised < 375  # both outcomes were exercised
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,arity,bad_row",
+    [
+        ("x0^0.5", 1, [0.0]),  # value 0 is fine, the derivative x0^-0.5 is not
+        ("sqrt(x0)", 1, [0.0]),
+        ("x0^x1", 2, [-2.0, 2.0]),  # variable exponent needs a positive base
+        ("x0^x1", 2, [0.0, 2.0]),
+        ("2^x0", 1, [2000.0]),  # exp overflows inside the variable-exponent rule
+        ("x0^3", 1, [1e200]),  # math.pow overflows, numpy would give inf
+        ("x0^-1", 1, [0.0]),
+        ("1/x0", 1, [0.0]),
+        ("exp(x0)", 1, [1000.0]),
+        ("sinh(x0)", 1, [1000.0]),
+        ("cosh(x0)", 1, [-1000.0]),
+        ("log(x0)", 1, [0.0]),
+        ("sin(x0*1e308*10)", 1, [1.0]),  # inf reaches sin
+        ("tan(x0*1e308*10)", 1, [1.0]),
+        ("x1/(x0 - x0)", 2, [1.0, 1.0]),
+    ],
+)
+def test_batch_dual_only_domain_rules(text, arity, bad_row):
+    expr = parse_expression(text, arity)
+    good = np.full((3, arity), 1.5)
+    points = np.vstack([good, [bad_row]])
+    with pytest.raises(EvalDomainError):
+        value_and_gradient(expr, bad_row)
+    with pytest.raises(EvalDomainError) as exc:
+        value_and_gradient_batch(expr, points)
+    assert exc.value.node is not None
+    _check_batch_like_scalar(expr, good)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,arity,point",
+    [
+        ("x0^0", 1, [0.0]),  # a zero exponent makes the power constant 1
+        ("tanh(x0)", 1, [1000.0]),
+        ("exp(x0)", 1, [-1000.0]),
+        ("x0*1e308*10", 1, [1.0]),  # overflow in arithmetic passes, as in math
+        ("log(x0*1e308*10)", 1, [1.0]),  # log(inf) = inf
+        ("2 + 3", 2, [0.0, 0.0]),
+        ("sin(1) + x1", 2, [0.0, 0.5]),
+    ],
+)
+def test_batch_edge_values_without_error(text, arity, point):
+    expr = parse_expression(text, arity)
+    assert not _check_batch_like_scalar(expr, np.array([point, point]))
+
+
+def test_batch_of_deep_sum_has_no_recursion_limit():
+    expr = parse_expression("+".join(["x0"] * 3000), 1)
+    values, grads = value_and_gradient_batch(expr, np.array([[1.0], [2.0]]))
+    assert values.tolist() == [3000.0, 6000.0]
+    assert grads.tolist() == [[3000.0], [3000.0]]
+
+
+def test_batch_program_compiled_once_and_shape_checked():
+    expr = parse_expression("x0*sin(x1)", 2)
+    value_and_gradient_batch(expr, np.ones((3, 2)))
+    program = expr._program
+    value_and_gradient_batch(expr, np.zeros((5, 2)))
+    assert expr._program is program
+    with pytest.raises(ValueError):
+        value_and_gradient_batch(expr, np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        value_and_gradient_batch(expr, np.ones(2))

@@ -12,6 +12,8 @@ from warpcurv.geometry import (
     inverse_metric_at,
     laplacian,
     metric_at,
+    _christoffels_stacked,
+    _inverse_of,
 )
 
 from fd_reference import fd_gradient
@@ -126,6 +128,35 @@ def test_degenerate_metric_detected():
         inverse_metric_at(cone, Point([0.0, 1.0]))
     with pytest.raises(DegenerateMetricError):
         inverse_metric_at(cone, Point([1e-8, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_metric_is_degenerate():
+    # inf - inf: the metric entry is NaN at x0 = 1 and 1 at x0 = 0
+    big = "x0*x0*1e300*1e300"
+    blowup = MetricSpec.from_strings(2, [[f"1 + {big} - {big}", "0"], ["0", "1"]])
+    assert np.isnan(metric_at(blowup, Point([1.0, 0.0]))[0, 0])
+    with pytest.raises(DegenerateMetricError):
+        inverse_metric_at(blowup, Point([1.0, 0.0]))
+    with pytest.raises(DegenerateMetricError):
+        christoffels_of(blowup, Point([1.0, 0.0]))
+    with pytest.raises(DegenerateMetricError):
+        _inverse_of(np.diag([np.inf, 1.0]))
+    # the stacked pass applies the same rule row by row
+    with pytest.raises(DegenerateMetricError):
+        _christoffels_stacked(blowup, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    fine = _christoffels_stacked(blowup, np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert np.all(fine == 0.0)
+
+
+def test_stacked_christoffels_match_pointwise():
+    rng = np.random.default_rng(41)
+    for spec in ALL_METRICS:
+        xs = np.array([sample_point(rng, spec) for _ in range(9)])
+        stacked = _christoffels_stacked(spec, xs)
+        for x, gamma in zip(xs, stacked):
+            ref = christoffels_of(spec, x)
+            assert np.abs(gamma - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
 
 
 def test_lorentzian_metric_inverts():

@@ -1,13 +1,17 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import warpcurv.oracle as oracle_module
 from warpcurv.bundle import CurvatureBundle
 from warpcurv.errors import (
     DegeneratePlaneError,
     NumericalInstabilityError,
     StencilDomainError,
 )
-from warpcurv.geometry import MetricSpec, Point
+from warpcurv.geometry import MetricSpec, Point, christoffels_of
 from warpcurv.oracle import (
     DiffPolicy,
     bundle_fd,
@@ -118,6 +122,96 @@ def test_stencil_domain_error():
     edgy = MetricSpec.from_strings(2, [["1 + sqrt(x0)", "0"], ["0", "1"]], name="edgy")
     with pytest.raises(StencilDomainError):
         riemann_fd(edgy, Point([1e-6, 0.0]))
+
+
+def _first_stencil_failure(spec, coords, policy):
+    """The stencil walked point by point: axis, then level, then +h before
+    -h.  Returns (axis, delta, exception) of the first point that fails."""
+    steps = policy.steps_at(coords)
+    for axis in range(spec.dim):
+        for level in range(policy.richardson_levels):
+            h = steps[axis] / (2.0**level)
+            for delta in (h, -h):
+                x = coords.copy()
+                x[axis] += delta
+                try:
+                    christoffels_of(spec, x)
+                except Exception as exc:  # noqa: BLE001 - any failure counts
+                    return axis, delta, exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows,center",
+    [
+        # -h on axis 1 leaves the sqrt domain; axis 0 never fails
+        ([["1", "0"], ["0", "1 + sqrt(x1)"]], [0.5, 1e-6]),
+        # +h on axis 0 lands exactly on a zero determinant
+        ([["(x0 - 0.0001)^2", "0"], ["0", "1"]], [0.0, 0.5]),
+        # axis 0 fails only at level 1's +h, axis 1 at level 0's -h
+        ([["(x0 - 0.2500625)^2", "0"], ["0", "1 + sqrt(x1)"]], [0.25, 1e-6]),
+        # both axes fail; axis 0 is named
+        ([["1 + sqrt(x0) + sqrt(x1)", "0"], ["0", "1"]], [1e-6, 1e-6]),
+    ],
+)
+def test_stencil_error_names_first_failing_point(rows, center):
+    spec = MetricSpec.from_strings(2, rows)
+    coords = np.array(center)
+    policy = DiffPolicy()
+    christoffels_of(spec, coords)  # the centre itself is fine
+    axis, delta, cause = _first_stencil_failure(spec, coords, policy)
+    with pytest.raises(StencilDomainError) as exc:
+        bundle_fd(spec, coords, policy)
+    assert str(exc.value) == f"stencil point at x{axis} {delta:+.3e} failed: {cause}"
+    assert type(exc.value.__cause__) is type(cause)
+
+
+def test_bundle_christoffel_is_the_centre_value_bitwise():
+    rng = np.random.default_rng(79)
+    for spec in (SPHERE, DESITTER):
+        for _ in range(5):
+            x = rng.uniform(0.4, 1.2, size=spec.dim)
+            assert np.array_equal(bundle_fd(spec, x).christoffel, christoffels_of(spec, x))
+
+
+def test_stacked_stencil_matches_pointwise_stencil():
+    policy = DiffPolicy(richardson_levels=3)
+    rng = np.random.default_rng(83)
+    for spec in (SPHERE, DESITTER):
+        x = rng.uniform(0.4, 1.2, size=spec.dim)
+        steps = policy.steps_at(x)
+        ref = np.empty((spec.dim,) * 4)
+        for axis in range(spec.dim):
+            tableau = []
+            for level in range(policy.richardson_levels):
+                h = steps[axis] / (2.0**level)
+                xp, xm = x.copy(), x.copy()
+                xp[axis] += h
+                xm[axis] -= h
+                tableau.append((christoffels_of(spec, xp) - christoffels_of(spec, xm)) / (2.0 * h))
+            for k in range(1, len(tableau)):
+                tableau = [
+                    (4.0**k * tableau[i + 1] - tableau[i]) / (4.0**k - 1.0)
+                    for i in range(len(tableau) - 1)
+                ]
+            ref[axis] = tableau[0]
+        got = oracle_module._dgamma(spec, x, policy)
+        assert np.abs(got - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+
+
+def test_oracle_imports_neither_warped_nor_closed_form():
+    # the cross-check is only worth something while the oracle cannot
+    # reach the product-structure code it checks
+    tree = ast.parse(Path(oracle_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"warped", "closed_form"}, sorted(imported)
 
 
 # ---------------------------------------------------------------------------
