@@ -292,6 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Every number that is not finite ends in a WarpcurvError and one line
+    # on stderr; numpy's overflow warnings on the way would only repeat it.
+    with np.errstate(all="ignore"):
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         mf = load_manifest(args.manifest)
         if args.command == "curvature":

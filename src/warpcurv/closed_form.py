@@ -26,7 +26,7 @@ never depend on that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,42 +52,36 @@ __all__ = [
 ]
 
 
-@dataclass
-class _PointData:
-    """Exact per-point ingredients shared by all closed-form tensors."""
+class _PointData(SimpleNamespace):
+    """Exact per-point ingredients shared by all closed-form tensors.
 
-    m: int
-    n: int
-    f: float
-    h: float
-    gB: np.ndarray
-    gF: np.ndarray
-    gBinv: np.ndarray
-    gFinv: np.ndarray
-    gammaB: np.ndarray
-    gammaF: np.ndarray
-    df: np.ndarray  # gradient of f on the base
-    dh: np.ndarray  # gradient of h on the fiber
-    Hf: np.ndarray  # base-covariant Hessian of f (None when skipped)
-    Hh: np.ndarray  # fiber-covariant Hessian of h (None when skipped)
-    dfU: np.ndarray  # raised gradients
-    dhU: np.ndarray
-    lf: np.ndarray  # d(ln f), d(ln h)
-    lh: np.ndarray
-    nf2: float  # |df|^2 in the unwarped factor metrics
-    nh2: float
-    lapBf: float  # unwarped factor Laplacians of the warps (None when skipped)
-    lapFh: float
+    m, n                  factor dimensions
+    f, h                  warp values
+    gB, gF, gBinv, gFinv  factor metrics and their inverses
+    gammaB, gammaF        factor Christoffels
+    df, dh                warp gradients on their own factors
+    dfU, dhU              the same, raised
+    lf, lh                d(ln f), d(ln h)
+    Hf, Hh                factor-covariant warp Hessians
+    lapBf, lapFh          unwarped factor Laplacians of the warps
+    nf2, nh2              |df|^2, |dh|^2 in the unwarped factor metrics
+
+    The last three rows are None when _point_data skips the Hessians.  A
+    namespace rather than a dataclass, whose generated methods would cost
+    time at every import and serve no caller.
+    """
 
 
 def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True) -> _PointData:
     """Evaluate every exact per-point ingredient once.
 
-    with_hessians=False skips the second-order warp jets; Christoffels and
+    with_hessians=False skips the second-order warp jets and what only
+    curvature reads (Hf, Hh, their Laplacians, nf2, nh2); Christoffels and
     geodesic right-hand sides only need first derivatives, and the saving
     matters inside integrator loops.
     """
     pp = _as_product_point(spec, point)
+    m, n = spec.base.dim, spec.fiber.dim
     gB, DB = _metric_and_first_derivs(spec.base, pp.base_coords)
     gF, DF = _metric_and_first_derivs(spec.fiber, pp.fiber_coords)
     gBinv = _inverse_of(gB)
@@ -109,15 +103,17 @@ def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True) -> _
     dfU = gBinv @ df
     dhU = gFinv @ dh
     if with_hessians:
-        Hf = fjet.hessian - np.einsum("kij,k->ij", gammaB, df)
-        Hh = hjet.hessian - np.einsum("kij,k->ij", gammaF, dh)
-        lapBf = float(np.einsum("ij,ij->", gBinv, Hf))
-        lapFh = float(np.einsum("ij,ij->", gFinv, Hh))
+        Hf = fjet.hessian - (df @ gammaB.reshape(m, m * m)).reshape(m, m)
+        Hh = hjet.hessian - (dh @ gammaF.reshape(n, n * n)).reshape(n, n)
+        lapBf = float(np.vdot(gBinv, Hf))
+        lapFh = float(np.vdot(gFinv, Hh))
+        nf2 = float(df @ dfU)
+        nh2 = float(dh @ dhU)
     else:
-        Hf = Hh = lapBf = lapFh = None
+        Hf = Hh = lapBf = lapFh = nf2 = nh2 = None
     return _PointData(
-        m=spec.base.dim,
-        n=spec.fiber.dim,
+        m=m,
+        n=n,
         f=fval,
         h=hval,
         gB=gB,
@@ -134,8 +130,8 @@ def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True) -> _
         dhU=dhU,
         lf=df / fval,
         lh=dh / hval,
-        nf2=float(df @ dfU),
-        nh2=float(dh @ dhU),
+        nf2=nf2,
+        nh2=nh2,
         lapBf=lapBf,
         lapFh=lapFh,
     )
@@ -150,15 +146,14 @@ def _christoffels_from_data(d: _PointData) -> np.ndarray:
     G[B, B, B] = d.gammaB
     G[F, F, F] = d.gammaF
     # fiber-up, base-pair block and its mirror
-    G[F, B, B] = -(d.h / d.f**2) * np.einsum("a,mn->amn", d.dhU, d.gB)
-    G[B, F, F] = -(d.f / d.h**2) * np.einsum("m,ab->mab", d.dfU, d.gF)
-    # mixed lower pairs: diagonal in the matching factor index
-    mixB = np.einsum("nm,a->nma", np.eye(m), d.lh)  # G[nu, mu, m+alpha]
-    G[B, B, F] = mixB
-    G[B, F, B] = mixB.transpose(0, 2, 1)
-    mixF = np.einsum("ba,m->bam", np.eye(n), d.lf)  # G[m+beta, m+alpha, mu]
-    G[F, F, B] = mixF
-    G[F, B, F] = mixF.transpose(0, 2, 1)
+    G[F, B, B] = -(d.h / d.f**2) * (d.dhU[:, None, None] * d.gB)
+    G[B, F, F] = -(d.f / d.h**2) * (d.dfU[:, None, None] * d.gF)
+    # mixed lower pairs, diagonal in the matching factor index:
+    # G[nu, nu, m+alpha] = G[nu, m+alpha, nu] = d_alpha ln h, and mirrored
+    for nu in range(m):
+        G[nu, nu, F] = G[nu, F, nu] = d.lh
+    for beta in range(m, dim):
+        G[beta, beta, B] = G[beta, B, beta] = d.lf
     return G
 
 

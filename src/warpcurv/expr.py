@@ -27,10 +27,19 @@ Both reject exactly the same points: the batch raises EvalDomainError when
 the dual pass would raise at one of its rows, including the rules that only
 the derivative imposes (x^0.5 and sqrt at 0, a variable exponent on a base
 <= 0) and the overflows math raises on but numpy does not.
+
+No function returns a number that is not finite.  evaluate raises
+EvalDomainError where the value is inf or NaN, value_and_gradient and its
+batch where the value or a gradient entry is, and jet2 where any of the
+value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1 is rejected by all
+four, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
+whose gradient is inf - inf, by every function that returns the gradient.
+The scalar paths check Python floats with math.isfinite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -100,7 +109,8 @@ class BinOp(Node):
 class Expression:
     """A parsed expression together with its declared arity."""
 
-    __slots__ = ("root", "arity", "_program")
+    # _constant is left unset until geometry first folds the expression
+    __slots__ = ("root", "arity", "_program", "_constant")
 
     def __init__(self, root: Node, arity: int):
         self.root = root
@@ -332,13 +342,27 @@ def _eval(node, env):
     return -_eval(node.arg, env)
 
 
+def _require_finite(expr: Expression, what: str, numbers):
+    if not all(map(math.isfinite, numbers)):
+        raise EvalDomainError(f"{what} is not finite", expr.root)
+
+
 def evaluate(expr: Expression, point) -> float:
     """Evaluate at a point (sequence of reals, length == arity)."""
     if len(point) != expr.arity:
         raise ValueError(f"point has length {len(point)}, expected {expr.arity}")
     env = [float(c) for c in point]
-    result = _eval(expr.root, env)
-    return float(result)
+    result = float(_eval(expr.root, env))
+    _require_finite(expr, "value", (result,))
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_rows(n: int) -> tuple:
+    """Rows of the n x n identity, read-only because every call shares them."""
+    seeds = np.eye(n)
+    seeds.flags.writeable = False
+    return tuple(seeds)
 
 
 def value_and_gradient(expr: Expression, point):
@@ -346,19 +370,14 @@ def value_and_gradient(expr: Expression, point):
     n = expr.arity
     if len(point) != n:
         raise ValueError(f"point has length {len(point)}, expected {n}")
-    if n == 0:
-        return float(_eval(expr.root, [])), np.zeros(0)
-    seeds = np.eye(n)
-    env = [Dual(float(point[k]), seeds[k]) for k in range(n)]
+    env = [Dual(float(x), seed) for x, seed in zip(point, _seed_rows(n))]
     r = _eval(expr.root, env)
-    if not isinstance(r, Dual):
-        return float(r), np.zeros(n)
-    b = r.b
-    if not isinstance(b, np.ndarray):
-        # Expression touched only a subset of operations that kept the
-        # payload scalar; cannot happen with vector seeds, but stay safe.
-        b = np.full(n, float(b))
-    return float(r.a), np.asarray(b, dtype=float)
+    if isinstance(r, Dual):
+        value, grad = float(r.a), r.b.tolist()
+    else:
+        value, grad = float(r), [0.0] * n
+    _require_finite(expr, "value or gradient", (value, *grad))
+    return value, np.array(grad)
 
 
 def jet2(expr: Expression, point) -> Jet2:
@@ -372,9 +391,9 @@ def jet2(expr: Expression, point) -> Jet2:
     if len(point) != n:
         raise ValueError(f"point has length {len(point)}, expected {n}")
     if n == 0:
-        return Jet2(float(_eval(expr.root, [])), np.zeros(0), np.zeros((0, 0)))
+        return Jet2(evaluate(expr, point), np.zeros(0), np.zeros((0, 0)))
     coords = [float(c) for c in point]
-    seeds = np.eye(n)
+    seeds = _seed_rows(n)
     zero = np.zeros(n)
     value = 0.0
     grad = np.zeros(n)
@@ -386,12 +405,17 @@ def jet2(expr: Expression, point) -> Jet2:
         ]
         r = _eval(expr.root, env)
         if not isinstance(r, Dual):
-            return Jet2(float(r), np.zeros(n), np.zeros((n, n)))
+            value = float(r)
+            _require_finite(expr, "value", (value,))
+            return Jet2(value, np.zeros(n), np.zeros((n, n)))
         if i == 0:
             value = float(r.a.a)
-            grad = np.asarray(r.a.b, dtype=float).copy()
+            grad = np.array(r.a.b, dtype=float)
         hess[i] = r.b.b
     hess = 0.5 * (hess + hess.T)
+    _require_finite(
+        expr, "value, gradient or Hessian", (value, *grad.tolist(), *hess.ravel().tolist())
+    )
     return Jet2(value, grad, hess)
 
 
@@ -587,6 +611,8 @@ def value_and_gradient_batch(expr: Expression, points):
     out_grad = np.zeros((rows, n))
     if grad is not None:
         out_grad[:] = grad
+    finite = np.isfinite(out_value) & np.isfinite(out_grad).all(axis=1)
+    _check_rows(~finite, "value or gradient not finite", expr.root)
     return out_value, out_grad
 
 

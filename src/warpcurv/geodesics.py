@@ -9,10 +9,21 @@ Christoffel blocks, and the integrator accepts either.
 The squared velocity norm <v, v> is monitored at every accepted sample;
 geodesics preserve it exactly in the continuum, so its drift measures
 integration error and aborts the run when it passes a threshold.
+
+One RK4 step costs four right-hand sides on arrays of two to four entries,
+so the step is kept free of numpy calls that do no arithmetic.  The
+integrator carries one state vector y = (position, velocity); each stage
+checks y's entries for finiteness once, on Python floats, and hands the
+right-hand side a state whose position views y without checking it again.
+A stage or sample that is no longer finite ends the run with
+DomainExitError at the last healthy sample.  Both right-hand sides contract
+with (Gamma @ v) @ v and get their Christoffels from the point path
+described in the geometry module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +55,8 @@ class GeodesicState:
 
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=float)
-        if len(self.velocity) != len(self.position.full):
+        pos = self.position
+        if len(self.velocity) != len(pos.base_coords) + len(pos.fiber_coords):
             raise ValueError("velocity length must match position dimension")
 
 
@@ -74,7 +86,7 @@ def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
     gamma = christoffels_closed(spec, state.position)
     v = state.velocity
-    return -np.einsum("kij,i,j->k", gamma, v, v)
+    return -((gamma @ v) @ v)
 
 
 def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
@@ -93,12 +105,12 @@ def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     vB2 = float(vB @ d.gB @ vB)
     vF2 = float(vF @ d.gF @ vF)
     accel_B = (
-        -np.einsum("kij,i,j->k", d.gammaB, vB, vB)
+        -((d.gammaB @ vB) @ vB)
         + (d.f / d.h**2) * vF2 * d.dfU
         - 2.0 * float(d.lh @ vF) * vB
     )
     accel_F = (
-        -np.einsum("kij,i,j->k", d.gammaF, vF, vF)
+        -((d.gammaF @ vF) @ vF)
         + (d.h / d.f**2) * vB2 * d.dhU
         - 2.0 * float(d.lf @ vB) * vF
     )
@@ -126,9 +138,9 @@ def integrate(
     Samples land on the uniform grid initial.s + k*step, plus one shorter
     final step when s_end is not a grid point, so the trajectory always
     ends exactly at s_end.  Raises DomainExitError when any evaluation
-    leaves the chart (reporting the last healthy sample) and
-    StepTooLargeError when the velocity-norm drift passes abort_drift
-    relative to (1 + |initial norm|).
+    leaves the chart or a stage's state is no longer finite (reporting the
+    last healthy sample) and StepTooLargeError when the velocity-norm drift
+    passes abort_drift relative to (1 + |initial norm|).
     """
     if rhs not in _RHS:
         raise ValueError(f"rhs must be one of {sorted(_RHS)}, got {rhs!r}")
@@ -137,7 +149,7 @@ def integrate(
     if s_end < initial.s:
         raise ValueError("s_end must be >= the initial parameter value")
     accel = _RHS[rhs]
-    m = spec.base.dim
+    m, dim = spec.base.dim, spec.dim
 
     span = s_end - initial.s
     whole = int(np.floor(span / step + 1e-9))
@@ -145,11 +157,18 @@ def integrate(
     if remainder <= 1e-12 * step:
         remainder = 0.0
 
+    def state_at(s: float, y: np.ndarray) -> GeodesicState:
+        """The state y = (position, velocity), its entries checked here once."""
+        if not all(map(math.isfinite, y.tolist())):
+            last = samples[-1]
+            raise DomainExitError(
+                last.s, last.position, f"trajectory state is no longer finite after s={last.s!r}"
+            )
+        return GeodesicState(s, ProductPoint._checked_by_caller(y[:m], y[m:dim]), y[dim:])
+
     def deriv(y: np.ndarray) -> np.ndarray:
-        pos = ProductPoint.from_full(y[: len(y) // 2], m)
-        vel = y[len(y) // 2 :]
-        state = GeodesicState(0.0, pos, vel)
-        return np.concatenate([vel, accel(spec, state)])
+        state = state_at(0.0, y)
+        return np.concatenate([state.velocity, accel(spec, state)])
 
     y = np.concatenate([initial.position.full, initial.velocity])
     s = initial.s
@@ -160,24 +179,22 @@ def integrate(
     total_steps = whole + (1 if remainder else 0)
     for k in range(total_steps):
         h = step if k < whole else remainder
+        s = initial.s + (k + 1) * step if k < whole else s_end
         try:
             k1 = deriv(y)
             k2 = deriv(y + (0.5 * h) * k1)
             k3 = deriv(y + (0.5 * h) * k2)
             k4 = deriv(y + h * k3)
-            y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pos = ProductPoint.from_full(y_next[: len(y) // 2], m)
-            vel = y_next[len(y) // 2 :]
-            norm = _norm_at(spec, pos, vel)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sample = state_at(s, y)
+            norm = _norm_at(spec, sample.position, sample.velocity)
         except (EvalDomainError, NonpositiveWarpError, DegenerateMetricError) as exc:
             last = samples[-1]
             raise DomainExitError(last.s, last.position, str(exc)) from exc
-        s = initial.s + (k + 1) * step if k < whole else s_end
         drift = abs(norm - n0)
         if drift > abort_drift * (1.0 + abs(n0)):
             raise StepTooLargeError(s, drift, abort_drift * (1.0 + abs(n0)))
-        y = y_next
-        samples.append(GeodesicState(s, pos, vel))
+        samples.append(sample)
         norms.append(norm)
 
     return Trajectory(samples, np.asarray(norms))

@@ -9,6 +9,19 @@ Partial derivatives of metric entries come from dual numbers (one point) or
 the compiled batch evaluator (a stack of points), never from finite
 differences; the only approximation anywhere in this module is the linear
 solve for the inverse metric.
+
+The one-point path is built for many calls on tiny arrays, where numpy's
+per-call cost outweighs the arithmetic:
+
+- A metric component that reads no variable (the 1, 0 and -1 of most
+  charts) is folded: evaluated once, on first use, and cached on its
+  Expression.  metric_at and the first-derivative pass evaluate only the
+  live components; a folded one has value c and zero derivatives.
+- _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
+  that or for entries beyond 1e100, where a product of three entries could
+  overflow.  Both apply one degeneracy rule, the one _christoffels_stacked
+  applies row by row.
+- Point checks finiteness on Python floats.
 """
 
 from __future__ import annotations
@@ -18,9 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
+    BinOp,
+    Const,
     Expression,
+    Var,
     evaluate,
     jet2,
     parse_expression,
@@ -49,7 +65,7 @@ class Point:
         arr = np.atleast_1d(np.asarray(coords, dtype=float))
         if arr.ndim != 1:
             raise ValueError("coordinates must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, arr.tolist())):
             raise ValueError("coordinates must be finite")
         self.coords = arr
 
@@ -130,28 +146,92 @@ class ScalarFieldSpec:
         return cls(parse_expression(text, arity), positivity_required)
 
 
+def _constant_value(expr: Expression):
+    """The component's value when it reads no variable and evaluates to a
+    finite number, else None.  Worked out on first use and cached on the
+    expression; the value is bitwise what evaluate returns."""
+    try:
+        return expr._constant
+    except AttributeError:
+        pass
+    todo, c = [expr.root], 0.0
+    while todo and c is not None:
+        node = todo.pop()
+        if type(node) is Var:
+            c = None
+        elif type(node) is BinOp:
+            todo += (node.left, node.right)
+        elif type(node) is not Const:
+            todo.append(node.arg)
+    if c is not None:
+        try:
+            c = evaluate(expr, [0.0] * expr.arity)
+        except EvalDomainError:  # left to fail where it is evaluated
+            c = None
+    expr._constant = c
+    return c
+
+
 def metric_at(spec: MetricSpec, point) -> np.ndarray:
     c = _coords(point, spec.dim)
     g = np.empty((spec.dim, spec.dim))
     for i in range(spec.dim):
         for j in range(i, spec.dim):
-            g[i, j] = g[j, i] = evaluate(spec.components[i][j], c)
+            e = spec.components[i][j]
+            v = _constant_value(e)
+            g[i, j] = g[j, i] = evaluate(e, c) if v is None else v
     return g
 
 
+# Up to this peak entry no product of three entries overflows, so the
+# closed-form adjugate is safe; beyond it LAPACK takes over.
+_ADJUGATE_PEAK = 1e100
+
+
+def _adjugate(a: list, dim: int):
+    """(determinant, transposed cofactors in row-major order) of a dim x dim
+    matrix given as a flat list, dim <= 3.  A symmetric input gets a
+    bitwise symmetric adjugate: mirrored cofactors multiply the same pairs."""
+    if dim == 1:
+        return a[0], [1.0]
+    if dim == 2:
+        p, q, r, s = a
+        return p * s - q * r, [s, -q, -r, p]
+    p, q, r, s, t, u, v, w, x = a
+    c00 = t * x - u * w
+    c01 = u * v - s * x
+    c02 = s * w - t * v
+    det = p * c00 + q * c01 + r * c02
+    return det, [
+        c00, r * w - q * x, q * u - r * t,
+        c01, p * x - r * v, r * s - p * u,
+        c02, q * v - p * w, p * t - q * s,
+    ]
+
+
 def _inverse_of(g: np.ndarray) -> np.ndarray:
+    """Inverse of a metric array.  Raises DegenerateMetricError when an
+    entry is not finite or |det| < 1e-12 * max(1, peak)^dim, peak being the
+    largest |entry|."""
     dim = g.shape[0]
-    peak = float(np.abs(g).max())
-    if not math.isfinite(peak):
+    flat = g.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
         raise DegenerateMetricError("metric is not finite at this point", math.nan)
-    det = float(np.linalg.det(g))
-    # determinant scales like entries^dim, so the degeneracy cutoff must too
-    scale = max(1.0, peak) ** dim
-    if abs(det) < 1e-12 * scale:
+    peak = max(map(abs, flat))
+    # the determinant scales like entries^dim, so the cutoff must too; a
+    # float product reaches inf where ** would raise OverflowError
+    cutoff = 1e-12 * math.prod([max(1.0, peak)] * dim)
+    if dim <= 3 and peak <= _ADJUGATE_PEAK:
+        det, adj = _adjugate(flat, dim)
+    else:
+        det, adj = float(np.linalg.det(g)), None
+    if not abs(det) >= cutoff:
         raise DegenerateMetricError(
             f"metric determinant {det!r} is degenerate at this point", det
         )
-    return np.linalg.inv(g)
+    if adj is None:
+        return np.linalg.inv(g)
+    return np.array([c / det for c in adj]).reshape(dim, dim)
 
 
 def inverse_metric_at(spec: MetricSpec, point) -> np.ndarray:
@@ -162,13 +242,16 @@ def _metric_and_first_derivs(spec: MetricSpec, c: np.ndarray):
     """Returns (g, D) with D[l, i, j] = d g_ij / d x_l, both bitwise symmetric."""
     dim = spec.dim
     g = np.empty((dim, dim))
-    D = np.empty((dim, dim, dim))
+    D = np.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(i, dim):
-            v, grad = value_and_gradient(spec.components[i][j], c)
+            e = spec.components[i][j]
+            v = _constant_value(e)
+            if v is None:
+                v, grad = value_and_gradient(e, c)
+                D[:, i, j] = grad
+                D[:, j, i] = grad
             g[i, j] = g[j, i] = v
-            D[:, i, j] = grad
-            D[:, j, i] = grad
     return g, D
 
 
@@ -176,6 +259,8 @@ def _christoffels_from_parts(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
     # term[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij; symmetric in (i, j)
     # bitwise because the two leading terms are mirror images and the
     # subtracted one is built symmetric.
+    if len(ginv) == 1:
+        return 0.5 * (ginv * D)  # term = D + D - D = D exactly
     term = D + D.transpose(1, 0, 2) - D.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
 

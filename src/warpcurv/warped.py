@@ -46,6 +46,15 @@ class ProductPoint:
         coords = np.asarray(coords, dtype=float)
         return cls(coords[:m], coords[m:])
 
+    @classmethod
+    def _checked_by_caller(cls, base_coords: np.ndarray, fiber_coords: np.ndarray):
+        """A point over 1-d float arrays whose entries the caller has
+        already found finite; the integrator checks each RK4 stage once."""
+        pp = cls.__new__(cls)
+        pp.base_coords = base_coords
+        pp.fiber_coords = fiber_coords
+        return pp
+
     @property
     def full(self) -> np.ndarray:
         return np.concatenate([self.base_coords, self.fiber_coords])

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import warpcurv
 from warpcurv.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -290,3 +294,52 @@ def test_bad_numeric_flags_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     err = captured.err.strip()
     assert err and "\n" not in err and "Traceback" not in err
+
+
+def _write_manifest(tmp_path, base_metric, warp_f="1") -> str:
+    doc = {
+        "name": "probe",
+        "base": {"dim": len(base_metric), "name": "base", "metric": base_metric},
+        "fiber": {"dim": 1, "name": "fiber", "metric": [["1"]]},
+        "warp_f": warp_f,
+        "warp_h": "1",
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_line(err: str) -> str:
+    err = err.strip()
+    assert err and "\n" not in err and "Traceback" not in err, err
+    return err
+
+
+def test_huge_metric_entry_exits_3_without_traceback(tmp_path, capsys):
+    # g00 = exp(400) ~ 5e173: the degeneracy cutoff used to overflow
+    path = _write_manifest(tmp_path, [["exp(x0)", "0"], ["0", "1"]])
+    assert main(["curvature", path, "--point", "400,0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate" in _one_line(captured.err)
+
+
+def test_overflowing_expression_prints_one_line(tmp_path):
+    path = _write_manifest(tmp_path, [["1"]], warp_f="sin(x0) + x0*1e308*10")
+    env = dict(os.environ, PYTHONPATH=str(Path(warpcurv.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpcurv.cli", "curvature", path, "--point", "1,0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "not finite" in proc.stderr
+
+
+def test_geodesic_state_overflow_exits_3(capsys):
+    argv = ["geodesic", catalog("unit-sphere"), "--init", "1,0;1e200,1e200", "--s-end", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no longer finite" in _one_line(captured.err)

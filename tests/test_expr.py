@@ -426,6 +426,8 @@ def test_batch_matches_scalar_on_random_expressions():
         ("sin(x0*1e308*10)", 1, [1.0]),  # inf reaches sin
         ("tan(x0*1e308*10)", 1, [1.0]),
         ("x1/(x0 - x0)", 2, [1.0, 1.0]),
+        ("x0*1e308*10", 1, [1.0]),  # overflow in arithmetic: the value is inf
+        ("log(x0*1e308*10)", 1, [1.0]),  # log(inf) = inf
     ],
 )
 def test_batch_dual_only_domain_rules(text, arity, bad_row):
@@ -447,8 +449,8 @@ def test_batch_dual_only_domain_rules(text, arity, bad_row):
         ("x0^0", 1, [0.0]),  # a zero exponent makes the power constant 1
         ("tanh(x0)", 1, [1000.0]),
         ("exp(x0)", 1, [-1000.0]),
-        ("x0*1e308*10", 1, [1.0]),  # overflow in arithmetic passes, as in math
-        ("log(x0*1e308*10)", 1, [1.0]),  # log(inf) = inf
+        ("x0*1e308", 1, [1.0]),  # just below overflow
+        ("log(x0*1e308)", 1, [1.0]),
         ("2 + 3", 2, [0.0, 0.0]),
         ("sin(1) + x1", 2, [0.0, 0.5]),
     ],
@@ -456,6 +458,49 @@ def test_batch_dual_only_domain_rules(text, arity, bad_row):
 def test_batch_edge_values_without_error(text, arity, point):
     expr = parse_expression(text, arity)
     assert not _check_batch_like_scalar(expr, np.array([point, point]))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError:
+        return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,arity,point,raises",
+    [
+        # raises = (evaluate, value_and_gradient and its batch, jet2)
+        ("x0*1e308*10", 1, [1.0], (True, True, True)),  # the value is inf
+        ("1 + x0*1e308*10 - x0*1e308*10", 1, [1.0], (True, True, True)),  # NaN
+        ("1 + x0*1e308*10 - x0*1e308*10", 1, [0.0], (False, True, True)),  # grad inf - inf
+        ("tanh(x0*1e308*10)", 1, [1.0], (False, True, True)),  # grad 0 * inf
+        ("x1*exp(x0)", 2, [700.0, 1e300], (True, True, True)),
+        ("log(x0)", 1, [1e-200], (False, False, True)),  # Hessian -1e400
+        ("x0*1e308", 1, [1.0], (False, False, False)),
+    ],
+)
+def test_nonfinite_results_raise_on_every_path(text, arity, point, raises):
+    expr = parse_expression(text, arity)
+    value = _outcome(evaluate, expr, point)
+    scalar = _outcome(value_and_gradient, expr, point)
+    batch = _outcome(value_and_gradient_batch, expr, np.array([point, point]))
+    jet = _outcome(jet2, expr, point)
+    assert (value is None, scalar is None, batch is None, jet is None) == (
+        raises[0], raises[1], raises[1], raises[2]
+    )
+    returned = []
+    if value is not None:
+        returned.append(value)
+    if scalar is not None:
+        assert scalar[0] == value
+        _assert_rows_agree(expr, np.array([point, point]), [scalar, scalar])
+        returned += [*scalar, *batch]
+    if jet is not None:
+        assert jet.value == scalar[0] and np.array_equal(jet.gradient, scalar[1])
+        returned += [jet.value, jet.gradient, jet.hessian]
+    assert all(np.all(np.isfinite(out)) for out in returned)
 
 
 def test_batch_of_deep_sum_has_no_recursion_limit():

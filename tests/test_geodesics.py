@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from warpcurv.errors import DomainExitError, StepTooLargeError
 from warpcurv.geodesics import GeodesicState, Trajectory, integrate, rhs_full, rhs_split
-from warpcurv.geometry import MetricSpec
-from warpcurv.warped import ProductPoint, WarpedProductSpec
+from warpcurv.geometry import MetricSpec, christoffels_of
+from warpcurv.manifest import catalog_names, load_catalog, load_manifest
+from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 BASE2 = MetricSpec.from_strings(
@@ -185,3 +188,70 @@ def test_zero_span_returns_single_sample():
     traj = integrate(SPHERE, st, s_end=0.0, step=1e-2)
     assert len(traj.samples) == 1
     assert traj.endpoint.s == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_nonfinite_stage_is_a_domain_exit(rhs):
+    # the first stage's acceleration overflows, so the second stage's
+    # position is inf; the last healthy sample is the initial one
+    initial = state(SPHERE, [1.0, 0.0], [1e200, 1e200])
+    with pytest.raises(DomainExitError) as exc:
+        integrate(SPHERE, initial, 1.0, 0.1, rhs=rhs)
+    assert exc.value.s == 0.0
+    assert exc.value.position.full.tolist() == [1.0, 0.0]
+
+
+def _dense_factor(rng, k: int) -> MetricSpec:
+    """delta_ij + eps s_i s_j with s_i = sin(linear): non-diagonal and
+    positive definite, the shape of the benchmark's dense factors."""
+    s = []
+    for _ in range(k):
+        terms = " + ".join(f"{rng.uniform(-1, 1):.6f}*x{j}" for j in range(k))
+        s.append(f"sin({rng.uniform(0, 6):.6f} + {terms})")
+    eps = rng.uniform(0.2, 0.6)
+    rows = [
+        [("1 + " if i == j else "") + f"{eps:.6f}*{s[min(i, j)]}*{s[max(i, j)]}" for j in range(k)]
+        for i in range(k)
+    ]
+    return MetricSpec.from_strings(k, rows)
+
+
+def _lean_path_cases():
+    """(spec, box) of every catalog entry, the valid fixtures and three
+    dense manifests."""
+    cases = [(mf.spec, mf.box) for mf in map(load_catalog, catalog_names())]
+    fixtures = Path(__file__).parent / "fixtures"
+    for name in ("shifted-warp", "doubly-exp-2x2"):
+        mf = load_manifest(fixtures / f"{name}.json")
+        cases.append((mf.spec, mf.box))
+    rng = np.random.default_rng(20261018)
+    for m, n in ((2, 2), (2, 3), (3, 3)):
+        f = f"exp(0.3*sin({rng.uniform(0, 6):.6f} + x0))"
+        h = f"exp(0.2*cos({rng.uniform(0, 6):.6f} + x{n - 1}))"
+        spec = WarpedProductSpec.build(
+            _dense_factor(rng, m), _dense_factor(rng, n), f, h, name=f"dense-{m}x{n}"
+        )
+        cases.append((spec, np.array([[-1.0, 1.0]] * (m + n))))
+    return cases
+
+
+def test_rhs_match_the_plain_metric_contraction():
+    """Both right-hand sides against -Gamma(v, v) from the Christoffels of
+    the assembled product metric, a route through neither of them."""
+    rng = np.random.default_rng(7)
+    cases = _lean_path_cases()
+    assert len(cases) == 10
+    for spec, box in cases:
+        plain = as_plain_metric(spec)
+        for _ in range(8):
+            x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(spec.dim)
+            v = rng.standard_normal(spec.dim)
+            gamma = christoffels_of(plain, x)
+            want = -np.einsum("kij,i,j->k", gamma, v, v)
+            st = state(spec, x, v)
+            for rhs in (rhs_full, rhs_split):
+                got = rhs(spec, st)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (
+                    spec.name, rhs.__name__, x.tolist()
+                )

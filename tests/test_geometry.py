@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpcurv.errors import DegenerateMetricError
+from warpcurv.errors import DegenerateMetricError, EvalDomainError
 from warpcurv.expr import evaluate
 from warpcurv.geometry import (
     MetricSpec,
@@ -122,6 +122,102 @@ def test_inverse_metric_product_is_identity():
             assert err <= 1e-12, (spec.name, err)
 
 
+def _random_metric(rng, dim: int, lorentzian: bool) -> np.ndarray:
+    """Q diag(lam) Q^T with |lam| in [0.5, 2], one negative when Lorentzian."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    lam = rng.uniform(0.5, 2.0, size=dim)
+    if lorentzian:
+        lam[0] = -lam[0]
+    g = (q * lam) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def test_closed_form_inverse_matches_lapack():
+    rng = np.random.default_rng(20261018)
+    for dim in (1, 2, 3):
+        for lorentzian in (False, True):
+            for _ in range(200):
+                g = _random_metric(rng, dim, lorentzian)
+                got = _inverse_of(g)
+                want = np.linalg.inv(g)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                assert np.array_equal(got, got.T)  # symmetric bitwise
+
+
+def _old_rule_degenerate(g: np.ndarray) -> bool:
+    """The degeneracy rule as LAPACK det and float powers compute it, an
+    overflowing power reaching inf, as _christoffels_stacked applies it."""
+    with np.errstate(all="ignore"):
+        peak = np.abs(g).max()
+        det = np.linalg.det(g)
+        cutoff = 1e-12 * np.maximum(1.0, peak) ** len(g)
+    return not (np.isfinite(peak) and abs(det) >= cutoff)
+
+
+def _spec_of(g: np.ndarray) -> MetricSpec:
+    """A metric whose components are the constants of g."""
+    dim = len(g)
+    rows = [[repr(float(g[i, j])) for j in range(dim)] for i in range(dim)]
+    return MetricSpec.from_strings(dim, rows)
+
+
+DEGENERACY_CASES = [
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]),  # |det| 1e-14, below the cutoff
+    np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]),  # |det| 1e-10, above it
+    np.array([[1.0, 0.5, 0.0], [0.5, 0.25 + 1e-14, 0.0], [0.0, 0.0, 1.0]]),
+    np.array([[1.0, 0.5, 0.0], [0.5, 0.25 + 1e-10, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[1e-7]]),
+    np.array([[1e-13]]),
+    np.diag([1e160, 1.0]),  # det 1e160 against a cutoff of 1e308
+    np.diag([1e200, 1e200]),  # det and cutoff both overflow to inf
+    np.diag([1e300, 1e100]),
+    np.diag([1e120, 1e120, 1e120]),
+    np.array([[1e150, 1e149], [1e149, 1e150]]),
+    np.diag([1e60, 1e60, 1e60]),  # a closed-form product reaches 1e180
+    np.diag([1e-120, 1e-120]),  # products underflow to 0
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("g", DEGENERACY_CASES, ids=lambda g: repr(g.tolist()))
+def test_inverse_verdict_matches_the_old_rule(g):
+    want = _old_rule_degenerate(g)
+    try:
+        _inverse_of(g)
+        got = False
+    except DegenerateMetricError:
+        got = True
+    assert got == want
+    # the stacked pass reaches the same verdict on the same metric
+    spec = _spec_of(g)
+    try:
+        _christoffels_stacked(spec, np.zeros((2, len(g))))
+        stacked = False
+    except DegenerateMetricError:
+        stacked = True
+    assert stacked == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_verdict_on_nonfinite_entries(bad):
+    for dim in (1, 2, 3, 4):
+        g = np.eye(dim)
+        g[0, dim - 1] = g[dim - 1, 0] = bad
+        assert _old_rule_degenerate(g)
+        with pytest.raises(DegenerateMetricError):
+            _inverse_of(g)
+
+
+def test_huge_entry_is_degenerate_not_overflow():
+    # exp(400) ~ 5e173, and max(1, peak)**dim used to raise OverflowError
+    # past 1e154 in dim 2
+    spec = MetricSpec.from_strings(2, [["exp(x0)", "0"], ["0", "1"]])
+    with pytest.raises(DegenerateMetricError):
+        christoffels_of(spec, Point([400.0, 0.0]))
+    with pytest.raises(DegenerateMetricError):
+        _christoffels_stacked(spec, np.array([[0.0, 0.0], [400.0, 0.0]]))
+
+
 def test_degenerate_metric_detected():
     cone = MetricSpec.from_strings(2, [["1", "0"], ["0", "x0^2"]])
     with pytest.raises(DegenerateMetricError):
@@ -132,21 +228,21 @@ def test_degenerate_metric_detected():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_metric_is_degenerate():
-    # inf - inf: the metric entry is NaN at x0 = 1 and 1 at x0 = 0
+    # inf - inf: the metric entry is NaN at x0 = 1 and 1 at x0 = 0.  The
+    # expression layer rejects it where it is evaluated, on both paths.
     big = "x0*x0*1e300*1e300"
     blowup = MetricSpec.from_strings(2, [[f"1 + {big} - {big}", "0"], ["0", "1"]])
-    assert np.isnan(metric_at(blowup, Point([1.0, 0.0]))[0, 0])
-    with pytest.raises(DegenerateMetricError):
-        inverse_metric_at(blowup, Point([1.0, 0.0]))
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(EvalDomainError):
+        metric_at(blowup, Point([1.0, 0.0]))
+    with pytest.raises(EvalDomainError):
         christoffels_of(blowup, Point([1.0, 0.0]))
-    with pytest.raises(DegenerateMetricError):
-        _inverse_of(np.diag([np.inf, 1.0]))
-    # the stacked pass applies the same rule row by row
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(EvalDomainError):
         _christoffels_stacked(blowup, np.array([[0.0, 0.0], [1.0, 0.0]]))
     fine = _christoffels_stacked(blowup, np.array([[0.0, 0.0], [0.0, 1.0]]))
     assert np.all(fine == 0.0)
+    # a metric array that is not finite is degenerate
+    with pytest.raises(DegenerateMetricError):
+        _inverse_of(np.diag([np.inf, 1.0]))
 
 
 def test_stacked_christoffels_match_pointwise():
