@@ -5,8 +5,9 @@ positive warp functions f on the base and h on the fiber.  This package
 evaluates its Christoffel symbols, Riemann/Ricci/scalar curvature, and
 geodesics numerically at points, three independent ways:
 
-- block formulas in factor terms (closed_form), exact in the warps,
-- a finite-difference oracle on the assembled metric (oracle),
+- block formulas in factor terms (closed_form.bundle_closed), exact in
+  the warps,
+- a finite-difference oracle on the assembled metric (oracle.bundle_fd),
 - two algebraically identical geodesic right-hand sides (geodesics).
 
 Expressions are plain strings over x0, x1, ... differentiated exactly with
@@ -17,14 +18,7 @@ small built-in catalog (manifest); the `warpcurv` CLI wraps the rest.
 __version__ = "0.1.0"
 
 from .bundle import CONVENTIONS, CurvatureBundle
-from .closed_form import (
-    bundle_closed,
-    christoffels_closed,
-    ricci_closed,
-    riemann_closed,
-    scalar_closed,
-    scalar_closed_paths,
-)
+from .closed_form import bundle_closed, christoffels_closed
 from .errors import (
     ArityError,
     DegenerateMetricError,
@@ -58,9 +52,6 @@ from .geometry import (
     Point,
     ScalarFieldSpec,
     christoffels_of,
-    covariant_hessian,
-    inverse_metric_at,
-    laplacian,
     metric_at,
 )
 from .manifest import Manifest, catalog_names, load_catalog, load_manifest, parse_manifest
@@ -70,9 +61,6 @@ from .oracle import (
     TensorComparison,
     bundle_fd,
     compare_bundles,
-    ricci_fd,
-    riemann_fd,
-    scalar_fd,
     sectional_fd,
 )
 from .warped import (
@@ -89,10 +77,6 @@ __all__ = [
     "CurvatureBundle",
     "bundle_closed",
     "christoffels_closed",
-    "ricci_closed",
-    "riemann_closed",
-    "scalar_closed",
-    "scalar_closed_paths",
     "ArityError",
     "DegenerateMetricError",
     "DegeneratePlaneError",
@@ -125,9 +109,6 @@ __all__ = [
     "Point",
     "ScalarFieldSpec",
     "christoffels_of",
-    "covariant_hessian",
-    "inverse_metric_at",
-    "laplacian",
     "metric_at",
     "Manifest",
     "catalog_names",
@@ -139,9 +120,6 @@ __all__ = [
     "TensorComparison",
     "bundle_fd",
     "compare_bundles",
-    "ricci_fd",
-    "riemann_fd",
-    "scalar_fd",
     "sectional_fd",
     "ProductPoint",
     "WarpedProductSpec",

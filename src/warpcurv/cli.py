@@ -4,11 +4,13 @@
     warpcurv verify    MANIFEST [--samples 100] [--seed 7] [--box 0.3..2.8,0..6.28]
     warpcurv geodesic  MANIFEST --init "1.57,0;0,1" --s-end 6.283 [--rhs both]
 
-Exit codes: 0 success, 1 tolerance or drift failure, 2 manifest or expression
-parse error, 3 evaluation left the valid domain, 4 too many skipped sample
-points (over 10%).  CSV output uses comma separators, 17-significant-digit
-numbers, LF line endings, and one leading version header line; identical
-inputs and seed reproduce it byte for byte.
+Exit codes: 0 success, 1 tolerance or drift failure or a numerical
+instability (a computed tensor broke a structural identity), 2 manifest or
+expression parse error or an invalid flag (a geodesic asking for more than
+MAX_GEODESIC_STEPS steps among them), 3 evaluation left the valid domain,
+4 too many skipped sample points (over 10%).  CSV output uses comma
+separators, 17-significant-digit numbers, LF line endings, and one leading
+version header line; identical inputs and seed reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
     EvalDomainError,
     ManifestError,
     NonpositiveWarpError,
+    NumericalInstabilityError,
     StencilDomainError,
     StepTooLargeError,
     WarpcurvError,
@@ -44,6 +47,10 @@ EXIT_TOLERANCE = 1
 EXIT_MANIFEST = 2
 EXIT_DOMAIN = 3
 EXIT_SKIPS = 4
+
+# Every sample of a trajectory is kept in memory; 100 times the longest run
+# the tests and the benchmark make.
+MAX_GEODESIC_STEPS = 10**6
 
 _DOMAIN_ERRORS = (
     EvalDomainError,
@@ -198,6 +205,11 @@ def cmd_geodesic(mf: Manifest, args) -> int:
         raise ManifestError(f"--s-end must be finite and >= 0, got {args.s_end!r}")
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ManifestError(f"--step must be finite and positive, got {args.step!r}")
+    if args.s_end / args.step > MAX_GEODESIC_STEPS:
+        raise ManifestError(
+            f"--s-end / --step asks for {args.s_end / args.step:.3g} steps, "
+            f"more than {MAX_GEODESIC_STEPS}"
+        )
     pos_text, sep, vel_text = args.init.partition(";")
     if not sep:
         raise ManifestError('--init must look like "pos0,pos1,...;vel0,vel1,..."')
@@ -321,6 +333,9 @@ def _run(args) -> int:
         return EXIT_DOMAIN
     except StepTooLargeError as exc:
         print(f"step too large: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except NumericalInstabilityError as exc:
+        print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except WarpcurvError as exc:
         print(f"error: {exc}", file=sys.stderr)

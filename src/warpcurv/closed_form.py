@@ -19,6 +19,11 @@ the latter proportional to d(ln f) d(ln h) and so vanishing whenever either
 warp is constant.  The remaining two patterns (upper index alone in its
 factor against three of the other) are identically zero.
 
+bundle_closed is the one curvature entry point: it evaluates the point
+data and the two factor stencils once and builds all four tensors from
+them.  christoffels_closed, for the geodesic right-hand side, needs only
+first derivatives.
+
 Internally the Riemann array is built in the 'common' sign convention
 (R(X,Y) = [D_X,D_Y] - D_[X,Y]) and negated on request; Ricci and scalar
 never depend on that choice.
@@ -30,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bundle import CONVENTIONS, CurvatureBundle
+from .bundle import CurvatureBundle
 from .errors import NonpositiveWarpError, NumericalInstabilityError
 from .expr import jet2, value_and_gradient
 from .geometry import (
@@ -42,14 +47,7 @@ from .geometry import (
 from .oracle import DiffPolicy, bundle_fd
 from .warped import WarpedProductSpec, _as_product_point
 
-__all__ = [
-    "christoffels_closed",
-    "riemann_closed",
-    "ricci_closed",
-    "scalar_closed",
-    "scalar_closed_paths",
-    "bundle_closed",
-]
+__all__ = ["christoffels_closed", "bundle_closed"]
 
 
 class _PointData(SimpleNamespace):
@@ -163,14 +161,13 @@ def christoffels_closed(spec: WarpedProductSpec, point) -> np.ndarray:
     return _christoffels_from_data(_point_data(spec, point, with_hessians=False))
 
 
-def _factor_bundle(factor: MetricSpec, coords, policy: DiffPolicy) -> CurvatureBundle:
+def _factor_curvature(factor: MetricSpec, coords, policy: DiffPolicy):
+    """(Riemann in the 'common' convention, Ricci) of one factor chart."""
     if factor.dim == 1:
         # a 1-manifold has no curvature; skip the stencil entirely
-        g, D = _metric_and_first_derivs(factor, np.asarray(coords, dtype=float))
-        gamma = _christoffels_from_parts(_inverse_of(g), D)
-        z = np.zeros
-        return CurvatureBundle(gamma, z((1, 1, 1, 1)), z((1, 1)), 0.0, "common")
-    return bundle_fd(factor, coords, policy, convention="common")
+        return np.zeros((1, 1, 1, 1)), np.zeros((1, 1))
+    fb = bundle_fd(factor, coords, policy, convention="common")
+    return fb.riemann, fb.ricci
 
 
 def _riemann_common_from_data(
@@ -240,24 +237,6 @@ def _riemann_common_from_data(
     return R
 
 
-def riemann_closed(
-    spec: WarpedProductSpec,
-    point,
-    policy: DiffPolicy | None = None,
-    convention: str = "paper",
-) -> np.ndarray:
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if policy is None:
-        policy = DiffPolicy()
-    pp = _as_product_point(spec, point)
-    d = _point_data(spec, pp)
-    Rb = _factor_bundle(spec.base, pp.base_coords, policy).riemann
-    Rf = _factor_bundle(spec.fiber, pp.fiber_coords, policy).riemann
-    R = _riemann_common_from_data(d, Rb, Rf)
-    return R if convention == "common" else -R
-
-
 def _ricci_from_data(
     d: _PointData, ricB: np.ndarray, ricF: np.ndarray
 ) -> np.ndarray:
@@ -283,26 +262,14 @@ def _ricci_from_data(
     return ric
 
 
-def ricci_closed(
-    spec: WarpedProductSpec, point, policy: DiffPolicy | None = None
-) -> np.ndarray:
-    if policy is None:
-        policy = DiffPolicy()
-    pp = _as_product_point(spec, point)
-    d = _point_data(spec, pp)
-    ricB = _factor_bundle(spec.base, pp.base_coords, policy).ricci
-    ricF = _factor_bundle(spec.fiber, pp.fiber_coords, policy).ricci
-    return _ricci_from_data(d, ricB, ricF)
-
-
-def _scalar_paths_from_data(d: _PointData, ricB, ricF) -> tuple[float, float]:
-    """(contraction value, direct formula value) from the same factor Ricci.
+def _scalar_paths_from_data(d: _PointData, ric, ricB, ricF) -> tuple[float, float]:
+    """(contraction of the product Ricci `ric`, direct formula value), both
+    from the same factor Ricci.
 
     Sharing the factor tensors between the two paths means their residual
     difference is pure algebra roundoff, not differencing noise.
     """
     f, h = d.f, d.h
-    ric = _ricci_from_data(d, ricB, ricF)
     m, n = d.m, d.n
     contraction = float(
         np.einsum("ij,ij->", d.gBinv / h**2, ric[:m, :m])
@@ -321,50 +288,28 @@ def _scalar_paths_from_data(d: _PointData, ricB, ricF) -> tuple[float, float]:
     return contraction, direct
 
 
-def scalar_closed_paths(
-    spec: WarpedProductSpec, point, policy: DiffPolicy | None = None
-) -> tuple[float, float]:
-    """Scalar curvature by both routes: Ricci contraction and the direct
-    warp formula.  The first entry is the authoritative value."""
-    if policy is None:
-        policy = DiffPolicy()
-    pp = _as_product_point(spec, point)
-    d = _point_data(spec, pp)
-    ricB = _factor_bundle(spec.base, pp.base_coords, policy).ricci
-    ricF = _factor_bundle(spec.fiber, pp.fiber_coords, policy).ricci
-    return _scalar_paths_from_data(d, ricB, ricF)
-
-
-def scalar_closed(
-    spec: WarpedProductSpec, point, policy: DiffPolicy | None = None
-) -> float:
-    a, b = scalar_closed_paths(spec, point, policy)
-    if abs(a - b) > 1e-10 * (1.0 + abs(a)):
-        raise NumericalInstabilityError(
-            f"scalar curvature paths disagree: contraction {a!r} vs direct {b!r}"
-        )
-    return a
-
-
 def bundle_closed(
     spec: WarpedProductSpec,
     point,
     policy: DiffPolicy | None = None,
     convention: str = "paper",
 ) -> CurvatureBundle:
-    """All four tensors sharing one set of factor stencils and warp jets."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+    """All four tensors sharing one set of factor stencils and warp jets.
+
+    The scalar is the contraction of the Ricci tensor; the direct warp
+    formula must agree with it to 1e-10 relative, else
+    NumericalInstabilityError.
+    """
     if policy is None:
         policy = DiffPolicy()
     pp = _as_product_point(spec, point)
     d = _point_data(spec, pp)
-    fb = _factor_bundle(spec.base, pp.base_coords, policy)
-    ff = _factor_bundle(spec.fiber, pp.fiber_coords, policy)
+    RB, ricB = _factor_curvature(spec.base, pp.base_coords, policy)
+    RF, ricF = _factor_curvature(spec.fiber, pp.fiber_coords, policy)
     gamma = _christoffels_from_data(d)
-    riem = _riemann_common_from_data(d, fb.riemann, ff.riemann)
-    ric = _ricci_from_data(d, fb.ricci, ff.ricci)
-    scal, direct = _scalar_paths_from_data(d, fb.ricci, ff.ricci)
+    riem = _riemann_common_from_data(d, RB, RF)
+    ric = _ricci_from_data(d, ricB, ricF)
+    scal, direct = _scalar_paths_from_data(d, ric, ricB, ricF)
     if abs(scal - direct) > 1e-10 * (1.0 + abs(scal)):
         raise NumericalInstabilityError(
             f"scalar curvature paths disagree: contraction {scal!r} vs direct {direct!r}"

@@ -3,7 +3,8 @@
 A metric is a symmetric grid of expressions in the chart coordinates
 x0..x{dim-1}.  Entry (i, j) and entry (j, i) are the same Expression object,
 so symmetry of everything downstream (metric values, Christoffel symbols in
-their lower pair, covariant Hessians) holds bitwise, not just to roundoff.
+their lower pair, the closed form's covariant warp Hessians) holds bitwise,
+not just to roundoff.
 
 Partial derivatives of metric entries come from dual numbers (one point) or
 the compiled batch evaluator (a stack of points), never from finite
@@ -38,7 +39,7 @@ from .expr import (
     Expression,
     Var,
     evaluate,
-    jet2,
+    jet2,  # unused here; bench/tracer.py wraps geometry.jet2 by name
     parse_expression,
     value_and_gradient,
     value_and_gradient_batch,
@@ -49,10 +50,7 @@ __all__ = [
     "ScalarFieldSpec",
     "Point",
     "metric_at",
-    "inverse_metric_at",
     "christoffels_of",
-    "covariant_hessian",
-    "laplacian",
 ]
 
 
@@ -234,10 +232,6 @@ def _inverse_of(g: np.ndarray) -> np.ndarray:
     return np.array([c / det for c in adj]).reshape(dim, dim)
 
 
-def inverse_metric_at(spec: MetricSpec, point) -> np.ndarray:
-    return _inverse_of(metric_at(spec, point))
-
-
 def _metric_and_first_derivs(spec: MetricSpec, c: np.ndarray):
     """Returns (g, D) with D[l, i, j] = d g_ij / d x_l, both bitwise symmetric."""
     dim = spec.dim
@@ -302,20 +296,3 @@ def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
         )
     term = D + D.transpose(0, 2, 1, 3) - D.transpose(0, 2, 3, 1)
     return 0.5 * np.einsum("nkl,nijl->nkij", np.linalg.inv(g), term)
-
-
-def covariant_hessian(spec: MetricSpec, fieldspec: ScalarFieldSpec, point) -> np.ndarray:
-    """Second covariant derivative H_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    c = _coords(point, spec.dim)
-    if fieldspec.expr.arity != spec.dim:
-        raise ValueError("scalar field arity does not match metric dimension")
-    jet = jet2(fieldspec.expr, c)
-    gamma = christoffels_of(spec, point)
-    return jet.hessian - np.einsum("kij,k->ij", gamma, jet.gradient)
-
-
-def laplacian(spec: MetricSpec, fieldspec: ScalarFieldSpec, point) -> float:
-    """Laplace-Beltrami value g^ij H_ij at the point."""
-    ginv = inverse_metric_at(spec, point)
-    hess = covariant_hessian(spec, fieldspec, point)
-    return float(np.einsum("ij,ij->", ginv, hess))

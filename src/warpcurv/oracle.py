@@ -6,13 +6,16 @@ themselves are exact (dual numbers); only their derivatives are numerical,
 so a single layer of central differences with Richardson extrapolation is
 the entire error budget.
 
-The centre point is evaluated alone, through christoffels_of, so a bundle's
-Christoffels and the errors raised at the centre are those of the geometry
-module.  The 2*d*L stencil points around it are stacked and evaluated in
-one batched pass (compiled expressions, stacked inverse, one einsum).  When
-that pass fails, the stencil is walked again point by point in the order
-axis, level, +h before -h, so that StencilDomainError names the first
-failing point.
+bundle_fd is the curvature entry point, sectional_fd the one extra
+quantity.  Both evaluate the centre point alone, in one pass through the
+steps of christoffels_of (metric and first derivatives, inverse,
+Christoffels), so a bundle's Christoffels and the errors raised at the
+centre are those of the geometry module, and the inverse metric that
+raises the Ricci index is the one that built them.  The 2*d*L stencil
+points around the centre are stacked and evaluated in one batched pass
+(compiled expressions, stacked inverse, one einsum).  When that pass fails,
+the stencil is walked again point by point in the order axis, level, +h
+before -h, so that StencilDomainError names the first failing point.
 
 Deliberately imports nothing from the warped-product or closed-form
 modules: its value as a cross-check depends on that separation.
@@ -35,17 +38,16 @@ from .errors import (
 from .geometry import (
     MetricSpec,
     christoffels_of,
-    metric_at,
+    metric_at,  # unused here; bench/tracer.py wraps oracle.metric_at by name
+    _christoffels_from_parts,
     _christoffels_stacked,
     _coords,
     _inverse_of,
+    _metric_and_first_derivs,
 )
 
 __all__ = [
     "DiffPolicy",
-    "riemann_fd",
-    "ricci_fd",
-    "scalar_fd",
     "sectional_fd",
     "bundle_fd",
     "TensorComparison",
@@ -131,53 +133,35 @@ def _riemann_common(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return a - b + t1 - t2
 
 
-def riemann_fd(
-    spec: MetricSpec, point, policy: DiffPolicy | None = None, convention: str = "paper"
-) -> np.ndarray:
-    if policy is None:
-        policy = DiffPolicy()
-    c = _coords(point, spec.dim)
-    gamma = christoffels_of(spec, c)  # center point: errors propagate as-is
-    dgamma = _dgamma(spec, c, policy)
-    riem = _riemann_common(gamma, dgamma)
-    if convention == "common":
-        return riem
-    if convention == "paper":
-        return -riem
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def _ricci_from_common(riem_common: np.ndarray, scale_hint: float = 1.0) -> np.ndarray:
+def _ricci_from_common(riem_common: np.ndarray) -> np.ndarray:
     ric = np.einsum("mnmr->nr", riem_common)
-    scale = max(scale_hint, float(np.abs(ric).max()) if ric.size else 0.0)
+    scale = max(1.0, float(np.abs(ric).max()))
     asym = float(np.abs(ric - ric.T).max())
-    if asym > 1e-8 * max(1.0, scale):
+    if asym > 1e-8 * scale:
         raise NumericalInstabilityError(
             f"Ricci asymmetry {asym:.3e} exceeds 1e-8 of scale {scale:.3e}"
         )
     return 0.5 * (ric + ric.T)
 
 
-def ricci_fd(spec: MetricSpec, point, policy: DiffPolicy | None = None) -> np.ndarray:
-    """Ricci tensor; contraction slot chosen so the round sphere comes out
-    positive, and the result does not depend on the sign convention."""
-    riem = riemann_fd(spec, point, policy, convention="common")
-    return _ricci_from_common(riem)
-
-
-def scalar_fd(spec: MetricSpec, point, policy: DiffPolicy | None = None) -> float:
-    ric = ricci_fd(spec, point, policy)
-    ginv = _inverse_of(metric_at(spec, point))
-    return float(np.einsum("ij,ij->", ginv, ric))
+def _centre(spec: MetricSpec, c: np.ndarray):
+    """(g, g^-1, Gamma) at the centre point: the steps of christoffels_of,
+    run once, so the Christoffels and the errors raised are bitwise its."""
+    g, D = _metric_and_first_derivs(spec, c)
+    ginv = _inverse_of(g)
+    return g, ginv, _christoffels_from_parts(ginv, D)
 
 
 def sectional_fd(
     spec: MetricSpec, point, u, v, policy: DiffPolicy | None = None
 ) -> float:
     """Sectional curvature of span{u, v}; independent of the convention tag."""
+    if policy is None:
+        policy = DiffPolicy()
+    c = _coords(point, spec.dim)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = metric_at(spec, point)
+    g, _, gamma = _centre(spec, c)
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
@@ -187,7 +171,7 @@ def sectional_fd(
         raise DegeneratePlaneError(
             f"plane Gram determinant {denom:.3e} is degenerate (scale {scale:.3e})"
         )
-    riem = riemann_fd(spec, point, policy, convention="common")
+    riem = _riemann_common(gamma, _dgamma(spec, c, policy))
     # numerator g(R(u,v)v, u) with (R(u,v)w)^mu = R^mu_{nu lam rho} w^nu u^lam v^rho
     rv = np.einsum("mnlr,n,l,r->m", riem, v, u, v)
     num = float(u @ g @ rv)
@@ -197,15 +181,15 @@ def sectional_fd(
 def bundle_fd(
     spec: MetricSpec, point, policy: DiffPolicy | None = None, convention: str = "paper"
 ) -> CurvatureBundle:
-    """All four tensors from one pass of stencil evaluations."""
+    """All four tensors from one centre pass and one pass of stencil
+    evaluations.  The Ricci tensor is contracted so that the round sphere
+    comes out positive."""
     if policy is None:
         policy = DiffPolicy()
     c = _coords(point, spec.dim)
-    gamma = christoffels_of(spec, c)
-    dgamma = _dgamma(spec, c, policy)
-    riem_common = _riemann_common(gamma, dgamma)
+    _, ginv, gamma = _centre(spec, c)
+    riem_common = _riemann_common(gamma, _dgamma(spec, c, policy))
     ric = _ricci_from_common(riem_common)
-    ginv = _inverse_of(metric_at(spec, c))
     scal = float(np.einsum("ij,ij->", ginv, ric))
     riem = riem_common if convention == "common" else -riem_common
     return CurvatureBundle(gamma, riem, ric, scal, convention)

@@ -16,20 +16,15 @@ import pytest
 
 from conftest import record_criterion
 from fd_reference import fd_gradient, fd_hessian
+from test_closed_form import scalar_paths
 from test_expr import random_pair
 from test_geodesics import great_circle_endpoint
 
-from warpcurv.closed_form import (
-    bundle_closed,
-    ricci_closed,
-    riemann_closed,
-    scalar_closed,
-    scalar_closed_paths,
-)
+from warpcurv.closed_form import bundle_closed
 from warpcurv.expr import evaluate, value_and_gradient
 from warpcurv.geodesics import GeodesicState, integrate, rhs_full, rhs_split
 from warpcurv.manifest import load_catalog, load_manifest, parse_manifest
-from warpcurv.oracle import bundle_fd, compare_bundles, scalar_fd
+from warpcurv.oracle import bundle_fd, compare_bundles
 from warpcurv.warped import ProductPoint, as_plain_metric, assemble_metric
 
 SEED = 20260815
@@ -108,8 +103,8 @@ def test_02_sphere_sign_anchor():
     rng = np.random.default_rng(SEED + 2)
     worst_closed = worst_fd = 0.0
     for point in sample_points(mf, 20, rng):
-        worst_closed = max(worst_closed, abs(scalar_closed(mf.spec, point) - 2.0))
-        worst_fd = max(worst_fd, abs(scalar_fd(plain, point, mf.policy) - 2.0))
+        worst_closed = max(worst_closed, abs(bundle_closed(mf.spec, point).scalar - 2.0))
+        worst_fd = max(worst_fd, abs(bundle_fd(plain, point, mf.policy).scalar - 2.0))
     ok = worst_closed <= 1e-8 and worst_fd <= 1e-6
     record_criterion(
         2,
@@ -126,7 +121,7 @@ def test_03_scalar_paths_agree(corpus):
     worst = 0.0
     for name, (mf, rows) in entries.items():
         for point, closed, oracle in rows:
-            a, b = scalar_closed_paths(mf.spec, point, mf.policy)
+            a, b = scalar_paths(mf.spec, point, mf.policy)
             worst = max(worst, abs(a - b) / (1.0 + abs(a)))
     ok = worst <= 1e-10
     record_criterion(
@@ -151,7 +146,7 @@ def test_04_cross_ricci_law(corpus):
     worst_ratio = worst_oracle = 0.0
     for i, point in enumerate(sample_points(mf2, 50, rng)):
         pp = ProductPoint.from_full(point, 2)
-        ric = ricci_closed(mf2.spec, pp, mf2.policy)
+        ric = bundle_closed(mf2.spec, pp, mf2.policy).ricci
         fval, df = value_and_gradient(mf2.spec.f.expr, pp.base_coords)
         hval, dh = value_and_gradient(mf2.spec.h.expr, pp.fiber_coords)
         ratio = ric[:2, 2:] / np.outer(df / fval, dh / hval)

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import warpcurv
+import warpcurv.cli as cli
+from warpcurv import errors
 from warpcurv.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -285,6 +287,10 @@ def test_missing_manifest_file(capsys):
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "nan"],
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "0"],
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1", "--step", "-0.1"],
+        # more than MAX_GEODESIC_STEPS steps
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1e9", "--step", "1e-3"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1001", "--step", "1e-3"],
+        ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1e300", "--step", "1e-300"],
     ],
     ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
 )
@@ -343,3 +349,67 @@ def test_geodesic_state_overflow_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no longer finite" in _one_line(captured.err)
+
+
+ERROR_EXITS = [
+    (errors.WarpcurvError("boom"), 2),
+    (errors.ExpressionError("boom"), 2),
+    (errors.ParseError("boom", 3), 2),
+    (errors.UnknownIdentifierError("y0", 3), 2),
+    (errors.ArityError(5, 2, 3), 2),
+    (errors.EvalDomainError("boom"), 3),
+    (errors.GeometryError("boom"), 2),
+    (errors.DegenerateMetricError("boom", 0.0), 3),
+    (errors.NonpositiveWarpError("f", -1.0), 3),
+    (errors.OracleError("boom"), 2),
+    (errors.StencilDomainError("boom"), 3),
+    (errors.NumericalInstabilityError("boom"), 1),
+    (errors.DegeneratePlaneError("boom"), 2),
+    (errors.GeodesicError("boom"), 2),
+    (errors.DomainExitError(0.5, None), 3),
+    (errors.StepTooLargeError(0.5, 1.0, 1e-3), 1),
+    (errors.ManifestError("boom"), 2),
+]
+
+
+def test_exit_table_covers_every_error_class():
+    classes = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.WarpcurvError)
+    }
+    assert {type(exc) for exc, _ in ERROR_EXITS} == classes
+
+
+@pytest.mark.parametrize("exc, code", ERROR_EXITS, ids=lambda v: type(v).__name__)
+def test_error_class_exit_code(exc, code, monkeypatch, capsys):
+    def raise_it(mf, args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_curvature", raise_it)
+    assert main(["curvature", catalog("unit-sphere"), "--point", "1,0"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_line(captured.err)
+
+
+def test_numerical_instability_exits_1(tmp_path, capsys):
+    # a coarse stencil on a non-diagonal base leaves the oracle's Ricci
+    # tensor visibly asymmetric
+    doc = {
+        "name": "coarse",
+        "base": {"dim": 2, "name": "base", "metric": [
+            ["exp(x1)", "0.3*sin(x0*x1)"], ["0.3*sin(x0*x1)", "2+cos(x0)"]]},
+        "fiber": {"dim": 1, "name": "fiber", "metric": [["1"]]},
+        "warp_f": "exp(x0)",
+        "warp_h": "1",
+        "box": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+        "diff_policy": {"base_step": 0.3, "richardson_levels": 1},
+    }
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["curvature", str(path), "--point", "0.5,0.5,0.2"],
+                 ["verify", str(path), "--samples", "3"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Ricci asymmetry" in _one_line(captured.err)

@@ -4,14 +4,20 @@ import pytest
 from warpcurv.closed_form import (
     bundle_closed,
     christoffels_closed,
-    ricci_closed,
-    riemann_closed,
-    scalar_closed,
-    scalar_closed_paths,
+    _factor_curvature,
+    _point_data,
+    _ricci_from_data,
+    _scalar_paths_from_data,
 )
 from warpcurv.geometry import MetricSpec
+from warpcurv.manifest import load_catalog
 from warpcurv.oracle import DiffPolicy, bundle_fd
-from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
+from warpcurv.warped import (
+    ProductPoint,
+    WarpedProductSpec,
+    _as_product_point,
+    as_plain_metric,
+)
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 TIMELINE = MetricSpec.from_strings(1, [["-1"]], name="timeline")
@@ -46,6 +52,18 @@ def sample_pp(rng, spec):
     if spec.base.dim == 1:
         return ProductPoint([rng.uniform(-1, 1)], [rng.uniform(-1, 1)])
     return ProductPoint(rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2))
+
+
+def scalar_paths(spec, point, policy=None):
+    """(Ricci contraction, direct warp formula) for the scalar curvature,
+    from the pieces bundle_closed builds; the first is its .scalar."""
+    if policy is None:
+        policy = DiffPolicy()
+    pp = _as_product_point(spec, point)
+    d = _point_data(spec, pp)
+    _, ricB = _factor_curvature(spec.base, pp.base_coords, policy)
+    _, ricF = _factor_curvature(spec.fiber, pp.fiber_coords, policy)
+    return _scalar_paths_from_data(d, _ricci_from_data(d, ricB, ricF), ricB, ricF)
 
 
 def rel_dev(a, b):
@@ -113,7 +131,7 @@ def test_full_bundle_matches_oracle(spec):
 def test_odd_blocks_nonzero_when_both_warps_vary():
     # one fiber index among three base ones: proportional to dln(f) dln(h)
     pp = ProductPoint([0.4, -0.6], [0.5, 0.7])
-    r = riemann_closed(GENERIC, pp, convention="common")
+    r = bundle_closed(GENERIC, pp, convention="common").riemann
     m = GENERIC.base.dim
     odd = r[:m, :m, :m, m:]
     assert np.abs(odd).max() > 1e-3
@@ -121,13 +139,13 @@ def test_odd_blocks_nonzero_when_both_warps_vary():
     single = WarpedProductSpec.build(
         CURVY2, BUMPY2, "1 + 0.5*x0^2 + 0.1*x1^2", "1", name="single"
     )
-    r1 = riemann_closed(single, pp, convention="common")
+    r1 = bundle_closed(single, pp, convention="common").riemann
     assert np.abs(r1[:m, :m, :m, m:]).max() == 0.0
 
 
 def test_structurally_zero_blocks():
     pp = ProductPoint([0.4, -0.6], [0.5, 0.7])
-    r = riemann_closed(GENERIC, pp, convention="common")
+    r = bundle_closed(GENERIC, pp, convention="common").riemann
     m = GENERIC.base.dim
     assert np.all(r[:m, :m, m:, m:] == 0.0)
     assert np.all(r[m:, m:, :m, :m] == 0.0)
@@ -140,7 +158,7 @@ def test_lowered_riemann_symmetries():
     for spec in [SPHERE, DEXP, GENERIC]:
         for _ in range(5):
             pp = sample_pp(rng, spec)
-            r = riemann_closed(spec, pp, convention="common")
+            r = bundle_closed(spec, pp, convention="common").riemann
             g = assemble_metric(spec, pp)
             low = np.einsum("am,mbcd->abcd", g, r)
             scale = max(np.abs(low).max(), 1e-300)
@@ -157,8 +175,8 @@ def test_lowered_riemann_symmetries():
 
 def test_convention_flip_negates_riemann_exactly():
     pp = ProductPoint([0.7], [0.4])
-    a = riemann_closed(DEXP, pp, convention="paper")
-    b = riemann_closed(DEXP, pp, convention="common")
+    a = bundle_closed(DEXP, pp, convention="paper").riemann
+    b = bundle_closed(DEXP, pp, convention="common").riemann
     assert np.array_equal(a, -b)
 
 
@@ -172,7 +190,7 @@ def test_ricci_scalar_convention_independent():
 
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
-        riemann_closed(DEXP, ProductPoint([0.0], [0.0]), convention="other")
+        bundle_closed(DEXP, ProductPoint([0.0], [0.0]), convention="other")
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +199,12 @@ def test_unknown_convention_rejected():
 
 def test_rw_ricci_time_component():
     # scale factor a = exp(t): Ric_tt = -3 a''/a = -3
-    ric = ricci_closed(RW, ProductPoint([0.3], [1.0, -2.0, 0.5]))
+    ric = bundle_closed(RW, ProductPoint([0.3], [1.0, -2.0, 0.5])).ricci
     assert ric[0, 0] == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_doubly_exp_ricci_at_origin():
-    ric = ricci_closed(DEXP, ProductPoint([0.0], [0.0]))
+    ric = bundle_closed(DEXP, ProductPoint([0.0], [0.0])).ricci
     assert ric[0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert ric[1, 1] == pytest.approx(-2.0, abs=1e-12)
     assert ric[0, 1] == 0.0  # m + n - 2 = 0 kills the cross block
@@ -202,25 +220,40 @@ def test_cross_ricci_counts_dimensions():
     rng = np.random.default_rng(97)
     for _ in range(10):
         pp = ProductPoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-        ric = ricci_closed(spec, pp)
+        ric = bundle_closed(spec, pp).ricci
         lf = np.array([1.0, 0.5])
         lh = np.array([0.7, 0.3])
         ratio = ric[:2, 2:] / np.outer(lf, lh)
         assert np.abs(ratio - 2.0).max() <= 1e-12
 
 
-def test_unit_sphere_scalar():
+# exact scalar curvature of catalog entries, with (relative, absolute) bounds
+SCALAR_ANCHORS = {
+    "unit-sphere": (2.0, 1e-12, 0.0),
+    # de Sitter: Robertson-Walker with scale factor f = e^t
+    "robertson-walker": (12.0, 1e-12, 0.0),
+    # a time-symmetric slice of a vacuum solution is scalar-flat
+    "schwarzschild-exterior-slice": (0.0, 0.0, 1e-11),
+}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_ANCHORS))
+def test_closed_scalar_anchor(name):
+    exact, rel, abs_ = SCALAR_ANCHORS[name]
+    mf = load_catalog(name)
+    lo, hi = mf.box[:, 0], mf.box[:, 1]
     rng = np.random.default_rng(101)
-    for _ in range(10):
-        pp = ProductPoint([rng.uniform(0.3, 2.8)], [rng.uniform(0, 6.28)])
-        assert abs(scalar_closed(SPHERE, pp) - 2.0) <= 1e-12
+    for _ in range(100):
+        point = lo + (hi - lo) * rng.random(mf.dim)
+        scal = bundle_closed(mf.spec, point, mf.policy).scalar
+        assert abs(scal - exact) <= rel * abs(exact) + abs_, (point, scal)
 
 
 def test_scalar_paths_agree():
     rng = np.random.default_rng(103)
     for spec in [SPHERE, DEXP, RW, GENERIC]:
         for _ in range(10):
-            a, b = scalar_closed_paths(spec, sample_pp(rng, spec))
+            a, b = scalar_paths(spec, sample_pp(rng, spec))
             assert abs(a - b) <= 1e-10 * (1.0 + abs(a)), spec.name
 
 
@@ -228,7 +261,7 @@ def test_ricci_symmetric_exactly():
     rng = np.random.default_rng(107)
     for spec in [SPHERE, DEXP, RW, GENERIC]:
         for _ in range(5):
-            ric = ricci_closed(spec, sample_pp(rng, spec))
+            ric = bundle_closed(spec, sample_pp(rng, spec)).ricci
             assert np.array_equal(ric, ric.T)
 
 
@@ -242,13 +275,14 @@ def test_unit_warps_give_product_curvature():
     for _ in range(5):
         pp = sample_pp(rng, TRIVIAL)
         m = TRIVIAL.base.dim
-        r = riemann_closed(TRIVIAL, pp, pol, convention="common")
+        b = bundle_closed(TRIVIAL, pp, pol, convention="common")
+        r = b.riemann
         # every mixed slot is exactly zero
         mixed = r.copy()
         mixed[:m, :m, :m, :m] = 0.0
         mixed[m:, m:, m:, m:] = 0.0
         assert np.abs(mixed).max() == 0.0
-        ric = ricci_closed(TRIVIAL, pp, pol)
+        ric = b.ricci
         fb = bundle_fd(TRIVIAL.base, pp.base_coords, pol)
         ff = bundle_fd(TRIVIAL.fiber, pp.fiber_coords, pol)
         assert np.abs(ric[:m, :m] - fb.ricci).max() <= 1e-10

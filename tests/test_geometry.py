@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
+from warpcurv.closed_form import _point_data
 from warpcurv.errors import DegenerateMetricError, EvalDomainError
 from warpcurv.expr import evaluate
 from warpcurv.geometry import (
     MetricSpec,
     Point,
-    ScalarFieldSpec,
     christoffels_of,
-    covariant_hessian,
-    inverse_metric_at,
-    laplacian,
     metric_at,
     _christoffels_stacked,
     _inverse_of,
 )
+from warpcurv.warped import ProductPoint, WarpedProductSpec
 
 from fd_reference import fd_gradient
 
@@ -117,7 +115,7 @@ def test_inverse_metric_product_is_identity():
         for _ in range(25):
             p = sample_point(rng, spec)
             g = metric_at(spec, p)
-            ginv = inverse_metric_at(spec, p)
+            ginv = _inverse_of(metric_at(spec, p))
             err = np.abs(ginv @ g - np.eye(spec.dim)).max()
             assert err <= 1e-12, (spec.name, err)
 
@@ -221,9 +219,9 @@ def test_huge_entry_is_degenerate_not_overflow():
 def test_degenerate_metric_detected():
     cone = MetricSpec.from_strings(2, [["1", "0"], ["0", "x0^2"]])
     with pytest.raises(DegenerateMetricError):
-        inverse_metric_at(cone, Point([0.0, 1.0]))
+        _inverse_of(metric_at(cone, Point([0.0, 1.0])))
     with pytest.raises(DegenerateMetricError):
-        inverse_metric_at(cone, Point([1e-8, 1.0]))
+        _inverse_of(metric_at(cone, Point([1e-8, 1.0])))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -259,7 +257,7 @@ def test_lorentzian_metric_inverts():
     p = Point([0.5, 0.5])
     g = metric_at(LORENTZ, p)
     assert g[0, 0] < 0 < g[1, 1]
-    ginv = inverse_metric_at(LORENTZ, p)
+    ginv = _inverse_of(g)
     assert np.abs(ginv @ g - np.eye(2)).max() <= 1e-12
 
 
@@ -327,33 +325,42 @@ def test_metric_compatibility():
 
 
 # ---------------------------------------------------------------------------
-# Covariant Hessian and Laplacian
+# Covariant Hessian and Laplacian: the closed form's warp Hessian Hf and
+# its Laplacian lapBf are the package's only covariant-Hessian code, so the
+# field is taken as the base warp of a product with a line.  Warps must be
+# positive; an added constant leaves Hessian and Laplacian unchanged.
+
+LINE = MetricSpec.from_strings(1, [["1"]], name="line")
+
+
+def warp_hessian(spec, field, point):
+    """(covariant Hessian, Laplacian) of `field` on `spec` at `point`."""
+    product = WarpedProductSpec.build(spec, LINE, field, "1")
+    d = _point_data(product, ProductPoint(point, [0.0]))
+    return d.Hf, d.lapBf
 
 
 def test_polar_hessian_and_laplacian_anchors():
-    f = ScalarFieldSpec.from_string("x0", 2)
-    p = Point([2.0, 0.7])
-    H = covariant_hessian(POLAR, f, p)
+    H, lap = warp_hessian(POLAR, "x0", [2.0, 0.7])
     assert H[0, 0] == 0.0
     assert H[0, 1] == 0.0
     assert H[1, 1] == pytest.approx(2.0, abs=1e-14)
-    assert laplacian(POLAR, f, p) == pytest.approx(0.5, abs=1e-14)
+    assert lap == pytest.approx(0.5, abs=1e-14)
 
 
 def test_hessian_symmetric_bitwise():
     rng = np.random.default_rng(47)
-    f2 = ScalarFieldSpec.from_string("sin(x0)*x1 + x1^2", 2)
-    f3 = ScalarFieldSpec.from_string("sin(x0)*x1 + exp(0.2*x2)", 3)
+    f2 = "3 + sin(x0)*x1 + x1^2"
+    f3 = "3 + sin(x0)*x1 + exp(0.2*x2)"
     for spec in ALL_METRICS:
         f = f3 if spec.dim == 3 else f2
         for _ in range(10):
-            H = covariant_hessian(spec, f, sample_point(rng, spec))
+            H, _ = warp_hessian(spec, f, sample_point(rng, spec))
             assert np.array_equal(H, H.T)
 
 
 def test_flat_metric_hessian_is_plain_hessian():
     flat = MetricSpec.from_strings(2, [["1", "0"], ["0", "1"]], name="flat")
-    f = ScalarFieldSpec.from_string("x0^2*x1", 2)
-    H = covariant_hessian(flat, f, Point([1.5, -0.5]))
+    H, lap = warp_hessian(flat, "2 + x0^2*x1", [1.5, -0.5])
     assert H.tolist() == [[-1.0, 3.0], [3.0, 0.0]]
-    assert laplacian(flat, f, Point([1.5, -0.5])) == -1.0
+    assert lap == -1.0

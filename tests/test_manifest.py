@@ -7,7 +7,7 @@ import pytest
 
 from warpcurv.errors import ManifestError
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
-from warpcurv.closed_form import scalar_closed
+from warpcurv.closed_form import bundle_closed
 from warpcurv.warped import ProductPoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -43,7 +43,7 @@ def test_catalog_entries_load_and_evaluate():
         assert mf.box.shape == (mf.dim, 2)
         # scalar curvature evaluates cleanly at the box center
         center = mf.box.mean(axis=1)
-        scalar_closed(mf.spec, ProductPoint.from_full(center, mf.spec.base.dim))
+        bundle_closed(mf.spec, ProductPoint.from_full(center, mf.spec.base.dim))
 
 
 def test_unknown_catalog_name():
@@ -53,7 +53,7 @@ def test_unknown_catalog_name():
 
 def test_sphere_catalog_matches_hand_built():
     mf = load_catalog("unit-sphere")
-    s = scalar_closed(mf.spec, ProductPoint([1.1], [0.4]))
+    s = bundle_closed(mf.spec, ProductPoint([1.1], [0.4])).scalar
     assert abs(s - 2.0) < 1e-10
 
 
@@ -139,5 +139,5 @@ def test_fixture_2x2_variant():
     mf = load_manifest(FIXTURES / "doubly-exp-2x2.json")
     assert mf.spec.base.dim == 2 and mf.spec.fiber.dim == 2
     assert math.isfinite(
-        scalar_closed(mf.spec, ProductPoint(np.zeros(2), np.zeros(2)))
+        bundle_closed(mf.spec, ProductPoint(np.zeros(2), np.zeros(2))).scalar
     )

@@ -16,9 +16,6 @@ from warpcurv.oracle import (
     DiffPolicy,
     bundle_fd,
     compare_bundles,
-    ricci_fd,
-    riemann_fd,
-    scalar_fd,
     sectional_fd,
     _ricci_from_common,
 )
@@ -83,24 +80,24 @@ def test_sphere_riemann_matches_analytic():
     for _ in range(10):
         theta = rng.uniform(0.4, 2.7)
         p = Point([theta, rng.uniform(0, 6)])
-        got = riemann_fd(SPHERE, p, convention="common")
+        got = bundle_fd(SPHERE, p, convention="common").riemann
         assert np.abs(got - sphere_riemann_common(theta)).max() <= 1e-8
 
 
 def test_paper_convention_is_negated_common():
     p = Point([1.1, 0.3])
-    a = riemann_fd(SPHERE, p, convention="paper")
-    b = riemann_fd(SPHERE, p, convention="common")
+    a = bundle_fd(SPHERE, p, convention="paper").riemann
+    b = bundle_fd(SPHERE, p, convention="common").riemann
     assert np.array_equal(a, -b)
 
 
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
-        riemann_fd(SPHERE, Point([1.0, 0.0]), convention="weird")
+        bundle_fd(SPHERE, Point([1.0, 0.0]), convention="weird")
 
 
 def test_flat_riemann_vanishes():
-    r = riemann_fd(FLAT3, Point([0.3, -0.2, 0.9]))
+    r = bundle_fd(FLAT3, Point([0.3, -0.2, 0.9])).riemann
     assert np.abs(r).max() <= 1e-12
 
 
@@ -111,7 +108,7 @@ def test_richardson_levels_increase_accuracy():
     errs = []
     for levels in (1, 2, 3):
         pol = DiffPolicy(base_step=1e-3, richardson_levels=levels)
-        got = riemann_fd(SPHERE, p, pol, convention="common")
+        got = bundle_fd(SPHERE, p, pol, convention="common").riemann
         errs.append(np.abs(got - exact).max())
     assert errs[1] < errs[0] / 100.0  # h^2 -> h^4 with h=1e-3-ish steps
     assert errs[2] <= errs[1] * 10.0  # level 3 stays near roundoff
@@ -121,7 +118,7 @@ def test_stencil_domain_error():
     # sqrt is fine at the center but the stencil reaches x0 < 0
     edgy = MetricSpec.from_strings(2, [["1 + sqrt(x0)", "0"], ["0", "1"]], name="edgy")
     with pytest.raises(StencilDomainError):
-        riemann_fd(edgy, Point([1e-6, 0.0]))
+        bundle_fd(edgy, Point([1e-6, 0.0]))
 
 
 def _first_stencil_failure(spec, coords, policy):
@@ -223,23 +220,23 @@ def test_sphere_ricci_and_scalar():
     for _ in range(10):
         theta = rng.uniform(0.4, 2.7)
         p = Point([theta, rng.uniform(0, 6)])
-        ric = ricci_fd(SPHERE, p)
+        b = bundle_fd(SPHERE, p)
         expected = np.diag([1.0, np.sin(theta) ** 2])
-        assert np.abs(ric - expected).max() <= 1e-6
-        assert abs(scalar_fd(SPHERE, p) - 2.0) <= 1e-6
+        assert np.abs(b.ricci - expected).max() <= 1e-6
+        assert abs(b.scalar - 2.0) <= 1e-6
 
 
 def test_radius_two_sphere_scalar():
-    assert abs(scalar_fd(SPHERE_R2, Point([1.2, 0.5])) - 0.5) <= 1e-7
+    assert abs(bundle_fd(SPHERE_R2, Point([1.2, 0.5])).scalar - 0.5) <= 1e-7
 
 
 def test_desitter_ricci_and_scalar():
     p = Point([0.2, 0.4, -0.3, 1.0])
-    ric = ricci_fd(DESITTER, p)
+    b = bundle_fd(DESITTER, p)
     a2 = np.exp(2 * 0.2)
     expected = np.diag([-3.0, 3 * a2, 3 * a2, 3 * a2])
-    assert np.abs(ric - expected).max() <= 1e-5 * a2
-    assert abs(scalar_fd(DESITTER, p) - 12.0) <= 1e-5 * 12
+    assert np.abs(b.ricci - expected).max() <= 1e-5 * a2
+    assert abs(b.scalar - 12.0) <= 1e-5 * 12
 
 
 def test_ricci_symmetry_check_fires_on_cooked_input():
@@ -295,15 +292,6 @@ def test_null_plane_rejected():
 
 # ---------------------------------------------------------------------------
 # Bundles and comparison
-
-
-def test_bundle_fd_consistent_with_parts():
-    p = Point([0.9, 0.4])
-    b = bundle_fd(SPHERE, p, convention="common")
-    assert np.array_equal(b.riemann, riemann_fd(SPHERE, p, convention="common"))
-    assert np.array_equal(b.ricci, ricci_fd(SPHERE, p))
-    assert b.scalar == scalar_fd(SPHERE, p)
-    assert b.convention == "common"
 
 
 def test_compare_bundles_zero_on_identical():
