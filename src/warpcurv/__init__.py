@@ -10,9 +10,10 @@ geodesics numerically at points, three independent ways:
 - a finite-difference oracle on the assembled metric (oracle.bundle_fd),
 - two algebraically identical geodesic right-hand sides (geodesics).
 
-Expressions are plain strings over x0, x1, ... differentiated exactly with
-forward-mode dual numbers (expr); manifolds load from JSON manifests and a
-small built-in catalog (manifest); the `warpcurv` CLI wraps the rest.
+Expressions are plain strings over x0, x1, ..., compiled once into a postfix
+program whose one interpreter gives values and exact gradients and Hessians
+(expr); manifolds load from JSON manifests and a small built-in catalog
+(manifest); the `warpcurv` CLI wraps the rest.
 """
 
 __version__ = "0.1.0"

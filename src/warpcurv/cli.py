@@ -8,9 +8,12 @@ Exit codes: 0 success, 1 tolerance or drift failure or a numerical
 instability (a computed tensor broke a structural identity), 2 manifest or
 expression parse error or an invalid flag (a geodesic asking for more than
 MAX_GEODESIC_STEPS steps among them), 3 evaluation left the valid domain,
-4 too many skipped sample points (over 10%).  CSV output uses comma
-separators, 17-significant-digit numbers, LF line endings, and one leading
-version header line; identical inputs and seed reproduce it byte for byte.
+4 too many skipped sample points (over 10%).  verify records a sample
+that raises NumericalInstabilityError as an "unstable" row and goes on; it
+exits 1 at the end unless the skip rule already gives 4.  CSV output uses
+comma separators, 17-significant-digit numbers, LF line endings, and one
+leading version header line; identical inputs and seed reproduce it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -166,6 +169,7 @@ def cmd_verify(mf: Manifest, args) -> int:
     lines = [f"# warpcurv {__version__} verify manifest={mf.name} samples={args.samples} seed={seed}"]
     lines.append("point,tensor,max_abs_dev,max_rel_dev")
     skipped = 0
+    unstable = []
     worst = 0.0
     for _ in range(args.samples):
         point = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(mf.dim)
@@ -177,6 +181,10 @@ def cmd_verify(mf: Manifest, args) -> int:
             skipped += 1
             lines.append(f"{label},skipped:{type(exc).__name__},,")
             continue
+        except NumericalInstabilityError as exc:
+            unstable.append(exc)
+            lines.append(f"{label},unstable:{type(exc).__name__},,")
+            continue
         report = compare_bundles(closed, oracle)
         for tensor, comp in report.tensors.items():
             lines.append(f"{label},{tensor},{_fmt(comp.max_abs)},{_fmt(comp.max_rel)}")
@@ -186,6 +194,13 @@ def cmd_verify(mf: Manifest, args) -> int:
     _emit(lines, args.out)
     if skipped > 0.1 * args.samples:
         return EXIT_SKIPS
+    if unstable:
+        print(
+            f"numerical instability at {len(unstable)} of {args.samples} samples, "
+            f"first: {unstable[0]}",
+            file=sys.stderr,
+        )
+        return EXIT_TOLERANCE
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 

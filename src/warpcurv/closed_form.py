@@ -4,8 +4,8 @@ Everything here is expressed through unwarped factor-metric quantities:
 factor Christoffels, factor curvature, warp gradients/Hessians taken with
 respect to the plain factor metrics.  The only finite differencing is
 inside the factor curvature tensors (delegated to the oracle module, on
-charts of lower dimension); every warp-dependent term uses exact dual
-derivatives.
+charts of lower dimension); every warp-dependent term uses the exact
+gradients and Hessians of expr.jet2.
 
 Index layout: base coordinates first (0..m-1), fiber after (m..m+n-1).
 Mixed Christoffel and Riemann blocks follow from expanding the product

@@ -3,30 +3,28 @@
 Expressions are closed-form formulas in variables x0..x{arity-1} built from
 the binary operators + - * / ^, unary minus, the functions sin cos tan exp
 log sqrt sinh cosh tanh, and the constants pi and e.  Parsing is a small
-recursive-descent pass; no Python eval is involved anywhere.
+recursive-descent pass, nested at most MAX_NESTING levels deep; no Python
+eval is involved anywhere.
 
-Derivatives come from dual numbers rather than divided differences, so
-gradients and Hessians returned by jet2 are exact up to roundoff.  A dual
-number carries (value, derivative); nesting duals inside duals yields second
-order.  The derivative slot may hold a float, an ndarray (one pass for a
-whole gradient), or another dual, and the arithmetic below is written to be
-agnostic about which.
+Every evaluation runs one interpreter over the expression's postfix
+program, compiled on first use and cached on the expression.  It carries
+the value, the gradient and the Hessian by explicit chain rules, each only
+up to the order the caller asks for, so gradients and Hessians are exact up
+to roundoff.  One rule table states each function's derivatives and domain.
+One point runs on floats with math (evaluate, value_and_gradient, jet2);
+N points run on numpy arrays through the same rules
+(value_and_gradient_batch), which serves the oracle's finite-difference
+stencil.  Nothing walks a tree by recursion, so a sum of thousands of terms
+evaluates, prints and reindexes like a short one.
 
-There are two evaluation paths for values and gradients:
-
-- value_and_gradient walks the tree once per point with dual numbers.  It
-  serves callers that have one point at a time (closed-form point data,
-  geodesic right-hand sides, the oracle's centre point), where plain floats
-  beat numpy's per-call overhead.
-- value_and_gradient_batch runs a postfix program, compiled once per
-  expression and cached on it, over an (N, arity) array of points with
-  explicit chain rules.  It serves the oracle's finite-difference stencil,
-  where one numpy call per operation covers every stencil point.
-
-Both reject exactly the same points: the batch raises EvalDomainError when
-the dual pass would raise at one of its rows, including the rules that only
-the derivative imposes (x^0.5 and sqrt at 0, a variable exponent on a base
-<= 0) and the overflows math raises on but numpy does not.
+The domain narrows with the derivative order and never widens.  evaluate
+rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
+(-1, 2) is 1.  A derivative also rejects sqrt and x^p (p < 1) at 0 and a
+variable exponent on a base <= 0.  Where a higher order succeeds, the lower
+ones give bitwise its value and gradient.  The batch raises EvalDomainError
+exactly when value_and_gradient would raise at one of its rows, and agrees
+with it per row to roundoff: numpy's elementwise functions may differ from
+math's in the last place.
 
 No function returns a number that is not finite.  evaluate raises
 EvalDomainError where the value is inf or NaN, value_and_gradient and its
@@ -34,13 +32,13 @@ batch where the value or a gradient entry is, and jet2 where any of the
 value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1 is rejected by all
 four, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
 whose gradient is inf - inf, by every function that returns the gradient.
-The scalar paths check Python floats with math.isfinite.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -115,7 +113,7 @@ class Expression:
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
-        self._program = None  # postfix program, compiled on first batch use
+        self._program = None  # postfix program, compiled on first use
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r}, arity={self.arity})"
@@ -129,328 +127,202 @@ class Jet2:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
-
-_num_types = (int, float, np.floating)
-
-
-class Dual:
-    """Forward-mode number: value `a` plus derivative payload `b`.
-
-    `b` may be a float, an ndarray of partials, or another Dual; the
-    operators only ever combine payloads with + - * and scaling, all of
-    which every payload type supports.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a + o.a, self.b + o.b)
-        return Dual(self.a + o, self.b)
-
-    def __radd__(self, o):
-        return Dual(o + self.a, self.b)
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a - o.a, self.b - o.b)
-        return Dual(self.a - o, self.b)
-
-    def __rsub__(self, o):
-        return Dual(o - self.a, -self.b)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.a * o.a, self.b * o.a + self.a * o.b)
-        return Dual(self.a * o, self.b * o)
-
-    def __rmul__(self, o):
-        return Dual(o * self.a, o * self.b)
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            q = self.a / o.a
-            return Dual(q, (self.b - q * o.b) / o.a)
-        return Dual(self.a / o, self.b / o)
-
-    def __rtruediv__(self, o):
-        q = o / self.a
-        return Dual(q, (-q / self.a) * self.b)
-
-    def __neg__(self):
-        return Dual(-self.a, -self.b)
-
-    def __repr__(self):
-        return f"Dual({self.a!r}, {self.b!r})"
+# Rules
+#
+# A stack entry is a float where the subtree reads no variable, and every
+# entry is when no derivative is asked for; those are computed with math.
+# Otherwise it is (value, gradient, Hessian).  Derivative axes come first
+# and the batch axis last: one point carries a float, a (k,) gradient and a
+# (k, k) Hessian, N points carry (N,), (k, N) and (k, k, N), and every rule
+# below broadcasts over both.  The rules see a float operand as (value,
+# None, None).  The Hessian is None while it is zero, and always below
+# order 2.
+#
+# On floats, math raises where a function leaves its domain or overflows
+# from a finite argument, and Python raises on division by zero.  numpy
+# only returns inf or nan, so on arrays each rule marks the rows where math
+# would have raised, and a marked row raises too.  Taking a derivative
+# narrows the domain where math rejects f' or f'': sqrt and x^p with p < 1
+# at 0, a variable exponent on a base <= 0.  Whatever turns inf or nan
+# without raising is left to the finiteness check of the caller.
 
 
-def _realpart(x):
-    while isinstance(x, Dual):
-        x = x.a
-    return x
+def _reject(bad, what: str):
+    """Raise where any row is marked; bad is an array or one bool."""
+    if np.count_nonzero(bad):
+        raise ValueError(f"{what} at batch row {int(np.argmax(bad))}")
 
 
-# Unary functions.  Each recurses through Dual layers so that arbitrarily
-# nested duals propagate correctly; the float case is the base of the
-# recursion and also carries the domain checks.
+def _overflow(a, r, d):
+    return np.isfinite(a) & (np.isinf(r) | np.isinf(d))
 
 
-def _sin(x):
-    if isinstance(x, Dual):
-        return Dual(_sin(x.a), _cos(x.a) * x.b)
-    return math.sin(x)
+def _inf_arg(a, r, d):
+    return np.isinf(a)
 
 
-def _cos(x):
-    if isinstance(x, Dual):
-        return Dual(_cos(x.a), (-_sin(x.a)) * x.b)
-    return math.cos(x)
-
-
-def _tan(x):
-    if isinstance(x, Dual):
-        t = _tan(x.a)
-        return Dual(t, (1.0 + t * t) * x.b)
-    return math.tan(x)
-
-
-def _exp(x):
-    if isinstance(x, Dual):
-        e = _exp(x.a)
-        return Dual(e, e * x.b)
-    return math.exp(x)
-
-
-def _log(x):
-    if isinstance(x, Dual):
-        return Dual(_log(x.a), x.b / x.a)
-    if x <= 0.0:
-        raise ValueError("log of nonpositive value")
-    return math.log(x)
-
-
-def _sqrt(x):
-    if isinstance(x, Dual):
-        r = _sqrt(x.a)
-        if _realpart(r) == 0.0:
-            raise ZeroDivisionError("sqrt derivative at zero")
-        return Dual(r, x.b / (2.0 * r))
-    if x < 0.0:
-        raise ValueError("sqrt of negative value")
-    return math.sqrt(x)
-
-
-def _sinh(x):
-    if isinstance(x, Dual):
-        return Dual(_sinh(x.a), _cosh(x.a) * x.b)
-    return math.sinh(x)
-
-
-def _cosh(x):
-    if isinstance(x, Dual):
-        return Dual(_cosh(x.a), _sinh(x.a) * x.b)
-    return math.cosh(x)
-
-
-def _tanh(x):
-    if isinstance(x, Dual):
-        t = _tanh(x.a)
-        return Dual(t, (1.0 - t * t) * x.b)
-    return math.tanh(x)
-
-
-_FUNCTIONS = {
-    "sin": _sin,
-    "cos": _cos,
-    "tan": _tan,
-    "exp": _exp,
-    "log": _log,
-    "sqrt": _sqrt,
-    "sinh": _sinh,
-    "cosh": _cosh,
-    "tanh": _tanh,
+# name: (f' from the library m, the argument a and the value r;
+#        f'' from a, r and f'; the rows math rejects when f and f' are
+#        taken, or None)
+_RULES = {
+    "sin": (lambda m, a, r: m.cos(a), lambda a, r, d: -r, _inf_arg),
+    "cos": (lambda m, a, r: -m.sin(a), lambda a, r, d: -r, _inf_arg),
+    "tan": (lambda m, a, r: 1.0 + r * r, lambda a, r, d: 2.0 * r * d, _inf_arg),
+    "exp": (lambda m, a, r: r, lambda a, r, d: r, lambda a, r, d: np.isinf(r) & np.isfinite(a)),
+    "log": (lambda m, a, r: 1.0 / a, lambda a, r, d: -d * d, lambda a, r, d: a <= 0.0),
+    "sqrt": (lambda m, a, r: 0.5 / r, lambda a, r, d: -0.5 * d / a, lambda a, r, d: a <= 0.0),
+    "sinh": (lambda m, a, r: m.cosh(a), lambda a, r, d: r, _overflow),
+    "cosh": (lambda m, a, r: m.sinh(a), lambda a, r, d: r, _overflow),
+    "tanh": (lambda m, a, r: 1.0 - r * r, lambda a, r, d: -2.0 * r * d, None),
 }
+
+# each rule with f itself in front, as math (floats) and numpy (arrays) give it
+_CALLS = {name: (getattr(math, name), getattr(np, name), *rule) for name, rule in _RULES.items()}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def _pow_const(base, p: float):
-    """base ** p for a number or Dual base and plain numeric exponent."""
-    if isinstance(base, Dual):
-        return Dual(_pow_const(base.a, p), (p * _pow_const(base.a, p - 1.0)) * base.b)
-    # math.pow raises ValueError for a negative base with fractional
-    # exponent and for 0 to a negative power, which is exactly the domain
-    # policy wanted here.
-    return math.pow(base, p)
+def _call(rule, entry, hess: bool, m):
+    a, b, h = entry
+    f_math, f_np, d1, d2, bad = rule
+    r = f_math(a) if m is math else f_np(a)
+    d = d1(m, a, r)
+    if m is np and bad is not None:
+        _reject(bad(a, r, d), "outside the domain")
+    if not hess:
+        return r, d * b, None
+    H = d2(a, r, d) * _outer(b, b)
+    return r, d * b, H if h is None else H + d * h
 
 
-def _pow(left, right):
-    if not isinstance(right, Dual):
-        p = float(right)
+def _outer(u, v):
+    return u[:, None] * v[None]
+
+
+def _sym(u, v):
+    """u v^T + v u^T, bitwise symmetric because float addition commutes."""
+    return _outer(u, v) + _outer(v, u)
+
+
+def _plus(x, y):
+    return y if x is None else x if y is None else x + y
+
+
+def _minus(x, y):
+    if y is None:
+        return x
+    return -y if x is None else x - y
+
+
+# Binary rules take two triples, at least one of which reads a variable.
+
+
+def _add(left, right, hess, m):
+    return left[0] + right[0], _plus(left[1], right[1]), _plus(left[2], right[2])
+
+
+def _sub(left, right, hess, m):
+    return left[0] - right[0], _minus(left[1], right[1]), _minus(left[2], right[2])
+
+
+def _mul(left, right, hess, m):
+    (a1, b1, h1), (a2, b2, h2) = left, right
+    if b1 is None:
+        return a1 * a2, a1 * b2, None if h2 is None else a1 * h2
+    if b2 is None:
+        return a1 * a2, b1 * a2, None if h1 is None else h1 * a2
+    H = None
+    if hess:
+        H = _sym(b1, b2)
+        if h1 is not None:
+            H = H + h1 * a2
+        if h2 is not None:
+            H = H + a1 * h2
+    return a1 * a2, b1 * a2 + a1 * b2, H
+
+
+def _div(left, right, hess, m):
+    (a1, b1, h1), (a2, b2, h2) = left, right
+    if m is np:
+        _reject(a2 == 0.0, "division by zero")
+    q = a1 / a2
+    if b2 is None:
+        return q, b1 / a2, None if h1 is None else h1 / a2
+    # from q a2 = a1: q' = (a1' - q a2') / a2, q'' = (a1'' - q a2'' - sym(q', a2')) / a2
+    g = (-q / a2) * b2 if b1 is None else (b1 - q * b2) / a2
+    H = None
+    if hess:
+        H = _minus(_minus(h1, None if h2 is None else q * h2), _sym(g, b2)) / a2
+    return q, g, H
+
+
+def _pow(left, right, hess, m):
+    (a1, b1, h1), (a2, b2, h2) = left, right
+    power = math.pow if m is math else np.power
+    if b2 is None:
+        # constant exponent p: f = a^p, f' = p a^(p-1), f'' = p (p-1) a^(p-2)
+        p = a2
         if p == 0.0:
             return 1.0
-        return _pow_const(left, p)
-    # Variable exponent: u^v = exp(v*log(u)), demands u > 0.
-    if _realpart(left) <= 0.0:
-        raise ValueError("power with variable exponent needs positive base")
-    return _exp(right * _log(left))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _binop(op: str, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if _realpart(right) == 0.0:
-            raise ZeroDivisionError("division by zero")
-        return left / right
-    return _pow(left, right)
-
-
-def _eval(node, env):
-    kind = type(node)
-    if kind is BinOp:
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        try:
-            return _binop(node.op, left, right)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), node) from None
-    if kind is Var:
-        return env[node.index]
-    if kind is Const:
-        return node.value
-    if kind is Call:
-        arg = _eval(node.arg, env)
-        try:
-            return _FUNCTIONS[node.name](arg)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(f"{node.name}: {exc}", node) from None
-    # Neg
-    return -_eval(node.arg, env)
-
-
-def _require_finite(expr: Expression, what: str, numbers):
-    if not all(map(math.isfinite, numbers)):
-        raise EvalDomainError(f"{what} is not finite", expr.root)
-
-
-def evaluate(expr: Expression, point) -> float:
-    """Evaluate at a point (sequence of reals, length == arity)."""
-    if len(point) != expr.arity:
-        raise ValueError(f"point has length {len(point)}, expected {expr.arity}")
-    env = [float(c) for c in point]
-    result = float(_eval(expr.root, env))
-    _require_finite(expr, "value", (result,))
-    return result
-
-
-@functools.lru_cache(maxsize=None)
-def _seed_rows(n: int) -> tuple:
-    """Rows of the n x n identity, read-only because every call shares them."""
-    seeds = np.eye(n)
-    seeds.flags.writeable = False
-    return tuple(seeds)
-
-
-def value_and_gradient(expr: Expression, point):
-    """One dual pass: returns (value, gradient ndarray of length arity)."""
-    n = expr.arity
-    if len(point) != n:
-        raise ValueError(f"point has length {len(point)}, expected {n}")
-    env = [Dual(float(x), seed) for x, seed in zip(point, _seed_rows(n))]
-    r = _eval(expr.root, env)
-    if isinstance(r, Dual):
-        value, grad = float(r.a), r.b.tolist()
+        r, r1 = power(a1, p), power(a1, p - 1.0)
+        if m is np and math.isfinite(p):
+            bad = np.isfinite(a1) & ~(np.isfinite(r) & np.isfinite(r1))
+            _reject(bad, "power outside the domain")
+        d = p * r1
+        if not hess:
+            return r, d * b1, None
+        H = (p * (p - 1.0) * power(a1, p - 2.0)) * _outer(b1, b1)
+        return r, d * b1, H if h1 is None else H + d * h1
+    # variable exponent: the derivatives are those of exp(a2 * log(a1)),
+    # so log's domain asks for a1 > 0
+    if b1 is None:
+        log_base = (math.log(a1), None, None)
     else:
-        value, grad = float(r), [0.0] * n
-    _require_finite(expr, "value or gradient", (value, *grad))
-    return value, np.array(grad)
+        log_base = _call(_CALLS["log"], left, hess, m)
+    _, zb, zh = _mul(right, log_base, hess, m)
+    r = power(a1, a2)
+    if m is np:
+        _reject(np.isinf(r) & np.isfinite(a1) & np.isfinite(a2), "power overflows")
+    if not hess:
+        return r, r * zb, None
+    return r, r * zb, r * _plus(zh, _outer(zb, zb))
 
 
-def jet2(expr: Expression, point) -> Jet2:
-    """Value, gradient, and Hessian at a point via nested duals.
-
-    Pass i seeds direction i in the outer dual and the full gradient in the
-    inner dual, yielding Hessian row i per pass.  Mirroring the averaged
-    triangle makes the returned Hessian exactly symmetric.
-    """
-    n = expr.arity
-    if len(point) != n:
-        raise ValueError(f"point has length {len(point)}, expected {n}")
-    if n == 0:
-        return Jet2(evaluate(expr, point), np.zeros(0), np.zeros((0, 0)))
-    coords = [float(c) for c in point]
-    seeds = _seed_rows(n)
-    zero = np.zeros(n)
-    value = 0.0
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        env = [
-            Dual(Dual(coords[k], seeds[k]), Dual(1.0 if k == i else 0.0, zero))
-            for k in range(n)
-        ]
-        r = _eval(expr.root, env)
-        if not isinstance(r, Dual):
-            value = float(r)
-            _require_finite(expr, "value", (value,))
-            return Jet2(value, np.zeros(n), np.zeros((n, n)))
-        if i == 0:
-            value = float(r.a.a)
-            grad = np.array(r.a.b, dtype=float)
-        hess[i] = r.b.b
-    hess = 0.5 * (hess + hess.T)
-    _require_finite(
-        expr, "value, gradient or Hessian", (value, *grad.tolist(), *hess.ravel().tolist())
-    )
-    return Jet2(value, grad, hess)
+# op: (the rule on two floats, the rule with derivatives)
+_BINARY = {
+    "+": (operator.add, _add),
+    "-": (operator.sub, _sub),
+    "*": (operator.mul, _mul),
+    "/": (operator.truediv, _div),
+    "^": (math.pow, _pow),
+}
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation
-#
-# The chain rules mirror the Dual class above, operation for operation.  A
-# constant subtree carries a float and a None gradient and is computed by
-# the scalar rules, exactly as the Dual pass computes it.  numpy's
-# elementwise functions may differ from math's in the last place, so rows
-# agree with the Dual pass to roundoff, not bitwise.
+# The compiled program and its interpreter
 
 _OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN = range(5)
 
 
-def _compile(root: Node, arity: int) -> tuple:
+def _compile(root: Node) -> tuple:
     """Postfix (opcode, argument, node) list, built with an explicit stack
-    so that deep trees cannot reach the recursion limit.  A variable's
-    argument is its index and its one-hot gradient row."""
-    seeds = np.eye(arity)
+    so that deep trees cannot reach the recursion limit.  A constant's
+    argument is its value, a variable's its index, and a call's or binary
+    op's its rules."""
     program = []
     todo = [(root, False)]
     while todo:
         node, expanded = todo.pop()
         kind = type(node)
         if kind is Const:
-            program.append((_OP_CONST, node.value, node))
+            program.append((_OP_CONST, float(node.value), node))
         elif kind is Var:
-            i = node.index
-            program.append((_OP_VAR, (i, seeds[i : i + 1]), node))
+            program.append((_OP_VAR, node.index, node))
         elif expanded:
             if kind is BinOp:
-                program.append((_OP_BIN, node.op, node))
+                program.append((_OP_BIN, _BINARY[node.op], node))
             elif kind is Call:
-                program.append((_OP_CALL, node.name, node))
+                program.append((_OP_CALL, _CALLS[node.name], node))
             else:
                 program.append((_OP_NEG, None, node))
         else:
@@ -463,105 +335,130 @@ def _compile(root: Node, arity: int) -> tuple:
     return tuple(program)
 
 
-def _check_rows(bad, what: str, node):
-    if bad is not None and np.count_nonzero(bad):
-        row = int(np.argmax(bad))
-        raise EvalDomainError(f"{what}: outside the domain at batch row {row}", node)
+def _program_of(expr: Expression) -> tuple:
+    program = expr._program
+    if program is None:
+        program = expr._program = _compile(expr.root)
+    return program
 
 
-def _call_rows(name: str, a, b):
-    """(value, gradient, rows the scalar rules reject) of name on a dual
-    argument with values a (N,) and gradient b."""
-    if name == "sin":
-        return np.sin(a), np.cos(a)[:, None] * b, np.isinf(a)
-    if name == "cos":
-        return np.cos(a), (-np.sin(a))[:, None] * b, np.isinf(a)
-    if name == "tan":
-        t = np.tan(a)
-        return t, (1.0 + t * t)[:, None] * b, np.isinf(a)
-    if name == "exp":
-        e = np.exp(a)
-        return e, e[:, None] * b, np.isinf(e) & np.isfinite(a)
-    if name == "log":
-        return np.log(a), b / a[:, None], a <= 0.0
-    if name == "sqrt":
-        # the derivative 1/(2 sqrt) fails at 0 as well
-        r = np.sqrt(a)
-        return r, b / (2.0 * r)[:, None], a <= 0.0
-    if name == "tanh":
-        t = np.tanh(a)
-        return t, (1.0 - t * t)[:, None] * b, None
-    # sinh and cosh: the Dual rule evaluates both, and math raises when
-    # either overflows from a finite argument
-    sh, ch = np.sinh(a), np.cosh(a)
-    bad = np.isfinite(a) & (np.isinf(sh) | np.isinf(ch))
-    if name == "sinh":
-        return sh, ch[:, None] * b, bad
-    return ch, sh[:, None] * b, bad
+def _reads_variables(expr: Expression) -> bool:
+    return any(code is _OP_VAR for code, _, _ in _program_of(expr))
 
 
-def _bin_rows(op: str, node, left, right):
-    """Value and gradient of a binary op with at least one dual operand."""
-    (a1, b1), (a2, b2) = left, right
-    if op == "+":
-        if b2 is None:
-            return a1 + a2, b1
-        return a1 + a2, (b2 if b1 is None else b1 + b2)
-    if op == "-":
-        if b2 is None:
-            return a1 - a2, b1
-        return a1 - a2, (-b2 if b1 is None else b1 - b2)
-    if op == "*":
-        if b2 is None:
-            return a1 * a2, b1 * a2
-        if b1 is None:
-            return a1 * a2, a1 * b2
-        return a1 * a2, b1 * a2[:, None] + a1[:, None] * b2
-    if op == "/":
-        if b2 is None:
-            if a2 == 0.0:
-                raise EvalDomainError("division by zero", node)
-            return a1 / a2, b1 / a2
-        _check_rows(a2 == 0.0, "division by zero", node)
-        q = a1 / a2
-        if b1 is None:
-            return q, (-q / a2)[:, None] * b2
-        return q, (b1 - q[:, None] * b2) / a2[:, None]
-    if b2 is None:
-        # constant exponent; math.pow fails on finite arguments whose power
-        # is not finite, and the Dual rule also takes a1^(p-1)
-        p = float(a2)
-        if p == 0.0:
-            return 1.0, None
-        r = np.power(a1, p)
-        r1 = np.power(a1, p - 1.0)
-        if math.isfinite(p):
-            _check_rows(
-                np.isfinite(a1) & ~(np.isfinite(r) & np.isfinite(r1)), "power", node
-            )
-        return r, (p * r1)[:, None] * b1
-    # variable exponent: exp(v * log(u)), which needs u > 0
-    if b1 is None:
-        if a1 <= 0.0:
-            raise EvalDomainError("power with variable exponent needs positive base", node)
-        log_u = (math.log(a1), None)
+def _triple(entry):
+    return (entry, None, None) if type(entry) is float else entry
+
+
+def _run(expr: Expression, leaves, hess: bool, m):
+    """The expression's entry: a float, or (value, gradient, Hessian).
+    Variable i reads the entry leaves[i], and the elementwise functions
+    come from math (m is math) or numpy (m is np).  Gradients are carried
+    from the leaves that have one; Hessians only when hess is set."""
+    program = expr._program
+    if program is None:
+        program = _program_of(expr)
+    stack = []
+    push, pop = stack.append, stack.pop
+    node = expr.root
+    try:
+        for code, arg, node in program:
+            if code is _OP_BIN:
+                right = pop()
+                left = pop()
+                if type(left) is float:
+                    if type(right) is float:
+                        push(arg[0](left, right))
+                        continue
+                    left = (left, None, None)
+                elif type(right) is float:
+                    right = (right, None, None)
+                push(arg[1](left, right, hess, m))
+            elif code is _OP_VAR:
+                push(leaves[arg])
+            elif code is _OP_CONST:
+                push(arg)
+            elif code is _OP_CALL:
+                a = pop()
+                push(arg[0](a) if type(a) is float else _call(arg, a, hess, m))
+            else:
+                a = pop()
+                if type(a) is float:
+                    push(-a)
+                else:
+                    push((-a[0], -a[1], None if a[2] is None else -a[2]))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        what = node.name if type(node) is Call else repr(node.op)
+        raise EvalDomainError(f"{what}: {exc}", node) from None
+    return pop()
+
+
+@functools.lru_cache(maxsize=None)
+def _seeds(n: int) -> tuple:
+    """Gradient seeds of the n variables, read-only because every call
+    shares them: row i of the identity for one point, and column i, kept
+    (n, 1), for a batch."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return tuple(eye), tuple(eye[:, i : i + 1] for i in range(n))
+
+
+def _length_error(expr: Expression, point):
+    return ValueError(f"point has length {len(point)}, expected {expr.arity}")
+
+
+def _not_finite(expr: Expression, what: str):
+    return EvalDomainError(f"{what} is not finite", expr.root)
+
+
+def evaluate(expr: Expression, point) -> float:
+    """Evaluate at a point (sequence of reals, length == arity)."""
+    if len(point) != expr.arity:
+        raise _length_error(expr, point)
+    value = _run(expr, [float(c) for c in point], False, math)
+    if not math.isfinite(value):
+        raise _not_finite(expr, "value")
+    return value
+
+
+def value_and_gradient(expr: Expression, point):
+    """Returns (value, gradient ndarray of length arity)."""
+    n = expr.arity
+    if len(point) != n:
+        raise _length_error(expr, point)
+    out = _run(expr, [(float(c), s, None) for c, s in zip(point, _seeds(n)[0])], False, math)
+    if type(out) is float:
+        value, grad = out, [0.0] * n
     else:
-        _check_rows(a1 <= 0.0, "power with variable exponent", node)
-        log_u = (np.log(a1), b1 / a1[:, None])
-    z, zb = _bin_rows("*", node, right, log_u)
-    e, grad, bad = _call_rows("exp", z, zb)
-    _check_rows(bad, "power", node)
-    return e, grad
+        value, grad = out[0], out[1].tolist()
+    if not all(map(math.isfinite, (value, *grad))):
+        raise _not_finite(expr, "value or gradient")
+    return value, np.array(grad)
+
+
+def jet2(expr: Expression, point) -> Jet2:
+    """Value, gradient, and Hessian at a point.  The Hessian is exactly
+    symmetric, because every rule builds it from symmetric terms."""
+    n = expr.arity
+    if len(point) != n:
+        raise _length_error(expr, point)
+    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(n)[0])]
+    value, grad, hess = _triple(_run(expr, leaves, True, math))
+    grad = np.zeros(n) if grad is None else np.array(grad)  # a copy: it may be a seed
+    hess = np.zeros((n, n)) if hess is None else hess
+    if not all(map(math.isfinite, (value, *grad.tolist(), *hess.ravel().tolist()))):
+        raise _not_finite(expr, "value, gradient or Hessian")
+    return Jet2(value, grad, hess)
 
 
 def value_and_gradient_batch(expr: Expression, points):
     """Values (N,) and gradients (N, arity) at every row of an (N, arity)
-    array, from the expression's compiled program.
+    array.
 
-    Each row equals value_and_gradient at that row up to roundoff, and the
-    call raises EvalDomainError exactly when value_and_gradient would raise
-    at some row.  Suits many points at once; a single point is faster
-    through value_and_gradient.
+    Each row equals value_and_gradient at that row up to roundoff (numpy's
+    elementwise functions may differ from math's in the last place), and
+    the call raises EvalDomainError exactly when value_and_gradient would
+    raise at some row.
     """
     x = np.asarray(points, dtype=float)
     n = expr.arity
@@ -570,49 +467,18 @@ def value_and_gradient_batch(expr: Expression, points):
     rows = x.shape[0]
     if rows == 0:
         return np.zeros(0), np.zeros((0, n))
-    program = expr._program
-    if program is None:
-        program = expr._program = _compile(expr.root, n)
-    stack = []
-    push, pop = stack.append, stack.pop
+    leaves = [(x[:, i], s, None) for i, s in enumerate(_seeds(n)[1])]
     with np.errstate(all="ignore"):
-        for code, arg, node in program:
-            if code is _OP_VAR:
-                push((x[:, arg[0]], arg[1]))
-            elif code is _OP_CONST:
-                push((arg, None))
-            elif code is _OP_NEG:
-                a, b = pop()
-                push((-a, None if b is None else -b))
-            elif code is _OP_CALL:
-                a, b = pop()
-                if b is not None:
-                    a, b, bad = _call_rows(arg, a, b)
-                    _check_rows(bad, arg, node)
-                else:
-                    try:
-                        a = _FUNCTIONS[arg](a)
-                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                        raise EvalDomainError(f"{arg}: {exc}", node) from None
-                push((a, b))
-            else:
-                right = pop()
-                left = pop()
-                if left[1] is not None or right[1] is not None:
-                    push(_bin_rows(arg, node, left, right))
-                else:
-                    try:
-                        push((_binop(arg, left[0], right[0]), None))
-                    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                        raise EvalDomainError(str(exc), node) from None
-    value, grad = pop()
+        value, grad, _ = _triple(_run(expr, leaves, False, np))
     out_value = np.empty(rows)
     out_value[:] = value
     out_grad = np.zeros((rows, n))
     if grad is not None:
-        out_grad[:] = grad
-    finite = np.isfinite(out_value) & np.isfinite(out_grad).all(axis=1)
-    _check_rows(~finite, "value or gradient not finite", expr.root)
+        out_grad[:] = grad.T
+    finite = np.count_nonzero(np.isfinite(out_value)) + np.count_nonzero(np.isfinite(out_grad))
+    if finite < rows * (n + 1):
+        bad = ~(np.isfinite(out_value) & np.isfinite(out_grad).all(axis=1))
+        raise _not_finite(expr, f"value or gradient at batch row {int(np.argmax(bad))}")
     return out_value, out_grad
 
 
@@ -627,6 +493,10 @@ _TOKEN_RE = re.compile(
 )
 
 _VAR_RE = re.compile(r"^x(\d+)$")
+
+# Deepest nesting of parentheses, calls, unary minus and exponents the
+# parser accepts; each level costs it up to five stack frames.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -662,6 +532,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.arity = arity
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -702,11 +573,19 @@ class _Parser:
                 return node
 
     def unary(self) -> Node:
-        kind, text, _ = self.peek()
+        # every nested level (parenthesis, call, unary minus, exponent)
+        # passes through here, so this depth bounds the recursion
+        kind, text, pos = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -724,7 +603,7 @@ class _Parser:
                 raise ParseError(f"numeric literal {text!r} overflows to infinity", pos)
             return Const(value)
         if kind == "ident":
-            if text in _FUNCTIONS:
+            if text in _CALLS:
                 k2, t2, p2 = self.peek()
                 if k2 != "op" or t2 != "(":
                     raise ParseError(f"expected '(' after function {text!r}", p2)
@@ -774,26 +653,8 @@ def _fmt_const(v: float) -> str:
     return repr(v)
 
 
-def _fmt(node):
-    kind = type(node)
-    if kind is Const:
-        if node.value < 0:
-            return "-" + _fmt_const(-node.value), _NEG
-        return _fmt_const(node.value), _ATOM
-    if kind is Var:
-        return f"x{node.index}", _ATOM
-    if kind is Call:
-        inner, _ = _fmt(node.arg)
-        return f"{node.name}({inner})", _ATOM
-    if kind is Neg:
-        s, p = _fmt(node.arg)
-        if p <= _MUL:
-            s = f"({s})"
-        return "-" + s, _NEG
-    # BinOp
-    op = node.op
-    ls, lp = _fmt(node.left)
-    rs, rp = _fmt(node.right)
+def _fmt_binop(op: str, left, right):
+    (ls, lp), (rs, rp) = left, right
     if op in "+-":
         if lp < _ADD:
             ls = f"({ls})"
@@ -818,20 +679,25 @@ def _fmt(node):
 
 def format_expression(expr: Expression) -> str:
     """Render to text that parse_expression maps back to the same tree."""
-    return _fmt(expr.root)[0]
-
-
-def _shift(node, offset):
-    kind = type(node)
-    if kind is Var:
-        return Var(node.index + offset)
-    if kind is Const:
-        return node
-    if kind is Neg:
-        return Neg(_shift(node.arg, offset))
-    if kind is Call:
-        return Call(node.name, _shift(node.arg, offset))
-    return BinOp(node.op, _shift(node.left, offset), _shift(node.right, offset))
+    stack = []
+    push, pop = stack.append, stack.pop
+    for code, _, node in _program_of(expr):
+        if code is _OP_CONST:
+            if node.value < 0:
+                push(("-" + _fmt_const(-node.value), _NEG))
+            else:
+                push((_fmt_const(node.value), _ATOM))
+        elif code is _OP_VAR:
+            push((f"x{node.index}", _ATOM))
+        elif code is _OP_CALL:
+            push((f"{node.name}({pop()[0]})", _ATOM))
+        elif code is _OP_NEG:
+            s, p = pop()
+            push(("-" + (f"({s})" if p <= _MUL else s), _NEG))
+        else:
+            right = pop()
+            push(_fmt_binop(node.op, pop(), right))
+    return pop()[0]
 
 
 def reindex(expr: Expression, offset: int, new_arity: int) -> Expression:
@@ -843,4 +709,18 @@ def reindex(expr: Expression, offset: int, new_arity: int) -> Expression:
         raise ValueError(
             f"cannot shift arity-{expr.arity} expression by {offset} into arity {new_arity}"
         )
-    return Expression(_shift(expr.root, offset), new_arity)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for code, _, node in _program_of(expr):
+        if code is _OP_CONST:
+            push(node)
+        elif code is _OP_VAR:
+            push(Var(node.index + offset))
+        elif code is _OP_CALL:
+            push(Call(node.name, pop()))
+        elif code is _OP_NEG:
+            push(Neg(pop()))
+        else:
+            right = pop()
+            push(BinOp(node.op, pop(), right))
+    return Expression(pop(), new_arity)

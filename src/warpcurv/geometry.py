@@ -6,17 +6,17 @@ so symmetry of everything downstream (metric values, Christoffel symbols in
 their lower pair, the closed form's covariant warp Hessians) holds bitwise,
 not just to roundoff.
 
-Partial derivatives of metric entries come from dual numbers (one point) or
-the compiled batch evaluator (a stack of points), never from finite
-differences; the only approximation anywhere in this module is the linear
-solve for the inverse metric.
+Partial derivatives of metric entries come from the expression module's
+compiled evaluator, at one point or over a stack of points, never from
+finite differences; the only approximation anywhere in this module is the
+linear solve for the inverse metric.
 
 The one-point path is built for many calls on tiny arrays, where numpy's
 per-call cost outweighs the arithmetic:
 
-- A metric component that reads no variable (the 1, 0 and -1 of most
-  charts) is folded: evaluated once, on first use, and cached on its
-  Expression.  metric_at and the first-derivative pass evaluate only the
+- A metric component whose program reads no variable (the 1, 0 and -1
+  of most charts) is folded: evaluated once, on first use, and cached on
+  its Expression.  metric_at and the first-derivative pass evaluate only the
   live components; a folded one has value c and zero derivatives.
 - _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
   that or for entries beyond 1e100, where a product of three entries could
@@ -34,10 +34,8 @@ import numpy as np
 
 from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
-    BinOp,
-    Const,
     Expression,
-    Var,
+    _reads_variables,
     evaluate,
     jet2,  # unused here; bench/tracer.py wraps geometry.jet2 by name
     parse_expression,
@@ -152,20 +150,12 @@ def _constant_value(expr: Expression):
         return expr._constant
     except AttributeError:
         pass
-    todo, c = [expr.root], 0.0
-    while todo and c is not None:
-        node = todo.pop()
-        if type(node) is Var:
-            c = None
-        elif type(node) is BinOp:
-            todo += (node.left, node.right)
-        elif type(node) is not Const:
-            todo.append(node.arg)
-    if c is not None:
+    c = None
+    if not _reads_variables(expr):
         try:
             c = evaluate(expr, [0.0] * expr.arity)
         except EvalDomainError:  # left to fail where it is evaluated
-            c = None
+            pass
     expr._constant = c
     return c
 

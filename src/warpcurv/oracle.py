@@ -2,9 +2,9 @@
 
 This route knows nothing about product structure: it differentiates the
 Christoffel symbols of whatever metric it is handed.  The Christoffels
-themselves are exact (dual numbers); only their derivatives are numerical,
-so a single layer of central differences with Richardson extrapolation is
-the entire error budget.
+themselves are exact (the expression module's chain rules); only their
+derivatives are numerical, so a single layer of central differences with
+Richardson extrapolation is the entire error budget.
 
 bundle_fd is the curvature entry point, sectional_fd the one extra
 quantity.  Both evaluate the centre point alone, in one pass through the
@@ -13,7 +13,8 @@ Christoffels), so a bundle's Christoffels and the errors raised at the
 centre are those of the geometry module, and the inverse metric that
 raises the Ricci index is the one that built them.  The 2*d*L stencil
 points around the centre are stacked and evaluated in one batched pass
-(compiled expressions, stacked inverse, one einsum).  When that pass fails,
+(each metric component's program over every point, stacked inverse, one
+einsum).  When that pass fails,
 the stencil is walked again point by point in the order axis, level, +h
 before -h, so that StencilDomainError names the first failing point.
 

@@ -1,8 +1,8 @@
 """Plain finite-difference reference derivatives for the test suite.
 
 Deliberately independent of the package's differentiation code: central
-differences with one Richardson sweep, nothing shared with the dual-number
-implementation under test.
+differences with one Richardson sweep, nothing shared with the chain rules
+under test.
 """
 
 import numpy as np

@@ -401,7 +401,7 @@ def test_10_jets_and_integrator_order():
     ok = worst <= 1e-6 and order >= 3.8
     record_criterion(
         10,
-        "dual-number jets match finite differences; RK4 shows 4th order",
+        "expression jets match finite differences; RK4 shows 4th order",
         ok,
         f"jet dev {worst:.2e}<=1e-6, order {order:.2f}>=3.8",
     )

@@ -321,6 +321,58 @@ def _one_line(err: str) -> str:
     return err
 
 
+def test_deep_sum_manifest_runs_on_every_command(tmp_path, capsys):
+    # a 1500-term base metric, 1 + 1500*0.001*x0^2, and a 1500-term warp
+    g00 = "1" + " + 0.001*x0^2" * 1500
+    f = "2" + " + 0.001*x0^2" * 1500
+    path = _write_manifest(tmp_path, [[g00, "0"], ["0", "1"]], warp_f=f)
+    assert main(["curvature", path, "--point", "0.5,0.2,0.1", "--check", "1e-5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["within_tolerance"] is True
+    assert main(["verify", path, "--samples", "3", "--box=-1..1,-1..1,-1..1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 3 * 4 + 2 and lines[-2] == "# skipped,0,of,3"
+
+
+def test_deeply_nested_manifest_exits_2(tmp_path, capsys):
+    path = _write_manifest(tmp_path, [["(" * 600 + "1" + ")" * 600]])
+    assert main(["curvature", path, "--point", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested deeper than" in _one_line(captured.err)
+
+
+def test_verify_reports_unstable_rows_after_the_skip_rule(monkeypatch, capsys):
+    # samples 0, 1 skip on a domain error and 2 is unstable; the rest pass
+    real = cli.bundle_fd
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) <= 2:
+            raise errors.StencilDomainError("boom")
+        if len(calls) == 3:
+            raise errors.NumericalInstabilityError("wobble")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bundle_fd", flaky)
+    argv = ["verify", catalog("unit-sphere"), "--samples"]
+    assert main(argv + ["10"]) == 4  # 2 of 10 skipped is over 10%
+    out = capsys.readouterr().out.splitlines()
+    assert [row.split(",", 1)[1] for row in out[2:5]] == [
+        "skipped:StencilDomainError,,",
+        "skipped:StencilDomainError,,",
+        "unstable:NumericalInstabilityError,,",
+    ]
+    assert len(out) == 2 + 3 + 7 * 4 + 2
+    calls.clear()
+    calls.append(None)  # one skip of 20 is within the rule
+    assert main(argv + ["20"]) == 1
+    captured = capsys.readouterr()
+    assert "1 of 20 samples" in _one_line(captured.err)
+    assert "# skipped,1,of,20" in captured.out
+
+
 def test_huge_metric_entry_exits_3_without_traceback(tmp_path, capsys):
     # g00 = exp(400) ~ 5e173: the degeneracy cutoff used to overflow
     path = _write_manifest(tmp_path, [["exp(x0)", "0"], ["0", "1"]])
@@ -407,9 +459,15 @@ def test_numerical_instability_exits_1(tmp_path, capsys):
     }
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps(doc))
-    for argv in (["curvature", str(path), "--point", "0.5,0.5,0.2"],
-                 ["verify", str(path), "--samples", "3"]):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Ricci asymmetry" in _one_line(captured.err)
+    assert main(["curvature", str(path), "--point", "0.5,0.5,0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Ricci asymmetry" in _one_line(captured.err)
+    # verify records each unstable sample as a row and reports the sweep
+    assert main(["verify", str(path), "--samples", "3"]) == 1
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[2:-2]
+    assert len(rows) == 3
+    assert all(row.endswith(",unstable:NumericalInstabilityError,,") for row in rows)
+    assert captured.out.splitlines()[-2] == "# skipped,0,of,3"
+    assert "Ricci asymmetry" in _one_line(captured.err)

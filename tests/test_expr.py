@@ -10,6 +10,7 @@ from warpcurv.errors import (
     UnknownIdentifierError,
 )
 from warpcurv.expr import (
+    MAX_NESTING,
     evaluate,
     format_expression,
     jet2,
@@ -277,7 +278,7 @@ def test_product_rule_gradient_exact():
         if not (np.isfinite(jp.value) and abs(jp.value) < 1e8):
             continue
         assert jp.value == ja.value * jb.value
-        # same operation order as the dual-number product rule
+        # same operation order as the interpreter's product rule
         expected = ja.gradient * jb.value + ja.value * jb.gradient
         assert np.array_equal(jp.gradient, expected)
 
@@ -358,7 +359,7 @@ def test_reindex_rejects_overflow():
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation against the scalar dual pass
+# Batched evaluation against the single-point pass
 
 
 def _scalar_rows(expr, points):
@@ -444,6 +445,35 @@ def test_batch_dual_only_domain_rules(text, arity, bad_row):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
+    "text,arity,bad_row",
+    [
+        ("x0^0.5", 1, [0.0]),
+        ("sqrt(x0)", 1, [0.0]),
+        ("x0^x1", 2, [-2.0, 2.0]),
+        ("2^x0", 1, [2000.0]),
+        ("x0^3", 1, [1e200]),
+        ("1/x0", 1, [0.0]),
+        ("exp(x0)", 1, [1000.0]),
+        ("sinh(x0)", 1, [1000.0]),
+        ("cosh(x0)", 1, [-1000.0]),
+        ("log(x0)", 1, [0.0]),
+        ("sin(x0*1e308*10)", 1, [1.0]),
+        ("cos(x0*1e308*10)", 1, [1.0]),
+        ("tan(x0*1e308*10)", 1, [1.0]),
+    ],
+)
+def test_batch_domain_rules_hold_where_the_result_is_discarded(text, arity, bad_row):
+    # ^0 discards the operand, so no inf or NaN reaches the finiteness
+    # check: only the domain rule itself can reject the row
+    expr = parse_expression(f"({text})^0", arity)
+    with pytest.raises(EvalDomainError):
+        value_and_gradient(expr, bad_row)
+    with pytest.raises(EvalDomainError):
+        value_and_gradient_batch(expr, np.vstack([np.full((3, arity), 1.5), [bad_row]]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
     "text,arity,point",
     [
         ("x0^0", 1, [0.0]),  # a zero exponent makes the power constant 1
@@ -508,6 +538,31 @@ def test_batch_of_deep_sum_has_no_recursion_limit():
     values, grads = value_and_gradient_batch(expr, np.array([[1.0], [2.0]]))
     assert values.tolist() == [3000.0, 6000.0]
     assert grads.tolist() == [[3000.0], [3000.0]]
+    # every other walk over the tree is iterative too
+    assert evaluate(expr, [2.0]) == 6000.0
+    value, grad = value_and_gradient(expr, [2.0])
+    assert (value, grad.tolist()) == (6000.0, [3000.0])
+    jet = jet2(expr, [2.0])
+    assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == (6000.0, [3000.0], [[0.0]])
+    text = format_expression(expr)
+    assert text == " + ".join(["x0"] * 3000)
+    shifted = reindex(expr, 1, 2)
+    assert evaluate(shifted, [7.0, 2.0]) == 6000.0
+    assert format_expression(shifted) == " + ".join(["x1"] * 3000)
+
+
+@pytest.mark.parametrize(
+    "opening,closing",
+    [("(", ")"), ("sin(", ")"), ("-", ""), ("2^", "")],
+    ids=["parentheses", "calls", "unary-minus", "exponents"],
+)
+def test_nesting_limit_is_a_parse_error(opening, closing):
+    depth = MAX_NESTING - 1  # the top level is the first
+    parse_expression(opening * depth + "x0" + closing * depth, 1)
+    with pytest.raises(ParseError) as exc:
+        parse_expression(opening * 600 + "x0" + closing * 600, 1)
+    assert exc.value.position == MAX_NESTING * len(opening)
+    assert "nested deeper than" in str(exc.value)
 
 
 def test_batch_program_compiled_once_and_shape_checked():

@@ -1,0 +1,137 @@
+"""Property tests over expression text.
+
+Hypothesis drives a random walk over the grammar (through st.randoms, so
+it replays and shrinks the choices), plus arbitrary text for the parser.
+The expressions are evaluated on a fixed grid of points that includes
+zero, tiny and huge coordinates, so the domain rules and overflow paths
+are hit as often as the ordinary ones.  derandomize=True keeps every run
+on the same examples.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from warpcurv.errors import EvalDomainError, WarpcurvError
+from warpcurv.expr import (
+    Expression,
+    evaluate,
+    jet2,
+    parse_expression,
+    value_and_gradient,
+    value_and_gradient_batch,
+)
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+_FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh"]
+_CONSTS = ["0", "0.5", "1", "1.5", "2", "3", "10", "pi", "e", "1e308"]
+_EXPONENTS = ["0", "0.5", "1", "1.5", "2", "3", "-1", "-0.5"]
+_COORDS = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, -2.0, 3.0, 1e-200, 800.0, -800.0]
+
+
+def _text(rnd, arity: int, depth: int) -> str:
+    """Expression text from the grammar, each choice drawn from rnd."""
+    if depth == 0 or rnd.random() < 0.25:
+        if rnd.random() < 0.5:
+            return f"x{rnd.randrange(arity)}"
+        return rnd.choice(_CONSTS)
+    a = _text(rnd, arity, depth - 1)
+    r = rnd.random()
+    if r < 0.45:
+        return f"({a} {rnd.choice('+-*/^')} {_text(rnd, arity, depth - 1)})"
+    if r < 0.6:
+        return f"({a})^{rnd.choice(_EXPONENTS)}"
+    if r < 0.7:
+        return f"-{a}"
+    return f"{rnd.choice(_FUNCS)}({a})"
+
+
+@st.composite
+def _case(draw, rows=1):
+    """An expression that parses, with `rows` grid points.  Raised to the
+    power 0 half the time: that discards the value and derivatives, so only
+    the domain rules can reject a point, not the finiteness check."""
+    rnd = draw(st.randoms(use_true_random=False))
+    arity = rnd.randint(1, 3)
+    text = _text(rnd, arity, rnd.randint(1, 4))
+    if rnd.random() < 0.5:
+        text = f"({text})^0"
+    expr = parse_expression(text, arity)
+    return expr, [[rnd.choice(_COORDS) for _ in range(arity)] for _ in range(rows)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError:
+        return None
+
+
+def _all_finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+_TOKENS = ["x0", "x1", "x7", "(", ")", "+", "-", "*", "/", "^", "sin(", "log", "1.5",
+           "2", ".", "e", "pi", "1e400", "3e", " ", "@", "y", ","]
+
+
+@FUZZ
+@given(
+    text=st.one_of(
+        st.text(alphabet="x0129.eE+-*/^() sincotaxplgqrh_@", max_size=30),
+        st.lists(st.sampled_from(_TOKENS), max_size=25).map("".join),
+    ),
+    arity=st.integers(0, 3),
+)
+def test_parse_returns_an_expression_or_a_package_error(text, arity):
+    try:
+        expr = parse_expression(text, arity)
+    except WarpcurvError:
+        return
+    assert isinstance(expr, Expression)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@FUZZ
+@given(_case())
+def test_evaluators_give_finite_numbers_and_the_domain_shrinks_with_order(case):
+    expr, (point,) = case
+    value = _outcome(evaluate, expr, point)
+    scalar = _outcome(value_and_gradient, expr, point)
+    jet = _outcome(jet2, expr, point)
+    if value is not None:
+        assert isinstance(value, float) and math.isfinite(value)
+    if scalar is not None:
+        assert scalar[1].shape == (expr.arity,) and _all_finite(*scalar)
+        assert value is not None and scalar[0] == value  # bitwise
+    if jet is not None:
+        assert jet.hessian.shape == (expr.arity, expr.arity)
+        assert _all_finite(jet.value, jet.gradient, jet.hessian)
+        assert np.array_equal(jet.hessian, jet.hessian.T)
+        assert scalar is not None
+        assert jet.value == scalar[0] and np.array_equal(jet.gradient, scalar[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@FUZZ
+@given(_case(rows=4))
+def test_batch_raises_exactly_when_a_row_would_and_agrees_otherwise(case):
+    expr, points = case
+    rows = [_outcome(value_and_gradient, expr, p) for p in points]
+    batch = _outcome(value_and_gradient_batch, expr, np.array(points).reshape(4, expr.arity))
+    assert (batch is None) == any(r is None for r in rows)
+    if batch is None:
+        return
+    values, grads = batch
+    for i, (v, g) in enumerate(rows):
+        assert values[i] == pytest.approx(v, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grads[i], g, rtol=1e-12, atol=0.0)
