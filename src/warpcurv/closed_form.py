@@ -19,6 +19,18 @@ the latter proportional to d(ln f) d(ln h) and so vanishing whenever either
 warp is constant.  The remaining two patterns (upper index alone in its
 factor against three of the other) are identically zero.
 
+One formula per side.  h(y)^2 g_B + f(x)^2 g_F keeps its form when base and
+fiber trade places together with f and h, so every block whose upper index
+lies on one side is the mirror image of a block on the other.  Each factor
+therefore gets one record (_factor_data): its metric, Christoffels and the
+warp that lives on it.  Every block formula is written once for an own
+side A against the other side O, with w_A the warp on A, and runs for
+(A, O) = (base, fiber) and (fiber, base).  For example
+
+    R[A,O,A,O] = -(1/w_O) delta_A (x) Hess_O w_O - (w_A/w_O^2) (g_A^-1 Hess_A w_A) (x) g_O
+
+gives both R[B,F,B,F] and R[F,B,F,B].
+
 bundle_closed is the one curvature entry point: it evaluates the point
 data and the two factor stencils once and builds all four tensors from
 them.  christoffels_closed, for the geodesic right-hand side, needs only
@@ -50,108 +62,79 @@ from .warped import WarpedProductSpec, _as_product_point
 __all__ = ["christoffels_closed", "bundle_closed"]
 
 
-class _PointData(SimpleNamespace):
-    """Exact per-point ingredients shared by all closed-form tensors.
+def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessians: bool):
+    """Exact per-point ingredients of one factor, shared by all closed-form
+    tensors:
 
-    m, n                  factor dimensions
-    f, h                  warp values
-    gB, gF, gBinv, gFinv  factor metrics and their inverses
-    gammaB, gammaF        factor Christoffels
-    df, dh                warp gradients on their own factors
-    dfU, dhU              the same, raised
-    lf, lh                d(ln f), d(ln h)
-    Hf, Hh                factor-covariant warp Hessians
-    lapBf, lapFh          unwarped factor Laplacians of the warps
-    nf2, nh2              |df|^2, |dh|^2 in the unwarped factor metrics
+    own             this factor's slice of the product coordinates
+    dim             its dimension
+    w               the warp that lives on this factor (f on the base, h on
+                    the fiber); it scales the other factor's metric
+    g, ginv, gamma  the factor's metric, its inverse and its Christoffels
+    dwU, lw         the warp's gradient raised by ginv, and d(ln w)
+    H, lap, nw2     the warp's factor-covariant Hessian, its Laplacian and
+                    |dw|^2, all in the unwarped factor metric
 
-    The last three rows are None when _point_data skips the Hessians.  A
-    namespace rather than a dataclass, whose generated methods would cost
-    time at every import and serve no caller.
+    The last row is None without Hessians.  A namespace rather than a
+    dataclass, whose generated methods would cost time at every import and
+    serve no caller.
     """
-
-
-def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True) -> _PointData:
-    """Evaluate every exact per-point ingredient once.
-
-    with_hessians=False skips the second-order warp jets and what only
-    curvature reads (Hf, Hh, their Laplacians, nf2, nh2); Christoffels and
-    geodesic right-hand sides only need first derivatives, and the saving
-    matters inside integrator loops.
-    """
-    pp = _as_product_point(spec, point)
-    m, n = spec.base.dim, spec.fiber.dim
-    gB, DB = _metric_and_first_derivs(spec.base, pp.base_coords)
-    gF, DF = _metric_and_first_derivs(spec.fiber, pp.fiber_coords)
-    gBinv = _inverse_of(gB)
-    gFinv = _inverse_of(gF)
-    gammaB = _christoffels_from_parts(gBinv, DB)
-    gammaF = _christoffels_from_parts(gFinv, DF)
-    if with_hessians:
-        fjet = jet2(spec.f.expr, pp.base_coords)
-        hjet = jet2(spec.h.expr, pp.fiber_coords)
-        fval, df = fjet.value, fjet.gradient
-        hval, dh = hjet.value, hjet.gradient
+    g, D = _metric_and_first_derivs(factor, coords)
+    ginv = _inverse_of(g)
+    gamma = _christoffels_from_parts(ginv, D)
+    if hessians:
+        jet = jet2(warp.expr, coords)
+        w, dw = jet.value, jet.gradient
     else:
-        fval, df = value_and_gradient(spec.f.expr, pp.base_coords)
-        hval, dh = value_and_gradient(spec.h.expr, pp.fiber_coords)
-    if not fval > 0.0:
-        raise NonpositiveWarpError("f", fval)
-    if not hval > 0.0:
-        raise NonpositiveWarpError("h", hval)
-    dfU = gBinv @ df
-    dhU = gFinv @ dh
-    if with_hessians:
-        Hf = fjet.hessian - (df @ gammaB.reshape(m, m * m)).reshape(m, m)
-        Hh = hjet.hessian - (dh @ gammaF.reshape(n, n * n)).reshape(n, n)
-        lapBf = float(np.vdot(gBinv, Hf))
-        lapFh = float(np.vdot(gFinv, Hh))
-        nf2 = float(df @ dfU)
-        nh2 = float(dh @ dhU)
-    else:
-        Hf = Hh = lapBf = lapFh = nf2 = nh2 = None
-    return _PointData(
-        m=m,
-        n=n,
-        f=fval,
-        h=hval,
-        gB=gB,
-        gF=gF,
-        gBinv=gBinv,
-        gFinv=gFinv,
-        gammaB=gammaB,
-        gammaF=gammaF,
-        df=df,
-        dh=dh,
-        Hf=Hf,
-        Hh=Hh,
-        dfU=dfU,
-        dhU=dhU,
-        lf=df / fval,
-        lh=dh / hval,
-        nf2=nf2,
-        nh2=nh2,
-        lapBf=lapBf,
-        lapFh=lapFh,
+        w, dw = value_and_gradient(warp.expr, coords)
+    if not w > 0.0:
+        raise NonpositiveWarpError(which, w)
+    dwU = ginv @ dw
+    H = lap = nw2 = None
+    if hessians:
+        k = factor.dim
+        H = jet.hessian - (dw @ gamma.reshape(k, k * k)).reshape(k, k)
+        lap = float(np.vdot(ginv, H))
+        nw2 = float(dw @ dwU)
+    return SimpleNamespace(
+        own=own, dim=factor.dim, w=w, g=g, ginv=ginv, gamma=gamma,
+        dwU=dwU, lw=dw / w, H=H, lap=lap, nw2=nw2,
     )
 
 
-def _christoffels_from_data(d: _PointData) -> np.ndarray:
-    m, n = d.m, d.n
-    dim = m + n
-    B = slice(0, m)
-    F = slice(m, dim)
+def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True):
+    """(base record, fiber record): every exact per-point ingredient, once.
+
+    The checks run factor by factor: the base metric (its evaluation, then
+    its inverse), then f and its sign, then the fiber metric, then h.  At
+    a point where two checks fail, the first one's error is raised.
+
+    with_hessians=False skips the second-order warp jets and what only
+    curvature reads (H, lap, nw2); Christoffels and geodesic right-hand
+    sides only need first derivatives, and the saving matters inside
+    integrator loops.
+    """
+    pp = _as_product_point(spec, point)
+    m, dim = spec.base.dim, spec.dim
+    B, F = slice(0, m), slice(m, dim)
+    return (
+        _factor_data(spec.base, pp.base_coords, spec.f, "f", B, with_hessians),
+        _factor_data(spec.fiber, pp.fiber_coords, spec.h, "h", F, with_hessians),
+    )
+
+
+def _christoffels_from_data(d) -> np.ndarray:
+    dim = d[0].dim + d[1].dim
     G = np.zeros((dim, dim, dim))
-    G[B, B, B] = d.gammaB
-    G[F, F, F] = d.gammaF
-    # fiber-up, base-pair block and its mirror
-    G[F, B, B] = -(d.h / d.f**2) * (d.dhU[:, None, None] * d.gB)
-    G[B, F, F] = -(d.f / d.h**2) * (d.dfU[:, None, None] * d.gF)
-    # mixed lower pairs, diagonal in the matching factor index:
-    # G[nu, nu, m+alpha] = G[nu, m+alpha, nu] = d_alpha ln h, and mirrored
-    for nu in range(m):
-        G[nu, nu, F] = G[nu, F, nu] = d.lh
-    for beta in range(m, dim):
-        G[beta, beta, B] = G[beta, B, beta] = d.lf
+    for A, O in (d, d[::-1]):
+        a, o = A.own, O.own
+        G[a, a, a] = A.gamma
+        # other-up, own-pair block
+        G[o, a, a] = -(O.w / A.w**2) * (O.dwU[:, None, None] * A.g)
+        # mixed lower pairs, diagonal in the own index:
+        # G[k, k, o] = G[k, o, k] = d ln w_O
+        for k in range(a.start, a.stop):
+            G[k, k, o] = G[k, o, k] = O.lw
     return G
 
 
@@ -170,122 +153,74 @@ def _factor_curvature(factor: MetricSpec, coords, policy: DiffPolicy):
     return fb.riemann, fb.ricci
 
 
-def _riemann_common_from_data(
-    d: _PointData, Rb: np.ndarray, Rf: np.ndarray
-) -> np.ndarray:
-    m, n = d.m, d.n
-    dim = m + n
-    B = slice(0, m)
-    F = slice(m, dim)
-    Im = np.eye(m)
-    In = np.eye(n)
-    f, h = d.f, d.h
+def _riemann_common_from_data(d, Rb: np.ndarray, Rf: np.ndarray) -> np.ndarray:
+    dim = d[0].dim + d[1].dim
     R = np.zeros((dim, dim, dim, dim))
-
-    # all-base block: factor curvature plus a constant-curvature correction
-    R[B, B, B, B] = Rb - (d.nh2 / f**2) * (
-        np.einsum("ml,nr->mnlr", Im, d.gB) - np.einsum("mr,nl->mnlr", Im, d.gB)
-    )
-    # all-fiber block, mirror image
-    R[F, F, F, F] = Rf - (d.nf2 / h**2) * (
-        np.einsum("ag,be->abge", In, d.gF) - np.einsum("ae,bg->abge", In, d.gF)
-    )
-
-    # even mixed blocks: warp Hessians
-    HhUp = d.gFinv @ d.Hh
-    HfUp = d.gBinv @ d.Hf
-    X = -(1.0 / f) * np.einsum("ab,mn->ambn", In, d.Hf) - (h / f**2) * np.einsum(
-        "ab,mn->ambn", HhUp, d.gB
-    )
-    R[F, B, F, B] = X
-    R[F, B, B, F] = -X.transpose(0, 1, 3, 2)
-    U = -(1.0 / h) * np.einsum("mn,ab->manb", Im, d.Hh) - (f / h**2) * np.einsum(
-        "mn,ab->manb", HfUp, d.gF
-    )
-    R[B, F, B, F] = U
-    R[B, F, F, B] = -U.transpose(0, 1, 3, 2)
-
-    # blocks proportional to d(ln f) x d(ln h)
-    R[F, B, F, F] = np.einsum("m,g,ab->ambg", d.lf, d.lh, In) - np.einsum(
-        "m,b,ag->ambg", d.lf, d.lh, In
-    )
-    R[B, F, B, B] = np.einsum("a,l,mn->manl", d.lh, d.lf, Im) - np.einsum(
-        "a,n,ml->manl", d.lh, d.lf, Im
-    )
-    W = (h / f**2) * (
-        np.einsum("a,n,lm->amnl", d.dhU, d.lf, d.gB)
-        - np.einsum("a,l,nm->amnl", d.dhU, d.lf, d.gB)
-    )
-    R[F, B, B, B] = W
-    V = (f / h**2) * (
-        np.einsum("m,b,ga->mabg", d.dfU, d.lh, d.gF)
-        - np.einsum("m,g,ba->mabg", d.dfU, d.lh, d.gF)
-    )
-    R[B, F, F, F] = V
-    P = np.einsum("a,n,ml->mnla", d.lh, d.lf, Im) - (1.0 / f) * np.einsum(
-        "a,ln,m->mnla", d.lh, d.gB, d.dfU
-    )
-    R[B, B, B, F] = P
-    R[B, B, F, B] = -P.transpose(0, 1, 3, 2)
-    Q = np.einsum("m,b,ag->abgm", d.lf, d.lh, In) - (1.0 / h) * np.einsum(
-        "m,gb,a->abgm", d.lf, d.gF, d.dhU
-    )
-    R[F, F, F, B] = Q
-    R[F, F, B, F] = -Q.transpose(0, 1, 3, 2)
-
+    for (A, O), RA in zip((d, d[::-1]), (Rb, Rf)):
+        a, o = A.own, O.own
+        I = np.eye(A.dim)
+        # own block: factor curvature plus a constant-curvature correction
+        R[a, a, a, a] = RA - (O.nw2 / A.w**2) * (
+            np.einsum("ml,nr->mnlr", I, A.g) - np.einsum("mr,nl->mnlr", I, A.g)
+        )
+        # even mixed blocks, upper index on this side: warp Hessians
+        X = -(1.0 / O.w) * np.einsum("ab,mn->ambn", I, O.H) - (A.w / O.w**2) * np.einsum(
+            "ab,mn->ambn", A.ginv @ A.H, O.g
+        )
+        R[a, o, a, o] = X
+        R[a, o, o, a] = -X.transpose(0, 1, 3, 2)
+        # odd blocks, proportional to d(ln f) x d(ln h)
+        R[a, o, a, a] = np.einsum("m,g,ab->ambg", O.lw, A.lw, I) - np.einsum(
+            "m,b,ag->ambg", O.lw, A.lw, I
+        )
+        R[o, a, a, a] = (O.w / A.w**2) * (
+            np.einsum("a,n,lm->amnl", O.dwU, A.lw, A.g)
+            - np.einsum("a,l,nm->amnl", O.dwU, A.lw, A.g)
+        )
+        P = np.einsum("a,n,ml->mnla", O.lw, A.lw, I) - (1.0 / A.w) * np.einsum(
+            "a,ln,m->mnla", O.lw, A.g, A.dwU
+        )
+        R[a, a, a, o] = P
+        R[a, a, o, a] = -P.transpose(0, 1, 3, 2)
     # R[B,B,F,F] and R[F,F,B,B] are identically zero for this metric shape
     return R
 
 
-def _ricci_from_data(
-    d: _PointData, ricB: np.ndarray, ricF: np.ndarray
-) -> np.ndarray:
-    m, n = d.m, d.n
-    dim = m + n
-    B = slice(0, m)
-    F = slice(m, dim)
-    f, h = d.f, d.h
+def _ricci_from_data(d, ricB: np.ndarray, ricF: np.ndarray) -> np.ndarray:
+    dim = d[0].dim + d[1].dim
     ric = np.zeros((dim, dim))
-    ric[B, B] = (
-        ricB
-        - (n / f) * d.Hf
-        - ((m - 1) * d.nh2 + h * d.lapFh) / f**2 * d.gB
-    )
-    ric[F, F] = (
-        ricF
-        - (m / h) * d.Hh
-        - ((n - 1) * d.nf2 + f * d.lapBf) / h**2 * d.gF
-    )
-    cross = (m + n - 2) * np.outer(d.lf, d.lh)
-    ric[B, F] = cross
-    ric[F, B] = cross.T
+    for (A, O), ricA in zip((d, d[::-1]), (ricB, ricF)):
+        ric[A.own, A.own] = (
+            ricA
+            - (O.dim / A.w) * A.H
+            - ((A.dim - 1) * O.nw2 + O.w * O.lap) / A.w**2 * A.g
+        )
+    base, fiber = d
+    cross = (dim - 2) * np.outer(base.lw, fiber.lw)
+    ric[base.own, fiber.own] = cross
+    ric[fiber.own, base.own] = cross.T
     return ric
 
 
-def _scalar_paths_from_data(d: _PointData, ric, ricB, ricF) -> tuple[float, float]:
+def _scalar_paths_from_data(d, ric, ricB, ricF) -> tuple[float, float]:
     """(contraction of the product Ricci `ric`, direct formula value), both
     from the same factor Ricci.
 
     Sharing the factor tensors between the two paths means their residual
     difference is pure algebra roundoff, not differencing noise.
     """
-    f, h = d.f, d.h
-    m, n = d.m, d.n
-    contraction = float(
-        np.einsum("ij,ij->", d.gBinv / h**2, ric[:m, :m])
-        + np.einsum("ij,ij->", d.gFinv / f**2, ric[m:, m:])
-    )
-    scalB = float(np.einsum("ij,ij->", d.gBinv, ricB))
-    scalF = float(np.einsum("ij,ij->", d.gFinv, ricF))
-    direct = (
-        scalB / h**2
-        + scalF / f**2
-        - 2.0 * m * d.lapFh / (h * f**2)
-        - 2.0 * n * d.lapBf / (f * h**2)
-        - m * (m - 1) * (d.nh2 / h**2) / f**2
-        - n * (n - 1) * (d.nf2 / f**2) / h**2
-    )
-    return contraction, direct
+    paths = []
+    for (A, O), ricA in zip((d, d[::-1]), (ricB, ricF)):
+        a, k = A.own, A.dim
+        contraction = np.einsum("ij,ij->", A.ginv / O.w**2, ric[a, a])
+        direct = (
+            float(np.einsum("ij,ij->", A.ginv, ricA)) / O.w**2
+            - 2.0 * k * O.lap / (O.w * A.w**2)
+            - k * (k - 1) * (O.nw2 / O.w**2) / A.w**2
+        )
+        paths.append((contraction, direct))
+    (cB, dB), (cF, dF) = paths
+    return float(cB + cF), dB + dF
 
 
 def bundle_closed(

@@ -271,6 +271,8 @@ def _pow(left, right, hess, m):
         d = p * r1
         if not hess:
             return r, d * b1, None
+        if p == 1.0:  # f'' = 0, and a^(p-2) need not exist
+            return r, d * b1, None if h1 is None else d * h1
         H = (p * (p - 1.0) * power(a1, p - 2.0)) * _outer(b1, b1)
         return r, d * b1, H if h1 is None else H + d * h1
     # variable exponent: the derivatives are those of exp(a2 * log(a1)),

@@ -90,31 +90,27 @@ def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
 
 
 def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
-    """Acceleration in factor form.
+    """Acceleration in factor form, one formula per side.  For each factor
+    A, with O the other factor and w_A the warp that lives on A (f on the
+    base, h on the fiber):
 
-    Base:  -BGamma(x',x') + (f/h^2) <y',y'>_F grad_B f - 2 (dln h/ds) x'
-    Fiber: -FGamma(y',y') + (h/f^2) <x',x'>_B grad_F h - 2 (dln f/ds) y'
+        a_A = -AGamma(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
+              - 2 (d ln w_O / ds) v_A
 
     with all factor quantities unwarped.  Identical to rhs_full after
     expanding the Christoffel blocks; computed via a different code path.
     """
     d = _point_data(spec, state.position, with_hessians=False)
-    m = d.m
-    vB = state.velocity[:m]
-    vF = state.velocity[m:]
-    vB2 = float(vB @ d.gB @ vB)
-    vF2 = float(vF @ d.gF @ vF)
-    accel_B = (
-        -((d.gammaB @ vB) @ vB)
-        + (d.f / d.h**2) * vF2 * d.dfU
-        - 2.0 * float(d.lh @ vF) * vB
-    )
-    accel_F = (
-        -((d.gammaF @ vF) @ vF)
-        + (d.h / d.f**2) * vB2 * d.dhU
-        - 2.0 * float(d.lf @ vB) * vF
-    )
-    return np.concatenate([accel_B, accel_F])
+    v = state.velocity
+    accel = []
+    for A, O in (d, d[::-1]):
+        vA, vO = v[A.own], v[O.own]
+        accel.append(
+            -((A.gamma @ vA) @ vA)
+            + (A.w / O.w**2) * float(vO @ O.g @ vO) * A.dwU
+            - 2.0 * float(O.lw @ vO) * vA
+        )
+    return np.concatenate(accel)
 
 
 _RHS = {"full": rhs_full, "split": rhs_split}

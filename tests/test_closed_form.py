@@ -9,9 +9,10 @@ from warpcurv.closed_form import (
     _ricci_from_data,
     _scalar_paths_from_data,
 )
+from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split
 from warpcurv.geometry import MetricSpec
-from warpcurv.manifest import load_catalog
-from warpcurv.oracle import DiffPolicy, bundle_fd
+from warpcurv.manifest import catalog_names, load_catalog
+from warpcurv.oracle import DiffPolicy, bundle_fd, compare_bundles
 from warpcurv.warped import (
     ProductPoint,
     WarpedProductSpec,
@@ -288,3 +289,60 @@ def test_unit_warps_give_product_curvature():
         assert np.abs(ric[:m, :m] - fb.ricci).max() <= 1e-10
         assert np.abs(ric[m:, m:] - ff.ricci).max() <= 1e-10
         assert np.abs(ric[:m, m:]).max() == 0.0
+
+
+def test_first_power_warp_at_zero_matches_oracle():
+    # x0^1 has Hessian 0 at x0 = 0, where its second-derivative rule's
+    # x0^(1-2) does not exist
+    spec = WarpedProductSpec.build(
+        CURVY2, BUMPY2, "1 + x0^1", "exp(0.3*x0 - 0.2*x1)", name="first-power"
+    )
+    pp = ProductPoint([0.0, 0.4], [0.5, -0.3])
+    closed = bundle_closed(spec, pp)
+    oracle = bundle_fd(as_plain_metric(spec), pp.full)
+    report = compare_bundles(closed, oracle)
+    assert report.tensors["christoffel"].max_rel <= 1e-5
+    assert report.tensors["riemann"].max_rel <= 1e-5
+    assert report.tensors["ricci"].max_rel <= 1e-4
+    assert report.tensors["scalar"].max_rel <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Base/fiber swap: h(y)^2 g_B + f(x)^2 g_F is the same metric as the product
+# with fiber and base (and h and f) traded, in permuted coordinates.  The
+# block formulas are written once per side, so the swap must reproduce every
+# closed-form number bitwise.
+
+LORENTZ12 = WarpedProductSpec.build(
+    TIMELINE, CURVY2, "exp(0.5*x0)", "1 + 0.1*x0^2 + 0.05*x1", name="lorentz-1x2"
+)
+SWAP_CASES = [
+    (GENERIC, [[-1.0, 1.0]] * 4, DiffPolicy()),
+    (LORENTZ12, [[-1.0, 1.0]] * 3, DiffPolicy()),
+] + [
+    (mf.spec, mf.box, mf.policy) for mf in map(load_catalog, catalog_names())
+]
+
+
+@pytest.mark.parametrize("spec,box,policy", SWAP_CASES, ids=[c[0].name for c in SWAP_CASES])
+def test_base_fiber_swap_symmetry(spec, box, policy):
+    swapped = WarpedProductSpec(spec.fiber, spec.base, spec.h, spec.f, name="swapped")
+    m, n = spec.base.dim, spec.fiber.dim
+    perm = list(range(m, m + n)) + list(range(m))  # swapped index -> original index
+    box = np.asarray(box, dtype=float)
+    rng = np.random.default_rng(113)
+    for _ in range(10):
+        x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(m + n)
+        v = rng.standard_normal(m + n)
+        pp = ProductPoint(x[:m], x[m:])
+        qq = ProductPoint(x[m:], x[:m])
+        a = bundle_closed(spec, pp, policy)
+        b = bundle_closed(swapped, qq, policy)
+        assert np.array_equal(b.christoffel, a.christoffel[np.ix_(perm, perm, perm)])
+        assert np.array_equal(b.riemann, a.riemann[np.ix_(perm, perm, perm, perm)])
+        assert np.array_equal(b.ricci, a.ricci[np.ix_(perm, perm)])
+        assert b.scalar == a.scalar
+        sa, sb = GeodesicState(0.0, pp, v), GeodesicState(0.0, qq, v[perm])
+        assert np.array_equal(rhs_split(swapped, sb), rhs_split(spec, sa)[perm])
+        full_a, full_b = rhs_full(spec, sa)[perm], rhs_full(swapped, sb)
+        assert np.abs(full_b - full_a).max() <= 1e-12 * max(np.abs(full_a).max(), 1e-300)

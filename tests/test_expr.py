@@ -191,6 +191,15 @@ def test_jet2_trig_anchor():
     assert jet.hessian[1, 1] == pytest.approx(-math.sin(x) * math.cos(y), rel=1e-14)
 
 
+def test_first_power_hessian_at_zero():
+    # f'' = p (p-1) x^(p-2) vanishes for p = 1, though x^(p-2) is 1/0 here
+    jet = jet2(parse_expression("x0^1", 1), (0.0,))
+    assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == (0.0, [1.0], [[0.0]])
+    jet = jet2(parse_expression("(x0*x1)^1", 2), (0.0, 2.0))
+    assert jet.gradient.tolist() == [2.0, 0.0]
+    assert jet.hessian.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_sqrt_derivative_at_zero_is_domain_error():
     expr = parse_expression("sqrt(x0)", 1)
     assert evaluate(expr, (0.0,)) == 0.0

@@ -325,10 +325,11 @@ def test_metric_compatibility():
 
 
 # ---------------------------------------------------------------------------
-# Covariant Hessian and Laplacian: the closed form's warp Hessian Hf and
-# its Laplacian lapBf are the package's only covariant-Hessian code, so the
-# field is taken as the base warp of a product with a line.  Warps must be
-# positive; an added constant leaves Hessian and Laplacian unchanged.
+# Covariant Hessian and Laplacian: the closed form's per-factor warp
+# Hessian H and its Laplacian lap are the package's only covariant-Hessian
+# code, so the field is taken as the base warp of a product with a line.
+# Warps must be positive; an added constant leaves Hessian and Laplacian
+# unchanged.
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 
@@ -336,8 +337,8 @@ LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 def warp_hessian(spec, field, point):
     """(covariant Hessian, Laplacian) of `field` on `spec` at `point`."""
     product = WarpedProductSpec.build(spec, LINE, field, "1")
-    d = _point_data(product, ProductPoint(point, [0.0]))
-    return d.Hf, d.lapBf
+    base, _ = _point_data(product, ProductPoint(point, [0.0]))
+    return base.H, base.lap
 
 
 def test_polar_hessian_and_laplacian_anchors():
