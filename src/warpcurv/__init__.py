@@ -5,8 +5,8 @@ positive warp functions f on the base and h on the fiber.  This package
 evaluates its Christoffel symbols, Riemann/Ricci/scalar curvature, and
 geodesics numerically at points, three independent ways:
 
-- block formulas in factor terms (closed_form.bundle_closed), exact in
-  the warps,
+- block formulas in factor terms (closed_form.bundle_closed), exact:
+  no quantity there is differenced,
 - a finite-difference oracle on the assembled metric (oracle.bundle_fd),
 - two algebraically identical geodesic right-hand sides (geodesics).
 

@@ -130,7 +130,7 @@ def cmd_curvature(mf: Manifest, args) -> int:
         raise ManifestError(f"--point needs {mf.dim} coordinates, got {len(point)}")
     convention = args.convention or mf.convention
     pp = ProductPoint.from_full(point, mf.spec.base.dim)
-    closed = bundle_closed(mf.spec, pp, mf.policy, convention=convention)
+    closed = bundle_closed(mf.spec, pp, convention=convention)
     doc = {
         "manifest": mf.name,
         "point": point.tolist(),
@@ -175,7 +175,7 @@ def cmd_verify(mf: Manifest, args) -> int:
         point = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(mf.dim)
         label = ";".join(_fmt(c) for c in point)
         try:
-            closed = bundle_closed(mf.spec, ProductPoint.from_full(point, m), mf.policy, convention=convention)
+            closed = bundle_closed(mf.spec, ProductPoint.from_full(point, m), convention=convention)
             oracle = bundle_fd(plain, point, mf.policy, convention=convention)
         except _DOMAIN_ERRORS as exc:
             skipped += 1

@@ -2,10 +2,11 @@
 
 Everything here is expressed through unwarped factor-metric quantities:
 factor Christoffels, factor curvature, warp gradients/Hessians taken with
-respect to the plain factor metrics.  The only finite differencing is
-inside the factor curvature tensors (delegated to the oracle module, on
-charts of lower dimension); every warp-dependent term uses the exact
-gradients and Hessians of expr.jet2.
+respect to the plain factor metrics.  Nothing is differenced: the factor
+curvature comes from the second-order jets (expr.jet2) of the factor
+metric components, and every warp-dependent term from the warps' jets.
+No number here comes from the oracle module, which differentiates the
+assembled product metric numerically and is the independent check.
 
 Index layout: base coordinates first (0..m-1), fiber after (m..m+n-1).
 Mixed Christoffel and Riemann blocks follow from expanding the product
@@ -32,8 +33,8 @@ side A against the other side O, with w_A the warp on A, and runs for
 gives both R[B,F,B,F] and R[F,B,F,B].
 
 bundle_closed is the one curvature entry point: it evaluates the point
-data and the two factor stencils once and builds all four tensors from
-them.  christoffels_closed, for the geodesic right-hand side, needs only
+data once, factor curvature included, and builds all four tensors from
+it.  christoffels_closed, for the geodesic right-hand side, needs only
 first derivatives.
 
 Internally the Riemann array is built in the 'common' sign convention
@@ -55,11 +56,36 @@ from .geometry import (
     _christoffels_from_parts,
     _inverse_of,
     _metric_and_first_derivs,
+    _metric_jets,
 )
-from .oracle import DiffPolicy, bundle_fd
+from .oracle import (
+    DiffPolicy,
+    bundle_fd,  # unused here; bench/tracer.py wraps closed_form.bundle_fd by name
+)
 from .warped import WarpedProductSpec, _as_product_point
 
 __all__ = ["christoffels_closed", "bundle_closed"]
+
+
+def _riemann_and_ricci(g, ginv, gamma, DD):
+    """(Riemann in the 'common' convention, Ricci) of one factor chart, exact
+    from its metric's second derivatives DD[l, m, i, j] = d_l d_m g_ij:
+
+        R_abcd = Z_abcd - Z_abdc,
+        Z_abcd = (d_b d_c g_ad - d_a d_c g_bd) / 2 + Gamma_{p,bc} Gamma^p_ad,
+
+    with Gamma_{p,bc} = g_pq Gamma^q_bc, and the first index raised by g^-1.
+    The Ricci tensor R^a_{bad} is symmetrised, which moves it by roundoff
+    only: with exact derivatives its antisymmetric part is zero.
+    """
+    k = len(g)
+    lowered = (g @ gamma.reshape(k, k * k)).reshape(k, k, k)
+    Z = 0.5 * (DD.transpose(2, 0, 1, 3) - DD.transpose(0, 2, 1, 3)) + np.einsum(
+        "pbc,pad->abcd", lowered, gamma
+    )
+    riem = (ginv @ (Z - Z.transpose(0, 1, 3, 2)).reshape(k, k**3)).reshape(k, k, k, k)
+    ric = np.einsum("abad->bd", riem)
+    return riem, 0.5 * (ric + ric.T)
 
 
 def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessians: bool):
@@ -74,12 +100,22 @@ def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessi
     dwU, lw         the warp's gradient raised by ginv, and d(ln w)
     H, lap, nw2     the warp's factor-covariant Hessian, its Laplacian and
                     |dw|^2, all in the unwarped factor metric
+    riem, ric       the factor's own Riemann ('common' convention) and Ricci
+                    tensors
 
-    The last row is None without Hessians.  A namespace rather than a
-    dataclass, whose generated methods would cost time at every import and
-    serve no caller.
+    The last two rows are None without Hessians.  With them, a factor of
+    dim >= 2 takes its metric from one jet2 pass per live component, whose
+    value and gradient are bitwise those of the first-derivative pass; a
+    1-dim or constant factor has no curvature and gets exact zeros with
+    no further evaluation.  A namespace rather than a dataclass, whose
+    generated methods would cost time at every import and serve no caller.
     """
-    g, D = _metric_and_first_derivs(factor, coords)
+    k = factor.dim
+    DD = None
+    if hessians and k > 1:
+        g, D, DD = _metric_jets(factor, coords)
+    else:
+        g, D = _metric_and_first_derivs(factor, coords)
     ginv = _inverse_of(g)
     gamma = _christoffels_from_parts(ginv, D)
     if hessians:
@@ -90,15 +126,18 @@ def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessi
     if not w > 0.0:
         raise NonpositiveWarpError(which, w)
     dwU = ginv @ dw
-    H = lap = nw2 = None
+    H = lap = nw2 = riem = ric = None
     if hessians:
-        k = factor.dim
         H = jet.hessian - (dw @ gamma.reshape(k, k * k)).reshape(k, k)
         lap = float(np.vdot(ginv, H))
         nw2 = float(dw @ dwU)
+        if DD is None:
+            riem, ric = np.zeros((k, k, k, k)), np.zeros((k, k))
+        else:
+            riem, ric = _riemann_and_ricci(g, ginv, gamma, DD)
     return SimpleNamespace(
-        own=own, dim=factor.dim, w=w, g=g, ginv=ginv, gamma=gamma,
-        dwU=dwU, lw=dw / w, H=H, lap=lap, nw2=nw2,
+        own=own, dim=k, w=w, g=g, ginv=ginv, gamma=gamma,
+        dwU=dwU, lw=dw / w, H=H, lap=lap, nw2=nw2, riem=riem, ric=ric,
     )
 
 
@@ -109,10 +148,12 @@ def _point_data(spec: WarpedProductSpec, point, with_hessians: bool = True):
     its inverse), then f and its sign, then the fiber metric, then h.  At
     a point where two checks fail, the first one's error is raised.
 
-    with_hessians=False skips the second-order warp jets and what only
-    curvature reads (H, lap, nw2); Christoffels and geodesic right-hand
-    sides only need first derivatives, and the saving matters inside
-    integrator loops.
+    with_hessians=False skips the second-order jets and what only curvature
+    reads (H, lap, nw2, the factor curvature); Christoffels and geodesic
+    right-hand sides only need first derivatives, and the saving matters
+    inside integrator loops.  With Hessians, each factor metric of dim >= 2
+    must be twice differentiable at the point, like the warps: where jet2
+    rejects a component (x^1.5 at 0, say) EvalDomainError is raised.
     """
     pp = _as_product_point(spec, point)
     m, dim = spec.base.dim, spec.dim
@@ -144,23 +185,14 @@ def christoffels_closed(spec: WarpedProductSpec, point) -> np.ndarray:
     return _christoffels_from_data(_point_data(spec, point, with_hessians=False))
 
 
-def _factor_curvature(factor: MetricSpec, coords, policy: DiffPolicy):
-    """(Riemann in the 'common' convention, Ricci) of one factor chart."""
-    if factor.dim == 1:
-        # a 1-manifold has no curvature; skip the stencil entirely
-        return np.zeros((1, 1, 1, 1)), np.zeros((1, 1))
-    fb = bundle_fd(factor, coords, policy, convention="common")
-    return fb.riemann, fb.ricci
-
-
-def _riemann_common_from_data(d, Rb: np.ndarray, Rf: np.ndarray) -> np.ndarray:
+def _riemann_from_data(d) -> np.ndarray:
     dim = d[0].dim + d[1].dim
     R = np.zeros((dim, dim, dim, dim))
-    for (A, O), RA in zip((d, d[::-1]), (Rb, Rf)):
+    for A, O in (d, d[::-1]):
         a, o = A.own, O.own
         I = np.eye(A.dim)
         # own block: factor curvature plus a constant-curvature correction
-        R[a, a, a, a] = RA - (O.nw2 / A.w**2) * (
+        R[a, a, a, a] = A.riem - (O.nw2 / A.w**2) * (
             np.einsum("ml,nr->mnlr", I, A.g) - np.einsum("mr,nl->mnlr", I, A.g)
         )
         # even mixed blocks, upper index on this side: warp Hessians
@@ -186,12 +218,12 @@ def _riemann_common_from_data(d, Rb: np.ndarray, Rf: np.ndarray) -> np.ndarray:
     return R
 
 
-def _ricci_from_data(d, ricB: np.ndarray, ricF: np.ndarray) -> np.ndarray:
+def _ricci_from_data(d) -> np.ndarray:
     dim = d[0].dim + d[1].dim
     ric = np.zeros((dim, dim))
-    for (A, O), ricA in zip((d, d[::-1]), (ricB, ricF)):
+    for A, O in (d, d[::-1]):
         ric[A.own, A.own] = (
-            ricA
+            A.ric
             - (O.dim / A.w) * A.H
             - ((A.dim - 1) * O.nw2 + O.w * O.lap) / A.w**2 * A.g
         )
@@ -202,7 +234,7 @@ def _ricci_from_data(d, ricB: np.ndarray, ricF: np.ndarray) -> np.ndarray:
     return ric
 
 
-def _scalar_paths_from_data(d, ric, ricB, ricF) -> tuple[float, float]:
+def _scalar_paths_from_data(d, ric) -> tuple[float, float]:
     """(contraction of the product Ricci `ric`, direct formula value), both
     from the same factor Ricci.
 
@@ -210,11 +242,11 @@ def _scalar_paths_from_data(d, ric, ricB, ricF) -> tuple[float, float]:
     difference is pure algebra roundoff, not differencing noise.
     """
     paths = []
-    for (A, O), ricA in zip((d, d[::-1]), (ricB, ricF)):
+    for A, O in (d, d[::-1]):
         a, k = A.own, A.dim
         contraction = np.einsum("ij,ij->", A.ginv / O.w**2, ric[a, a])
         direct = (
-            float(np.einsum("ij,ij->", A.ginv, ricA)) / O.w**2
+            float(np.einsum("ij,ij->", A.ginv, A.ric)) / O.w**2
             - 2.0 * k * O.lap / (O.w * A.w**2)
             - k * (k - 1) * (O.nw2 / O.w**2) / A.w**2
         )
@@ -229,22 +261,23 @@ def bundle_closed(
     policy: DiffPolicy | None = None,
     convention: str = "paper",
 ) -> CurvatureBundle:
-    """All four tensors sharing one set of factor stencils and warp jets.
+    """All four tensors from one pass of point data: factor metric jets,
+    factor curvature and warp jets, each evaluated once.
 
     The scalar is the contraction of the Ricci tensor; the direct warp
     formula must agree with it to 1e-10 relative, else
     NumericalInstabilityError.
+
+    policy is accepted and ignored: nothing here differences, so a
+    DiffPolicy tunes only the oracle.  The parameter stays because the
+    benchmark's workloads (bench/workloads.py) pass the manifest's policy
+    by position.
     """
-    if policy is None:
-        policy = DiffPolicy()
-    pp = _as_product_point(spec, point)
-    d = _point_data(spec, pp)
-    RB, ricB = _factor_curvature(spec.base, pp.base_coords, policy)
-    RF, ricF = _factor_curvature(spec.fiber, pp.fiber_coords, policy)
+    d = _point_data(spec, point)
     gamma = _christoffels_from_data(d)
-    riem = _riemann_common_from_data(d, RB, RF)
-    ric = _ricci_from_data(d, ricB, ricF)
-    scal, direct = _scalar_paths_from_data(d, ric, ricB, ricF)
+    riem = _riemann_from_data(d)
+    ric = _ricci_from_data(d)
+    scal, direct = _scalar_paths_from_data(d, ric)
     if abs(scal - direct) > 1e-10 * (1.0 + abs(scal)):
         raise NumericalInstabilityError(
             f"scalar curvature paths disagree: contraction {scal!r} vs direct {direct!r}"

@@ -9,14 +9,15 @@ not just to roundoff.
 Partial derivatives of metric entries come from the expression module's
 compiled evaluator, at one point or over a stack of points, never from
 finite differences; the only approximation anywhere in this module is the
-linear solve for the inverse metric.
+linear solve for the inverse metric.  Christoffels need first derivatives;
+a factor's curvature in the closed form takes second ones from _metric_jets.
 
 The one-point path is built for many calls on tiny arrays, where numpy's
 per-call cost outweighs the arithmetic:
 
 - A metric component whose program reads no variable (the 1, 0 and -1
   of most charts) is folded: evaluated once, on first use, and cached on
-  its Expression.  metric_at and the first-derivative pass evaluate only the
+  its Expression.  metric_at and the derivative passes evaluate only the
   live components; a folded one has value c and zero derivatives.
 - _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
   that or for entries beyond 1e100, where a product of three entries could
@@ -37,7 +38,7 @@ from .expr import (
     Expression,
     _reads_variables,
     evaluate,
-    jet2,  # unused here; bench/tracer.py wraps geometry.jet2 by name
+    jet2,
     parse_expression,
     value_and_gradient,
     value_and_gradient_batch,
@@ -237,6 +238,30 @@ def _metric_and_first_derivs(spec: MetricSpec, c: np.ndarray):
                 D[:, j, i] = grad
             g[i, j] = g[j, i] = v
     return g, D
+
+
+def _metric_jets(spec: MetricSpec, c: np.ndarray):
+    """(g, D, DD) with DD[l, m, i, j] = d^2 g_ij / dx_l dx_m, from one jet2
+    pass per live component.  g and D are bitwise those of
+    _metric_and_first_derivs; DD is symmetric in both pairs bitwise, and
+    None when every component is folded (a constant metric)."""
+    dim = spec.dim
+    g = np.empty((dim, dim))
+    D = np.zeros((dim, dim, dim))
+    DD = None
+    for i in range(dim):
+        for j in range(i, dim):
+            e = spec.components[i][j]
+            v = _constant_value(e)
+            if v is None:
+                jet = jet2(e, c)
+                v = jet.value
+                D[:, i, j] = D[:, j, i] = jet.gradient
+                if DD is None:
+                    DD = np.zeros((dim, dim, dim, dim))
+                DD[:, :, i, j] = DD[:, :, j, i] = jet.hessian
+            g[i, j] = g[j, i] = v
+    return g, D, DD
 
 
 def _christoffels_from_parts(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:

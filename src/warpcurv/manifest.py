@@ -23,7 +23,8 @@ or carry "upper_triangular": true and list only rows of the upper triangle
 "box" is optional: per-coordinate [lo, hi] sampling bounds over the full
 m+n coordinates, used as the default region for verification sweeps.
 "convention" and "diff_policy" are optional with defaults "paper" and the
-DiffPolicy defaults.  Validation failures raise ManifestError naming the
+DiffPolicy defaults; the policy tunes only the oracle's finite
+differencing.  Validation failures raise ManifestError naming the
 offending JSON path.
 """
 

@@ -121,7 +121,7 @@ def test_03_scalar_paths_agree(corpus):
     worst = 0.0
     for name, (mf, rows) in entries.items():
         for point, closed, oracle in rows:
-            a, b = scalar_paths(mf.spec, point, mf.policy)
+            a, b = scalar_paths(mf.spec, point)
             worst = max(worst, abs(a - b) / (1.0 + abs(a)))
     ok = worst <= 1e-10
     record_criterion(

@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import warpcurv
@@ -446,7 +447,8 @@ def test_error_class_exit_code(exc, code, monkeypatch, capsys):
 
 def test_numerical_instability_exits_1(tmp_path, capsys):
     # a coarse stencil on a non-diagonal base leaves the oracle's Ricci
-    # tensor visibly asymmetric
+    # tensor visibly asymmetric; the closed route differences nothing, so
+    # only a run that calls the oracle meets it
     doc = {
         "name": "coarse",
         "base": {"dim": 2, "name": "base", "metric": [
@@ -459,7 +461,11 @@ def test_numerical_instability_exits_1(tmp_path, capsys):
     }
     path = tmp_path / "coarse.json"
     path.write_text(json.dumps(doc))
-    assert main(["curvature", str(path), "--point", "0.5,0.5,0.2"]) == 1
+    assert main(["curvature", str(path), "--point", "0.5,0.5,0.2"]) == 0
+    closed = json.loads(capsys.readouterr().out)["closed"]
+    for key in ("christoffel", "riemann", "ricci", "scalar"):
+        assert np.all(np.isfinite(closed[key])), key
+    assert main(["curvature", str(path), "--point", "0.5,0.5,0.2", "--oracle"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Ricci asymmetry" in _one_line(captured.err)

@@ -4,7 +4,6 @@ import pytest
 from warpcurv.closed_form import (
     bundle_closed,
     christoffels_closed,
-    _factor_curvature,
     _point_data,
     _ricci_from_data,
     _scalar_paths_from_data,
@@ -16,7 +15,6 @@ from warpcurv.oracle import DiffPolicy, bundle_fd, compare_bundles
 from warpcurv.warped import (
     ProductPoint,
     WarpedProductSpec,
-    _as_product_point,
     as_plain_metric,
 )
 
@@ -55,16 +53,11 @@ def sample_pp(rng, spec):
     return ProductPoint(rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2))
 
 
-def scalar_paths(spec, point, policy=None):
+def scalar_paths(spec, point):
     """(Ricci contraction, direct warp formula) for the scalar curvature,
     from the pieces bundle_closed builds; the first is its .scalar."""
-    if policy is None:
-        policy = DiffPolicy()
-    pp = _as_product_point(spec, point)
-    d = _point_data(spec, pp)
-    _, ricB = _factor_curvature(spec.base, pp.base_coords, policy)
-    _, ricF = _factor_curvature(spec.fiber, pp.fiber_coords, policy)
-    return _scalar_paths_from_data(d, _ricci_from_data(d, ricB, ricF), ricB, ricF)
+    d = _point_data(spec, point)
+    return _scalar_paths_from_data(d, _ricci_from_data(d))
 
 
 def rel_dev(a, b):
