@@ -3,8 +3,8 @@
 Everything here is expressed through unwarped factor-metric quantities:
 factor Christoffels, factor curvature, warp gradients/Hessians taken with
 respect to the plain factor metrics.  Nothing is differenced: the factor
-curvature comes from the second-order jets (expr.jet2) of the factor
-metric components, and every warp-dependent term from the warps' jets.
+curvature comes from the second-order jets (geometry._metric_jets) of the
+factor metric components, and every warp-dependent term from the warps' jets.
 No number here comes from the oracle module, which differentiates the
 assembled product metric numerically and is the independent check.
 
@@ -104,8 +104,8 @@ def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessi
                     tensors
 
     The last two rows are None without Hessians.  With them, a factor of
-    dim >= 2 takes its metric from one jet2 pass per live component, whose
-    value and gradient are bitwise those of the first-derivative pass; a
+    dim >= 2 takes its metric from one jet run of the metric's program, whose
+    value and gradient are bitwise those of the first-derivative run; a
     1-dim or constant factor has no curvature and gets exact zeros with
     no further evaluation.  A namespace rather than a dataclass, whose
     generated methods would cost time at every import and serve no caller.
@@ -185,32 +185,40 @@ def christoffels_closed(spec: WarpedProductSpec, point) -> np.ndarray:
     return _christoffels_from_data(_point_data(spec, point, with_hessians=False))
 
 
+def _outer4(u, v) -> np.ndarray:
+    """out[a, m, b, n] = u[a, b] * v[m, n], one broadcast product.  Adding
+    +0.0 turns a -0.0 product into 0.0, so a zero entry's sign does not
+    depend on the signs of its factors."""
+    return u[:, None, :, None] * v[None, :, None, :] + 0.0
+
+
 def _riemann_from_data(d) -> np.ndarray:
+    """Each block is a handful of broadcast products.  A Kronecker delta is
+    a product with the identity: one numpy call, where placing the block on
+    its diagonal by index would take several.  A product of three factors
+    multiplies the parenthesised pair in its comment first; another
+    grouping would move entries by roundoff."""
     dim = d[0].dim + d[1].dim
     R = np.zeros((dim, dim, dim, dim))
     for A, O in (d, d[::-1]):
         a, o = A.own, O.own
         I = np.eye(A.dim)
-        # own block: factor curvature plus a constant-curvature correction
-        R[a, a, a, a] = A.riem - (O.nw2 / A.w**2) * (
-            np.einsum("ml,nr->mnlr", I, A.g) - np.einsum("mr,nl->mnlr", I, A.g)
-        )
+        # own block: factor curvature plus a constant-curvature correction,
+        # E[m, n, l, r] = delta_ml g_nr - delta_mr g_nl
+        E = _outer4(I, A.g)
+        R[a, a, a, a] = A.riem - (O.nw2 / A.w**2) * (E - E.transpose(0, 1, 3, 2))
         # even mixed blocks, upper index on this side: warp Hessians
-        X = -(1.0 / O.w) * np.einsum("ab,mn->ambn", I, O.H) - (A.w / O.w**2) * np.einsum(
-            "ab,mn->ambn", A.ginv @ A.H, O.g
-        )
+        X = -(1.0 / O.w) * _outer4(I, O.H) - (A.w / O.w**2) * _outer4(A.ginv @ A.H, O.g)
         R[a, o, a, o] = X
         R[a, o, o, a] = -X.transpose(0, 1, 3, 2)
         # odd blocks, proportional to d(ln f) x d(ln h)
-        R[a, o, a, a] = np.einsum("m,g,ab->ambg", O.lw, A.lw, I) - np.einsum(
-            "m,b,ag->ambg", O.lw, A.lw, I
-        )
-        R[o, a, a, a] = (O.w / A.w**2) * (
-            np.einsum("a,n,lm->amnl", O.dwU, A.lw, A.g)
-            - np.einsum("a,l,nm->amnl", O.dwU, A.lw, A.g)
-        )
-        P = np.einsum("a,n,ml->mnla", O.lw, A.lw, I) - (1.0 / A.w) * np.einsum(
-            "a,ln,m->mnla", O.lw, A.g, A.dwU
+        T = _outer4(I, O.lw[:, None] * A.lw)  # [a, m, b, g] = (lw_O[m] lw_A[g]) delta_ab
+        R[a, o, a, a] = T - T.transpose(0, 1, 3, 2)
+        V = _outer4(O.dwU[:, None] * A.lw, A.g)  # [c, m, n, l] = (dwU_O[c] lw_A[n]) g_A[l, m]
+        R[o, a, a, a] = (O.w / A.w**2) * (V - V.transpose(0, 1, 3, 2))
+        # P[m, n, l, c] = (lw_O[c] lw_A[n]) delta_ml - (lw_O[c] g_A[l, n]) dwU_A[m] / w_A
+        P = _outer4(I, A.lw[:, None] * O.lw) - (1.0 / A.w) * (
+            (A.g.T[:, :, None] * O.lw)[None] * A.dwU[:, None, None, None] + 0.0  # as in _outer4
         )
         R[a, a, a, o] = P
         R[a, a, o, a] = -P.transpose(0, 1, 3, 2)

@@ -6,11 +6,13 @@ log sqrt sinh cosh tanh, and the constants pi and e.  Parsing is a small
 recursive-descent pass, nested at most MAX_NESTING levels deep; no Python
 eval is involved anywhere.
 
-Every evaluation runs one interpreter over the expression's postfix
-program, compiled on first use and cached on the expression.  It carries
-the value, the gradient and the Hessian by explicit chain rules, each only
-up to the order the caller asks for, so gradients and Hessians are exact up
-to roundoff.  One rule table states each function's derivatives and domain.
+Every evaluation runs one interpreter over a compiled postfix program.  A
+program covers a sequence of expressions over one chart, each repeated
+subtree emitted once: one expression, compiled on first use and cached on
+it, or a metric's live components (see geometry).  It carries the value,
+the gradient and the Hessian by explicit chain rules, each only up to the
+order the caller asks for, so gradients and Hessians are exact up to
+roundoff.  One rule table states each function's derivatives and domain.
 One point runs on floats with math (evaluate, value_and_gradient, jet2);
 N points run on numpy arrays through the same rules
 (value_and_gradient_batch), which serves the oracle's finite-difference
@@ -36,6 +38,7 @@ whose gradient is inf - inf, by every function that returns the gradient.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -303,14 +306,14 @@ _BINARY = {
 # ---------------------------------------------------------------------------
 # The compiled program and its interpreter
 
-_OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN = range(5)
+_OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN, _OP_KEEP, _OP_LOAD, _OP_OUT = range(8)
 
 
-def _compile(root: Node) -> tuple:
-    """Postfix (opcode, argument, node) list, built with an explicit stack
-    so that deep trees cannot reach the recursion limit.  A constant's
-    argument is its value, a variable's its index, and a call's or binary
-    op's its rules."""
+def _postfix(root: Node) -> list:
+    """The tree as a postfix (opcode, argument, node) list, built with an
+    explicit stack so that deep trees cannot reach the recursion limit.  A
+    constant's argument is its value, a variable's its index, and a call's
+    or binary op's its rules."""
     program = []
     todo = [(root, False)]
     while todo:
@@ -334,35 +337,92 @@ def _compile(root: Node) -> tuple:
                 todo.append((node.left, False))
             else:
                 todo.append((node.arg, False))
+    return program
+
+
+def _compile(exprs) -> tuple:
+    """One postfix program for a sequence of expressions over one chart.
+
+    Subtrees with the same structure are emitted once: a constant is keyed
+    by its bits, a variable by its index, and a negation, call or binary op
+    by its name or op and its operands' value numbers in order, so x0-x1
+    and x1-x0 stay apart.  KEEP stores an inner value read more than once
+    where it is first computed, LOAD pushes it again, and OUT pops each
+    expression's entry for the caller's finishing step.  A shared node
+    applies the same rule to the same operands, so each output is bitwise
+    the expression's own, and the first failure is the one the expressions
+    run one by one would meet: a loaded value was computed without error.
+    """
+    numbers = {}  # structural key -> value number
+    nodes = []  # value number -> (opcode, argument, node, operand numbers)
+    outputs = []
+    for expr in exprs:
+        stack = []
+        for code, arg, node in _postfix(expr.root):
+            if code is _OP_CONST:
+                operands, key = (), (code, arg.hex())
+            elif code is _OP_VAR:
+                operands, key = (), (code, arg)
+            elif code is _OP_BIN:
+                right = stack.pop()
+                operands = (stack.pop(), right)
+                key = (code, node.op, *operands)
+            else:
+                operands = (stack.pop(),)
+                key = (code, node.name if code is _OP_CALL else "-", *operands)
+            number = numbers.get(key)
+            if number is None:
+                number = numbers[key] = len(nodes)
+                nodes.append((code, arg, node, operands))
+            stack.append(number)
+        outputs.append((stack.pop(), expr))
+    reads = collections.Counter(o for *_, operands in nodes for o in operands)
+    reads.update(number for number, _ in outputs)
+    program, slots = [], {}
+    for number, expr in outputs:
+        todo = [(number, False)]
+        while todo:
+            number, expanded = todo.pop()
+            code, arg, node, operands = nodes[number]
+            if number in slots:
+                program.append((_OP_LOAD, slots[number], node))
+            elif expanded or not operands:
+                program.append((code, arg, node))
+                if operands and reads[number] > 1:
+                    slots[number] = len(slots)
+                    program.append((_OP_KEEP, slots[number], node))
+            else:
+                todo.append((number, True))
+                todo.extend((o, False) for o in reversed(operands))
+        program.append((_OP_OUT, expr, expr.root))
     return tuple(program)
 
 
 def _program_of(expr: Expression) -> tuple:
     program = expr._program
     if program is None:
-        program = expr._program = _compile(expr.root)
+        program = expr._program = _compile((expr,))
     return program
 
 
 def _reads_variables(expr: Expression) -> bool:
-    return any(code is _OP_VAR for code, _, _ in _program_of(expr))
+    return any(code is _OP_VAR for code, _, _ in _postfix(expr.root))
 
 
 def _triple(entry):
     return (entry, None, None) if type(entry) is float else entry
 
 
-def _run(expr: Expression, leaves, hess: bool, m):
-    """The expression's entry: a float, or (value, gradient, Hessian).
-    Variable i reads the entry leaves[i], and the elementwise functions
-    come from math (m is math) or numpy (m is np).  Gradients are carried
-    from the leaves that have one; Hessians only when hess is set."""
-    program = expr._program
-    if program is None:
-        program = _program_of(expr)
-    stack = []
+def _run(program: tuple, leaves, hess: bool, m, finish) -> list:
+    """finish(expr, entry) of each output in order, where an entry is a
+    float or (value, gradient, Hessian).  Variable i reads the entry
+    leaves[i], and the elementwise functions come from math (m is math) or
+    numpy (m is np).  Gradients are carried from the leaves that have one;
+    Hessians only when hess is set.  finish runs at its output's OUT, so an
+    output it rejects stops the run before the next output's ops."""
+    stack, kept, outs = [], {}, []
     push, pop = stack.append, stack.pop
-    node = expr.root
+    node = None
     try:
         for code, arg, node in program:
             if code is _OP_BIN:
@@ -383,6 +443,12 @@ def _run(expr: Expression, leaves, hess: bool, m):
             elif code is _OP_CALL:
                 a = pop()
                 push(arg[0](a) if type(a) is float else _call(arg, a, hess, m))
+            elif code is _OP_LOAD:
+                push(kept[arg])
+            elif code is _OP_KEEP:
+                kept[arg] = stack[-1]
+            elif code is _OP_OUT:
+                outs.append(finish(arg, pop()))
             else:
                 a = pop()
                 if type(a) is float:
@@ -392,7 +458,7 @@ def _run(expr: Expression, leaves, hess: bool, m):
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         what = node.name if type(node) is Call else repr(node.op)
         raise EvalDomainError(f"{what}: {exc}", node) from None
-    return pop()
+    return outs
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,29 +479,94 @@ def _not_finite(expr: Expression, what: str):
     return EvalDomainError(f"{what} is not finite", expr.root)
 
 
-def evaluate(expr: Expression, point) -> float:
-    """Evaluate at a point (sequence of reals, length == arity)."""
-    if len(point) != expr.arity:
-        raise _length_error(expr, point)
-    value = _run(expr, [float(c) for c in point], False, math)
+# Finishing steps: one output's entry in the form its evaluator returns,
+# checked finite.
+
+
+def _value_out(expr: Expression, value: float) -> float:
     if not math.isfinite(value):
         raise _not_finite(expr, "value")
     return value
 
 
+def _gradient_out(expr: Expression, entry) -> list:
+    """[value, *gradient]"""
+    if type(entry) is float:
+        out = [entry] + [0.0] * expr.arity
+    else:
+        out = [entry[0], *entry[1].tolist()]
+    if not all(map(math.isfinite, out)):
+        raise _not_finite(expr, "value or gradient")
+    return out
+
+
+def _jet_out(expr: Expression, entry) -> list:
+    """[value, *gradient, *Hessian in row-major order]"""
+    n = expr.arity
+    value, grad, hess = _triple(entry)
+    out = [value]
+    out += [0.0] * n if grad is None else grad.tolist()
+    out += [0.0] * (n * n) if hess is None else hess.ravel().tolist()
+    if not all(map(math.isfinite, out)):
+        raise _not_finite(expr, "value, gradient or Hessian")
+    return out
+
+
+def _rows_out(rows: int):
+    def finish(expr: Expression, entry) -> np.ndarray:
+        """(rows, 1 + arity): each row's value, then its gradient"""
+        value, grad, _ = _triple(entry)
+        out = np.zeros((rows, 1 + expr.arity))
+        out[:, 0] = value
+        if grad is not None:
+            out[:, 1:] = grad.T
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmax(~finite))
+            raise _not_finite(expr, f"value or gradient at batch row {bad}")
+        return out
+
+    return finish
+
+
+# A program's outputs at one point (a sequence of reals, one per variable)
+# or at the rows of an (N, arity) array, N >= 1.  The public evaluators run
+# an expression's own program through these; geometry runs a metric's.
+
+
+def _values(program: tuple, point) -> list:
+    return _run(program, [float(c) for c in point], False, math, _value_out)
+
+
+def _gradients(program: tuple, point) -> list:
+    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
+    return _run(program, leaves, False, math, _gradient_out)
+
+
+def _jets(program: tuple, point) -> list:
+    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
+    return _run(program, leaves, True, math, _jet_out)
+
+
+def _batches(program: tuple, x: np.ndarray) -> list:
+    leaves = [(x[:, i], s, None) for i, s in enumerate(_seeds(x.shape[1])[1])]
+    with np.errstate(all="ignore"):
+        return _run(program, leaves, False, np, _rows_out(len(x)))
+
+
+def evaluate(expr: Expression, point) -> float:
+    """Evaluate at a point (sequence of reals, length == arity)."""
+    if len(point) != expr.arity:
+        raise _length_error(expr, point)
+    return _values(_program_of(expr), point)[0]
+
+
 def value_and_gradient(expr: Expression, point):
     """Returns (value, gradient ndarray of length arity)."""
-    n = expr.arity
-    if len(point) != n:
+    if len(point) != expr.arity:
         raise _length_error(expr, point)
-    out = _run(expr, [(float(c), s, None) for c, s in zip(point, _seeds(n)[0])], False, math)
-    if type(out) is float:
-        value, grad = out, [0.0] * n
-    else:
-        value, grad = out[0], out[1].tolist()
-    if not all(map(math.isfinite, (value, *grad))):
-        raise _not_finite(expr, "value or gradient")
-    return value, np.array(grad)
+    out = _gradients(_program_of(expr), point)[0]
+    return out[0], np.array(out[1:])
 
 
 def jet2(expr: Expression, point) -> Jet2:
@@ -444,13 +575,8 @@ def jet2(expr: Expression, point) -> Jet2:
     n = expr.arity
     if len(point) != n:
         raise _length_error(expr, point)
-    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(n)[0])]
-    value, grad, hess = _triple(_run(expr, leaves, True, math))
-    grad = np.zeros(n) if grad is None else np.array(grad)  # a copy: it may be a seed
-    hess = np.zeros((n, n)) if hess is None else hess
-    if not all(map(math.isfinite, (value, *grad.tolist(), *hess.ravel().tolist()))):
-        raise _not_finite(expr, "value, gradient or Hessian")
-    return Jet2(value, grad, hess)
+    out = _jets(_program_of(expr), point)[0]
+    return Jet2(out[0], np.array(out[1 : n + 1]), np.array(out[n + 1 :]).reshape(n, n))
 
 
 def value_and_gradient_batch(expr: Expression, points):
@@ -466,22 +592,10 @@ def value_and_gradient_batch(expr: Expression, points):
     n = expr.arity
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"points have shape {x.shape}, expected (N, {n})")
-    rows = x.shape[0]
-    if rows == 0:
+    if x.shape[0] == 0:
         return np.zeros(0), np.zeros((0, n))
-    leaves = [(x[:, i], s, None) for i, s in enumerate(_seeds(n)[1])]
-    with np.errstate(all="ignore"):
-        value, grad, _ = _triple(_run(expr, leaves, False, np))
-    out_value = np.empty(rows)
-    out_value[:] = value
-    out_grad = np.zeros((rows, n))
-    if grad is not None:
-        out_grad[:] = grad.T
-    finite = np.count_nonzero(np.isfinite(out_value)) + np.count_nonzero(np.isfinite(out_grad))
-    if finite < rows * (n + 1):
-        bad = ~(np.isfinite(out_value) & np.isfinite(out_grad).all(axis=1))
-        raise _not_finite(expr, f"value or gradient at batch row {int(np.argmax(bad))}")
-    return out_value, out_grad
+    out = _batches(_program_of(expr), x)[0]
+    return out[:, 0], out[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +797,7 @@ def format_expression(expr: Expression) -> str:
     """Render to text that parse_expression maps back to the same tree."""
     stack = []
     push, pop = stack.append, stack.pop
-    for code, _, node in _program_of(expr):
+    for code, _, node in _postfix(expr.root):
         if code is _OP_CONST:
             if node.value < 0:
                 push(("-" + _fmt_const(-node.value), _NEG))
@@ -713,7 +827,7 @@ def reindex(expr: Expression, offset: int, new_arity: int) -> Expression:
         )
     stack = []
     push, pop = stack.append, stack.pop
-    for code, _, node in _program_of(expr):
+    for code, _, node in _postfix(expr.root):
         if code is _OP_CONST:
             push(node)
         elif code is _OP_VAR:

@@ -12,13 +12,20 @@ finite differences; the only approximation anywhere in this module is the
 linear solve for the inverse metric.  Christoffels need first derivatives;
 a factor's curvature in the closed form takes second ones from _metric_jets.
 
+A metric's live components are compiled into one program (_grid), each
+repeated subtree once, on first evaluation, and cached on the MetricSpec.
+metric_at, _metric_and_first_derivs, _metric_jets and _christoffels_stacked
+each make one run of it; the first component that fails raises what it
+would raise alone.
+
 The one-point path is built for many calls on tiny arrays, where numpy's
 per-call cost outweighs the arithmetic:
 
 - A metric component whose program reads no variable (the 1, 0 and -1
   of most charts) is folded: evaluated once, on first use, and cached on
-  its Expression.  metric_at and the derivative passes evaluate only the
-  live components; a folded one has value c and zero derivatives.
+  its Expression.  The metric's program leaves it out, at one point and
+  over a stack alike; it has value c and zero derivatives.
+- One precomputed gather per array places the run's outputs.
 - _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
   that or for entries beyond 1e100, where a product of three entries could
   overflow.  Both apply one degeneracy rule, the one _christoffels_stacked
@@ -29,20 +36,25 @@ per-call cost outweighs the arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
     Expression,
+    _batches,
+    _compile,
+    _gradients,
+    _jets,
     _reads_variables,
+    _values,
     evaluate,
-    jet2,
     parse_expression,
-    value_and_gradient,
-    value_and_gradient_batch,
 )
+# unused here: bench/tracer.py wraps geometry.jet2 and geometry.value_and_gradient by name
+from .expr import jet2, value_and_gradient  # noqa: F401
 
 __all__ = [
     "MetricSpec",
@@ -87,6 +99,8 @@ class MetricSpec:
     dim: int
     components: tuple  # dim x dim nested tuples of Expression
     name: str = ""
+    # the compiled grid, built by _grid on first evaluation
+    _compiled: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -161,15 +175,66 @@ def _constant_value(expr: Expression):
     return c
 
 
+def _grid(spec: MetricSpec) -> tuple:
+    """(program, tail, gathers, fixed) of a metric, cached on the spec.
+
+    program computes the live components (i, j), i <= j, in row-major
+    order: at derivative order 0, 1 or 2 each gives its value, gradient
+    and row-major Hessian as far as the order goes.  Laid flat behind tail
+    (0.0, then each folded component's value), the outputs hold every
+    entry of the metric arrays; gathers[order] holds, for g, D and DD up
+    to that order, an itemgetter and an index array of those flat
+    positions, and the array's shape.  fixed is g, D and DD when no
+    component is live.
+    """
+    grid = spec._compiled
+    if grid is None:
+        dim = spec.dim
+        tail, live, place = [0.0], [], {}
+        for i in range(dim):
+            for j in range(i, dim):
+                e = spec.components[i][j]
+                v = _constant_value(e)
+                if v is None:
+                    place[i, j] = place[j, i] = (len(live), None)
+                    live.append(e)
+                else:
+                    place[i, j] = place[j, i] = (None, len(tail))
+                    tail.append(v)
+        pairs = [place[i, j] for i in range(dim) for j in range(dim)]
+        gathers = []
+        for order, width in enumerate((1, 1 + dim, 1 + dim + dim * dim)):
+            blocks = ([0], range(1, dim + 1), range(dim + 1, width))[: order + 1]
+            arrays = []
+            for rank, block in enumerate(blocks):
+                # entry t of a live component's output; a folded one's
+                # value, or 0.0 for its derivatives
+                ix = [len(tail) + k * width + t if c is None else c if t == 0 else 0
+                      for t in block for k, c in pairs]
+                arrays.append((operator.itemgetter(*ix), np.array(ix), (dim,) * (2 + rank)))
+            gathers.append(arrays)
+        fixed = None
+        if not live:
+            fixed = [np.array(get(tail)).reshape(shape) for get, _, shape in gathers[2]]
+        grid = (_compile(live), tail, gathers, fixed)
+        object.__setattr__(spec, "_compiled", grid)
+    return grid
+
+
+def _at_point(spec: MetricSpec, c, order: int) -> list:
+    """[g, D, DD][: order + 1] at one point, from one run of the metric's
+    program; D[l, i, j] = d g_ij / dx_l and DD[l, m, i, j] = d^2 g_ij /
+    dx_l dx_m, each bitwise symmetric in (i, j)."""
+    program, tail, gathers, fixed = _grid(spec)
+    if not program:
+        return [a.copy() for a in fixed[: order + 1]]
+    outs = (_values, _gradients, _jets)[order](program, c)
+    flat = tail + (outs if order == 0 else [x for out in outs for x in out])
+    return [np.array(get(flat)).reshape(shape) for get, _, shape in gathers[order]]
+
+
 def metric_at(spec: MetricSpec, point) -> np.ndarray:
-    c = _coords(point, spec.dim)
-    g = np.empty((spec.dim, spec.dim))
-    for i in range(spec.dim):
-        for j in range(i, spec.dim):
-            e = spec.components[i][j]
-            v = _constant_value(e)
-            g[i, j] = g[j, i] = evaluate(e, c) if v is None else v
-    return g
+    return _at_point(spec, _coords(point, spec.dim), 0)[0]
 
 
 # Up to this peak entry no product of three entries overflows, so the
@@ -225,43 +290,17 @@ def _inverse_of(g: np.ndarray) -> np.ndarray:
 
 def _metric_and_first_derivs(spec: MetricSpec, c: np.ndarray):
     """Returns (g, D) with D[l, i, j] = d g_ij / d x_l, both bitwise symmetric."""
-    dim = spec.dim
-    g = np.empty((dim, dim))
-    D = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            e = spec.components[i][j]
-            v = _constant_value(e)
-            if v is None:
-                v, grad = value_and_gradient(e, c)
-                D[:, i, j] = grad
-                D[:, j, i] = grad
-            g[i, j] = g[j, i] = v
+    g, D = _at_point(spec, c, 1)
     return g, D
 
 
 def _metric_jets(spec: MetricSpec, c: np.ndarray):
-    """(g, D, DD) with DD[l, m, i, j] = d^2 g_ij / dx_l dx_m, from one jet2
-    pass per live component.  g and D are bitwise those of
+    """(g, D, DD) with DD[l, m, i, j] = d^2 g_ij / dx_l dx_m, from one jet
+    run over the live components.  g and D are bitwise those of
     _metric_and_first_derivs; DD is symmetric in both pairs bitwise, and
     None when every component is folded (a constant metric)."""
-    dim = spec.dim
-    g = np.empty((dim, dim))
-    D = np.zeros((dim, dim, dim))
-    DD = None
-    for i in range(dim):
-        for j in range(i, dim):
-            e = spec.components[i][j]
-            v = _constant_value(e)
-            if v is None:
-                jet = jet2(e, c)
-                v = jet.value
-                D[:, i, j] = D[:, j, i] = jet.gradient
-                if DD is None:
-                    DD = np.zeros((dim, dim, dim, dim))
-                DD[:, :, i, j] = DD[:, :, j, i] = jet.hessian
-            g[i, j] = g[j, i] = v
-    return g, D, DD
+    g, D, DD = _at_point(spec, c, 2)
+    return g, D, DD if _grid(spec)[0] else None
 
 
 def _christoffels_from_parts(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -284,20 +323,22 @@ def christoffels_of(spec: MetricSpec, point) -> np.ndarray:
 def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
     """christoffels_of at every row of an (N, dim) array, [n, k, i, j].
 
-    One compiled pass per metric component gives the stacked metric and
-    its first derivatives.  Raises EvalDomainError or DegenerateMetricError
-    when christoffels_of would raise at some row; which row is left to the
+    One run of the metric's program over every row gives the stacked
+    metric and its first derivatives; folded components are not
+    evaluated.  Raises EvalDomainError or DegenerateMetricError when
+    christoffels_of would raise at some row; which row is left to the
     caller.
     """
     rows, dim = len(xs), spec.dim
-    g = np.empty((rows, dim, dim))
-    D = np.empty((rows, dim, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            v, grad = value_and_gradient_batch(spec.components[i][j], xs)
-            g[:, i, j] = g[:, j, i] = v
-            D[:, :, i, j] = grad
-            D[:, :, j, i] = grad
+    program, tail, gathers, _ = _grid(spec)
+    flat = np.broadcast_to(tail, (rows, len(tail)))
+    if program:
+        flat = np.concatenate([flat, *_batches(program, xs)], axis=1)
+    (_, gi, _), (_, di, _) = gathers[1]
+    # take, not flat[:, index], which would lay the result out in Fortran
+    # order; einsum and LAPACK may round differently on another layout
+    g = flat.take(gi, axis=1).reshape(rows, dim, dim)
+    D = flat.take(di, axis=1).reshape(rows, dim, dim, dim)
     # the same rule as _inverse_of, row by row
     with np.errstate(all="ignore"):
         peak = np.abs(g).max(axis=(1, 2))

@@ -13,10 +13,13 @@ Christoffels), so a bundle's Christoffels and the errors raised at the
 centre are those of the geometry module, and the inverse metric that
 raises the Ricci index is the one that built them.  The 2*d*L stencil
 points around the centre are stacked and evaluated in one batched pass
-(each metric component's program over every point, stacked inverse, one
-einsum).  When that pass fails,
-the stencil is walked again point by point in the order axis, level, +h
-before -h, so that StencilDomainError names the first failing point.
+(one run of the metric's program over every point, stacked inverse, one
+einsum).  That program holds each live component of the chart and each
+repeated subtree once: on a plain chart h^2 g_B + f^2 g_F, the warps are
+evaluated once per point, not once per component, and the constant zeros
+of the cross blocks not at all.  When that pass fails, the stencil is
+walked again point by point in the order axis, level, +h before -h, so
+that StencilDomainError names the first failing point.
 
 Deliberately imports nothing from the warped-product or closed-form
 modules: its value as a cross-check depends on that separation.

@@ -18,6 +18,11 @@ from hypothesis import strategies as st
 from warpcurv.errors import EvalDomainError, WarpcurvError
 from warpcurv.expr import (
     Expression,
+    _batches,
+    _compile,
+    _gradients,
+    _jets,
+    _values,
     evaluate,
     jet2,
     parse_expression,
@@ -135,3 +140,66 @@ def test_batch_raises_exactly_when_a_row_would_and_agrees_otherwise(case):
     for i, (v, g) in enumerate(rows):
         assert values[i] == pytest.approx(v, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(grads[i], g, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _grid_case(draw):
+    """Expressions over one chart that share subtrees on purpose, beside
+    near misses that must stay apart: mirrored operands, sin(x0) beside
+    sin(x1), and constants one ulp apart.  Three points."""
+    rnd = draw(st.randoms(use_true_random=False))
+    arity = rnd.randint(2, 3)
+    a, b = (_text(rnd, arity, rnd.randint(1, 3)) for _ in range(2))
+    c = rnd.choice(["0.5", "1.5", "3", "0.1"])
+    c_next = repr(math.nextafter(float(c), math.inf))
+    texts = [
+        f"({a}) * ({b})", f"({b}) * ({a})", f"({a}) - ({b})", f"({b}) - ({a})",
+        f"sin(x0) * ({a})", f"sin(x1) * ({a})", f"sin(x0) + ({b})",
+        f"{c} * ({b})", f"{c_next} * ({b})", f"({a})^{c}", f"({a})^{c_next}",
+        a, b, f"-({a})", f"exp(({a}) - ({b}))",
+    ]
+    texts = rnd.sample(texts, rnd.randint(2, len(texts)))
+    exprs = [parse_expression(t, arity) for t in texts]
+    return exprs, [[rnd.choice(_COORDS) for _ in range(arity)] for _ in range(3)]
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError as exc:
+        return exc
+
+
+def _bits(*parts) -> bytes:
+    return np.concatenate([np.ravel(p) for p in parts]).astype(float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(FUZZ, max_examples=150)
+@given(_grid_case())
+def test_a_shared_program_gives_each_expression_its_own_result(case):
+    """Each output of one program over a grid of expressions is bitwise what
+    the expression's own evaluator returns, at every order and in the batch,
+    and the grid raises exactly when one of them does: with the class and
+    message of the first expression that raises."""
+    exprs, points = case
+    program = _compile(exprs)
+    # (grid run, the expression's own evaluator, its result as bytes)
+    runs = [
+        (_values, evaluate, _bits),
+        (_gradients, value_and_gradient, lambda out: _bits(*out)),
+        (_jets, jet2, lambda jet: _bits(jet.value, jet.gradient, jet.hessian)),
+    ]
+    calls = [(grid, own, as_bits, p) for grid, own, as_bits in runs for p in points]
+    calls.append((_batches, value_and_gradient_batch, lambda out: _bits(np.column_stack(out)),
+                  np.array(points, dtype=float)))
+    for grid, own, as_bits, at in calls:
+        want = [_raised(own, e, at) for e in exprs]
+        first = next((w for w in want if isinstance(w, EvalDomainError)), None)
+        got = _raised(grid, program, at)
+        if first is not None:
+            assert isinstance(got, EvalDomainError)
+            assert (type(got), str(got)) == (type(first), str(first))
+            continue
+        assert not isinstance(got, Exception)
+        assert [_bits(out) for out in got] == [as_bits(w) for w in want]
