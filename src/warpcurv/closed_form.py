@@ -37,6 +37,12 @@ data once, factor curvature included, and builds all four tensors from
 it.  christoffels_closed, for the geodesic right-hand side, needs only
 first derivatives.
 
+What does not depend on the point is folded: a constant factor metric's
+inverse and Christoffels, and a constant warp's jet, are computed at the
+first evaluation by the calls that compute them at any point, and cached
+read-only (_metric_data, _warp_data).  Building a spec computes nothing,
+and a fold that raises is not cached, so it raises at every call.
+
 Internally the Riemann array is built in the 'common' sign convention
 (R(X,Y) = [D_X,D_Y] - D_[X,Y]) and negated on request; Ricci and scalar
 never depend on that choice.
@@ -50,10 +56,16 @@ import numpy as np
 
 from .bundle import CurvatureBundle
 from .errors import NonpositiveWarpError, NumericalInstabilityError
-from .expr import jet2, value_and_gradient
+from .expr import _gradients, _jets, _program_of
+# unused here: bench/tracer.py wraps closed_form.jet2 and
+# closed_form.value_and_gradient by name
+from .expr import jet2, value_and_gradient  # noqa: F401
 from .geometry import (
     MetricSpec,
+    ScalarFieldSpec,
     _christoffels_from_parts,
+    _constant_value,
+    _grid,
     _inverse_of,
     _metric_and_first_derivs,
     _metric_jets,
@@ -88,6 +100,57 @@ def _riemann_and_ricci(g, ginv, gamma, DD):
     return riem, 0.5 * (ric + ric.T)
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _metric_data(factor: MetricSpec, coords, hessians: bool):
+    """(g, ginv, gamma, DD) of one factor at a point: its metric, inverse,
+    Christoffels and, with Hessians on a factor of dim >= 2 whose metric is
+    live, the metric's second derivatives (else None).  A constant metric
+    (an empty program) is kept on its MetricSpec once its inverse exists."""
+    if factor._fold is not None:
+        return (*factor._fold, None)
+    DD = None
+    if hessians and factor.dim > 1:
+        g, D, DD = _metric_jets(factor, coords)
+    else:
+        g, D = _metric_and_first_derivs(factor, coords)
+    ginv = _inverse_of(g)
+    gamma = _christoffels_from_parts(ginv, D)
+    if not _grid(factor)[0]:
+        object.__setattr__(factor, "_fold", _read_only(g, ginv, gamma))
+    return g, ginv, gamma, DD
+
+
+def _warp_data(warp: ScalarFieldSpec, coords, which: str, hessians: bool):
+    """(w, dw, lw, hess) of the warp that lives on a factor: its value,
+    checked positive, its gradient, d(ln w) and, with Hessians, its Hessian
+    (else None).  A warp that reads no variable is kept on its Expression,
+    as a jet, once its value is found positive."""
+    expr = warp.expr
+    cached = expr._fold
+    if cached is None:
+        k = expr.arity
+        fold = _constant_value(expr) is not None
+        if hessians or fold:
+            out = _jets(_program_of(expr), coords)[0]
+            hess = np.array(out[k + 1 :]).reshape(k, k)
+        else:
+            out = _gradients(_program_of(expr), coords)[0]
+            hess = None
+        w, dw = out[0], np.array(out[1 : k + 1])
+        if not w > 0.0:
+            raise NonpositiveWarpError(which, w)
+        if not fold:
+            return w, dw, dw / w, hess
+        cached = expr._fold = (w, *_read_only(dw, dw / w, hess))
+    w, dw, lw, hess = cached
+    return w, dw, lw, hess if hessians else None
+
+
 def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessians: bool):
     """Exact per-point ingredients of one factor, shared by all closed-form
     tensors:
@@ -107,28 +170,18 @@ def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessi
     dim >= 2 takes its metric from one jet run of the metric's program, whose
     value and gradient are bitwise those of the first-derivative run; a
     1-dim or constant factor has no curvature and gets exact zeros with
-    no further evaluation.  A namespace rather than a dataclass, whose
-    generated methods would cost time at every import and serve no caller.
+    no further evaluation.  dwU and the rows below it mix the metric and
+    the warp, so they are computed at every point even when both are
+    cached.  A namespace rather than a dataclass, whose generated methods
+    would cost time at every import and serve no caller.
     """
     k = factor.dim
-    DD = None
-    if hessians and k > 1:
-        g, D, DD = _metric_jets(factor, coords)
-    else:
-        g, D = _metric_and_first_derivs(factor, coords)
-    ginv = _inverse_of(g)
-    gamma = _christoffels_from_parts(ginv, D)
-    if hessians:
-        jet = jet2(warp.expr, coords)
-        w, dw = jet.value, jet.gradient
-    else:
-        w, dw = value_and_gradient(warp.expr, coords)
-    if not w > 0.0:
-        raise NonpositiveWarpError(which, w)
+    g, ginv, gamma, DD = _metric_data(factor, coords, hessians)
+    w, dw, lw, hess = _warp_data(warp, coords, which, hessians)
     dwU = ginv @ dw
     H = lap = nw2 = riem = ric = None
     if hessians:
-        H = jet.hessian - (dw @ gamma.reshape(k, k * k)).reshape(k, k)
+        H = hess - (dw @ gamma.reshape(k, k * k)).reshape(k, k)
         lap = float(np.vdot(ginv, H))
         nw2 = float(dw @ dwU)
         if DD is None:
@@ -137,7 +190,7 @@ def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessi
             riem, ric = _riemann_and_ricci(g, ginv, gamma, DD)
     return SimpleNamespace(
         own=own, dim=k, w=w, g=g, ginv=ginv, gamma=gamma,
-        dwU=dwU, lw=dw / w, H=H, lap=lap, nw2=nw2, riem=riem, ric=ric,
+        dwU=dwU, lw=lw, H=H, lap=lap, nw2=nw2, riem=riem, ric=ric,
     )
 
 
@@ -179,6 +232,7 @@ def _christoffels_from_data(d) -> np.ndarray:
     return G
 
 
+@np.errstate(all="ignore")
 def christoffels_closed(spec: WarpedProductSpec, point) -> np.ndarray:
     """Product Christoffels [k, i, j] without differentiating the product
     metric: factor Christoffels plus exact warp-gradient terms."""
@@ -263,6 +317,7 @@ def _scalar_paths_from_data(d, ric) -> tuple[float, float]:
     return float(cB + cF), dB + dF
 
 
+@np.errstate(all="ignore")
 def bundle_closed(
     spec: WarpedProductSpec,
     point,

@@ -34,6 +34,10 @@ batch where the value or a gradient entry is, and jet2 where any of the
 value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1 is rejected by all
 four, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
 whose gradient is inf - inf, by every function that returns the gradient.
+
+numpy's warnings on the way would only repeat that error, so each public
+numeric function of the package runs under np.errstate(all="ignore"), as a
+decorator, and the private runners that its loops call enter none.
 """
 
 from __future__ import annotations
@@ -110,13 +114,15 @@ class BinOp(Node):
 class Expression:
     """A parsed expression together with its declared arity."""
 
-    # _constant is left unset until geometry first folds the expression
-    __slots__ = ("root", "arity", "_program", "_constant")
+    # _constant is left unset until geometry first folds the expression;
+    # _fold holds a constant warp's jet once the closed form has taken it
+    __slots__ = ("root", "arity", "_program", "_constant", "_fold")
 
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
         self._program = None  # postfix program, compiled on first use
+        self._fold = None
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r}, arity={self.arity})"
@@ -554,6 +560,7 @@ def _batches(program: tuple, x: np.ndarray) -> list:
         return _run(program, leaves, False, np, _rows_out(len(x)))
 
 
+@np.errstate(all="ignore")
 def evaluate(expr: Expression, point) -> float:
     """Evaluate at a point (sequence of reals, length == arity)."""
     if len(point) != expr.arity:
@@ -561,6 +568,7 @@ def evaluate(expr: Expression, point) -> float:
     return _values(_program_of(expr), point)[0]
 
 
+@np.errstate(all="ignore")
 def value_and_gradient(expr: Expression, point):
     """Returns (value, gradient ndarray of length arity)."""
     if len(point) != expr.arity:
@@ -569,6 +577,7 @@ def value_and_gradient(expr: Expression, point):
     return out[0], np.array(out[1:])
 
 
+@np.errstate(all="ignore")
 def jet2(expr: Expression, point) -> Jet2:
     """Value, gradient, and Hessian at a point.  The Hessian is exactly
     symmetric, because every rule builds it from symmetric terms."""

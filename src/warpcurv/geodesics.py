@@ -11,14 +11,21 @@ geodesics preserve it exactly in the continuum, so its drift measures
 integration error and aborts the run when it passes a threshold.
 
 One RK4 step costs four right-hand sides on arrays of two to four entries,
-so the step is kept free of numpy calls that do no arithmetic.  The
-integrator carries one state vector y = (position, velocity); each stage
-checks y's entries for finiteness once, on Python floats, and hands the
-right-hand side a state whose position views y without checking it again.
-A stage or sample that is no longer finite ends the run with
-DomainExitError at the last healthy sample.  Both right-hand sides contract
-with (Gamma @ v) @ v and get their Christoffels from the point path
-described in the geometry module.
+so the step is kept free of numpy calls that do no arithmetic.  Each stage
+computes the point data of its position once (closed_form._point_data,
+first derivatives only), and _RHS maps "full" and "split" to the two
+acceleration formulas over (point data, velocity); rhs_full and rhs_split
+compute the point data and call the same formulas.  A step's first stage
+starts at the sample the previous step ended on, so the point data that
+gives the sample its norm also gives that stage its acceleration: the norm
+is assemble_metric's arithmetic on the point data's factor metrics and
+warps, and only the final sample computes point data for its norm alone.
+
+The integrator carries one state vector y = (position, velocity); each
+stage checks y's entries for finiteness once, on Python floats, and hands
+the formula a position that views y without checking it again.  A stage
+or sample that is no longer finite ends the run with DomainExitError at
+the last healthy sample: the last one whose norm could be evaluated.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import christoffels_closed, _point_data
+from .closed_form import _christoffels_from_data, _point_data
+# unused here: bench/tracer.py wraps geodesics.christoffels_closed by name
+from .closed_form import christoffels_closed  # noqa: F401
 from .errors import (
     DegenerateMetricError,
     DomainExitError,
@@ -36,6 +45,7 @@ from .errors import (
     NonpositiveWarpError,
     StepTooLargeError,
 )
+# assemble_metric gives the norm only at a sample whose point data fails
 from .warped import ProductPoint, WarpedProductSpec, assemble_metric
 
 __all__ = [
@@ -82,26 +92,22 @@ class Trajectory:
         return self.samples[-1]
 
 
-def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
-    """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
-    gamma = christoffels_closed(spec, state.position)
-    v = state.velocity
-    return -((gamma @ v) @ v)
+def _accel_full(d, v: np.ndarray) -> np.ndarray:
+    """-Gamma^k_ij v^i v^j from the assembled Christoffels of point data d."""
+    return -((_christoffels_from_data(d) @ v) @ v)
 
 
-def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
-    """Acceleration in factor form, one formula per side.  For each factor
-    A, with O the other factor and w_A the warp that lives on A (f on the
-    base, h on the fiber):
+def _accel_split(d, v: np.ndarray) -> np.ndarray:
+    """The acceleration in factor form, from point data d, one formula per
+    side.  For each factor A, with O the other factor and w_A the warp that
+    lives on A (f on the base, h on the fiber):
 
         a_A = -AGamma(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
               - 2 (d ln w_O / ds) v_A
 
-    with all factor quantities unwarped.  Identical to rhs_full after
+    with all factor quantities unwarped.  Identical to _accel_full after
     expanding the Christoffel blocks; computed via a different code path.
     """
-    d = _point_data(spec, state.position, with_hessians=False)
-    v = state.velocity
     accel = []
     for A, O in (d, d[::-1]):
         vA, vO = v[A.own], v[O.own]
@@ -113,14 +119,39 @@ def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     return np.concatenate(accel)
 
 
-_RHS = {"full": rhs_full, "split": rhs_split}
+# integrate looks its acceleration up here at call time, and so do the
+# public right-hand sides
+_RHS = {"full": _accel_full, "split": _accel_split}
 
 
-def _norm_at(spec: WarpedProductSpec, position: ProductPoint, velocity) -> float:
-    g = assemble_metric(spec, position)
-    return float(velocity @ g @ velocity)
+@np.errstate(all="ignore")
+def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
+    """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
+    return _RHS["full"](_point_data(spec, state.position, with_hessians=False), state.velocity)
 
 
+@np.errstate(all="ignore")
+def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
+    """Acceleration in factor form (see _accel_split)."""
+    return _RHS["split"](_point_data(spec, state.position, with_hessians=False), state.velocity)
+
+
+def _norm(d, v: np.ndarray) -> float:
+    """<v, v> in the product metric at point data d, by assemble_metric's
+    arithmetic: the same block-diagonal array, the same products."""
+    B, F = d
+    m, dim = B.dim, B.dim + F.dim
+    g = np.zeros((dim, dim))
+    g[:m, :m] = (F.w * F.w) * B.g
+    g[m:, m:] = (B.w * B.w) * F.g
+    return float(v @ g @ v)
+
+
+# what leaving the chart raises on the way
+_EXITS = (EvalDomainError, NonpositiveWarpError, DegenerateMetricError)
+
+
+@np.errstate(all="ignore")
 def integrate(
     spec: WarpedProductSpec,
     initial: GeodesicState,
@@ -152,6 +183,7 @@ def integrate(
     remainder = span - whole * step
     if remainder <= 1e-12 * step:
         remainder = 0.0
+    total_steps = whole + (1 if remainder else 0)
 
     def state_at(s: float, y: np.ndarray) -> GeodesicState:
         """The state y = (position, velocity), its entries checked here once."""
@@ -164,27 +196,44 @@ def integrate(
 
     def deriv(y: np.ndarray) -> np.ndarray:
         state = state_at(0.0, y)
-        return np.concatenate([state.velocity, accel(spec, state)])
+        d = _point_data(spec, state.position, with_hessians=False)
+        return np.concatenate([state.velocity, accel(d, state.velocity)])
+
+    def reach(sample: GeodesicState):
+        """(point data, norm) at a sample.  The norm needs values alone,
+        which may exist where a derivative does not: where the point data
+        fails, the sample takes its norm from assemble_metric and the error
+        stands in for the point data, raised if a step starts there."""
+        try:
+            d = _point_data(spec, sample.position, with_hessians=False)
+        except _EXITS as exc:
+            v = sample.velocity
+            return exc, float(v @ assemble_metric(spec, sample.position) @ v)
+        return d, _norm(d, sample.velocity)
 
     y = np.concatenate([initial.position.full, initial.velocity])
-    s = initial.s
-    n0 = _norm_at(spec, initial.position, initial.velocity)
-    samples = [GeodesicState(s, initial.position, initial.velocity.copy())]
+    samples = [GeodesicState(initial.s, initial.position, initial.velocity.copy())]
+    d, n0 = reach(samples[0])
     norms = [n0]
+    if total_steps:
+        state_at(initial.s, y)  # a non-finite initial velocity ends the run here
 
-    total_steps = whole + (1 if remainder else 0)
     for k in range(total_steps):
         h = step if k < whole else remainder
         s = initial.s + (k + 1) * step if k < whole else s_end
         try:
-            k1 = deriv(y)
+            if isinstance(d, Exception):
+                raise d
+            # the first stage reads the point data of the sample it starts at
+            v = y[dim:]
+            k1 = np.concatenate([v, accel(d, v)])
             k2 = deriv(y + (0.5 * h) * k1)
             k3 = deriv(y + (0.5 * h) * k2)
             k4 = deriv(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             sample = state_at(s, y)
-            norm = _norm_at(spec, sample.position, sample.velocity)
-        except (EvalDomainError, NonpositiveWarpError, DegenerateMetricError) as exc:
+            d, norm = reach(sample)
+        except _EXITS as exc:
             last = samples[-1]
             raise DomainExitError(last.s, last.position, str(exc)) from exc
         drift = abs(norm - n0)

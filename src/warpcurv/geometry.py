@@ -24,7 +24,9 @@ per-call cost outweighs the arithmetic:
 - A metric component whose program reads no variable (the 1, 0 and -1
   of most charts) is folded: evaluated once, on first use, and cached on
   its Expression.  The metric's program leaves it out, at one point and
-  over a stack alike; it has value c and zero derivatives.
+  over a stack alike; it has value c and zero derivatives.  When every
+  component is folded the program is empty, and the closed form caches
+  the metric's inverse and Christoffels too, in MetricSpec._fold.
 - One precomputed gather per array places the run's outputs.
 - _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
   that or for entries beyond 1e100, where a product of three entries could
@@ -101,6 +103,9 @@ class MetricSpec:
     name: str = ""
     # the compiled grid, built by _grid on first evaluation
     _compiled: tuple = field(default=None, init=False, repr=False, compare=False)
+    # a constant metric's (g, g^-1, Christoffels), set by the closed form
+    # on its first successful evaluation (closed_form._metric_data)
+    _fold: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -233,6 +238,7 @@ def _at_point(spec: MetricSpec, c, order: int) -> list:
     return [np.array(get(flat)).reshape(shape) for get, _, shape in gathers[order]]
 
 
+@np.errstate(all="ignore")
 def metric_at(spec: MetricSpec, point) -> np.ndarray:
     return _at_point(spec, _coords(point, spec.dim), 0)[0]
 
@@ -313,6 +319,7 @@ def _christoffels_from_parts(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
 
 
+@np.errstate(all="ignore")
 def christoffels_of(spec: MetricSpec, point) -> np.ndarray:
     """Christoffel symbols of the second kind, indexed [k, i, j] = Gamma^k_ij."""
     c = _coords(point, spec.dim)

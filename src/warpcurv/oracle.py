@@ -156,6 +156,7 @@ def _centre(spec: MetricSpec, c: np.ndarray):
     return g, ginv, _christoffels_from_parts(ginv, D)
 
 
+@np.errstate(all="ignore")
 def sectional_fd(
     spec: MetricSpec, point, u, v, policy: DiffPolicy | None = None
 ) -> float:
@@ -182,6 +183,7 @@ def sectional_fd(
     return num / denom
 
 
+@np.errstate(all="ignore")
 def bundle_fd(
     spec: MetricSpec, point, policy: DiffPolicy | None = None, convention: str = "paper"
 ) -> CurvatureBundle:

@@ -110,6 +110,7 @@ def warp_values(spec: WarpedProductSpec, point) -> tuple[float, float]:
     return fval, hval
 
 
+@np.errstate(all="ignore")
 def assemble_metric(spec: WarpedProductSpec, point) -> np.ndarray:
     """Numeric (m+n) x (m+n) product metric at a point.
 

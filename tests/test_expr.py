@@ -417,7 +417,6 @@ def test_batch_matches_scalar_on_random_expressions():
     assert 25 < raised < 375  # both outcomes were exercised
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "text,arity,bad_row",
     [
@@ -452,7 +451,6 @@ def test_batch_dual_only_domain_rules(text, arity, bad_row):
     _check_batch_like_scalar(expr, good)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "text,arity,bad_row",
     [
@@ -481,7 +479,6 @@ def test_batch_domain_rules_hold_where_the_result_is_discarded(text, arity, bad_
         value_and_gradient_batch(expr, np.vstack([np.full((3, arity), 1.5), [bad_row]]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "text,arity,point",
     [
@@ -506,7 +503,6 @@ def _outcome(fn, *args):
         return None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "text,arity,point,raises",
     [

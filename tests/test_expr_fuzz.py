@@ -105,7 +105,6 @@ def test_parse_returns_an_expression_or_a_package_error(text, arity):
     assert isinstance(expr, Expression)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FUZZ
 @given(_case())
 def test_evaluators_give_finite_numbers_and_the_domain_shrinks_with_order(case):
@@ -126,7 +125,6 @@ def test_evaluators_give_finite_numbers_and_the_domain_shrinks_with_order(case):
         assert jet.value == scalar[0] and np.array_equal(jet.gradient, scalar[1])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @FUZZ
 @given(_case(rows=4))
 def test_batch_raises_exactly_when_a_row_would_and_agrees_otherwise(case):
@@ -174,7 +172,6 @@ def _bits(*parts) -> bytes:
     return np.concatenate([np.ravel(p) for p in parts]).astype(float).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(FUZZ, max_examples=150)
 @given(_grid_case())
 def test_a_shared_program_gives_each_expression_its_own_result(case):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import numpy as np
@@ -5,11 +6,17 @@ import pytest
 
 from pathlib import Path
 
-from warpcurv.errors import DomainExitError, StepTooLargeError
+from warpcurv.errors import (
+    DegenerateMetricError,
+    DomainExitError,
+    EvalDomainError,
+    NonpositiveWarpError,
+    StepTooLargeError,
+)
 from warpcurv.geodesics import GeodesicState, Trajectory, integrate, rhs_full, rhs_split
 from warpcurv.geometry import MetricSpec, christoffels_of
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest
-from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
+from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric, assemble_metric
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 BASE2 = MetricSpec.from_strings(
@@ -190,7 +197,6 @@ def test_zero_span_returns_single_sample():
     assert traj.endpoint.s == 0.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("rhs", ["full", "split"])
 def test_nonfinite_stage_is_a_domain_exit(rhs):
     # the first stage's acceleration overflows, so the second stage's
@@ -255,3 +261,127 @@ def test_rhs_match_the_plain_metric_contraction():
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (
                     spec.name, rhs.__name__, x.tolist()
                 )
+
+
+@np.errstate(all="ignore")
+def _reference_integrate(spec, initial, s_end, step, rhs="full", abort_drift=1e-3):
+    """The loop integrate is measured against: the public right-hand side at
+    every stage, and each sample's norm from assemble_metric."""
+    accel = {"full": rhs_full, "split": rhs_split}[rhs]
+    m, dim = spec.base.dim, spec.dim
+    span = s_end - initial.s
+    whole = int(np.floor(span / step + 1e-9))
+    remainder = span - whole * step
+    if remainder <= 1e-12 * step:
+        remainder = 0.0
+
+    def norm_at(position, velocity):
+        return float(velocity @ assemble_metric(spec, position) @ velocity)
+
+    def state_at(s, y):
+        if not all(map(math.isfinite, y.tolist())):
+            last = samples[-1]
+            raise DomainExitError(
+                last.s, last.position, f"trajectory state is no longer finite after s={last.s!r}"
+            )
+        return GeodesicState(s, ProductPoint._checked_by_caller(y[:m], y[m:dim]), y[dim:])
+
+    def deriv(y):
+        state = state_at(0.0, y)
+        return np.concatenate([state.velocity, accel(spec, state)])
+
+    y = np.concatenate([initial.position.full, initial.velocity])
+    n0 = norm_at(initial.position, initial.velocity)
+    samples = [GeodesicState(initial.s, initial.position, initial.velocity.copy())]
+    norms = [n0]
+    for k in range(whole + (1 if remainder else 0)):
+        h = step if k < whole else remainder
+        s = initial.s + (k + 1) * step if k < whole else s_end
+        try:
+            k1 = deriv(y)
+            k2 = deriv(y + (0.5 * h) * k1)
+            k3 = deriv(y + (0.5 * h) * k2)
+            k4 = deriv(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            sample = state_at(s, y)
+            norm = norm_at(sample.position, sample.velocity)
+        except (EvalDomainError, NonpositiveWarpError, DegenerateMetricError) as exc:
+            last = samples[-1]
+            raise DomainExitError(last.s, last.position, str(exc)) from exc
+        drift = abs(norm - n0)
+        if drift > abort_drift * (1.0 + abs(n0)):
+            raise StepTooLargeError(s, drift, abort_drift * (1.0 + abs(n0)))
+        samples.append(sample)
+        norms.append(norm)
+    return Trajectory(samples, np.asarray(norms))
+
+
+def _fan_starts():
+    """The first state of each of the benchmark's geodesic fans, with its
+    manifest's spec and step."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    out = []
+    for k, (name, make, _, step) in enumerate(workloads.GEODESIC_FANS):
+        spec = load_catalog(name).spec
+        pos, vel = make(np.random.default_rng([1, k]))
+        out.append((name, spec, state(spec, pos, vel), step))
+    return out
+
+
+def _same_run(a, b):
+    assert [st.s for st in a.samples] == [st.s for st in b.samples]
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.velocities.tobytes() == b.velocities.tobytes()
+    assert a.norm_history.tobytes() == b.norm_history.tobytes()
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_integrate_is_bitwise_the_reference_loop(rhs):
+    for name, spec, start, step in _fan_starts():
+        # 200 whole steps, then the same span plus a fractional final step
+        for s_end in (200 * step, 200 * step + 0.4 * step):
+            _same_run(integrate(spec, start, s_end, step, rhs=rhs),
+                      _reference_integrate(spec, start, s_end, step, rhs=rhs))
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises((DomainExitError, StepTooLargeError)) as info:
+        fn(*args, **kwargs)
+    return info.value
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_integrate_fails_where_and_as_the_reference_loop_does(rhs):
+    cases = [
+        # straight at the pole, where the warp sin(theta) reaches zero
+        (SPHERE, state(SPHERE, [1.0, 0.0], [-1.0, 0.0]), 3.0, 1e-2, {}),
+        # a non-finite initial velocity
+        (SPHERE, state(SPHERE, [1.0, 0.0], [math.inf, 0.0]), 1.0, 0.1, {}),
+        # a drift budget no step keeps
+        (SPHERE, state(SPHERE, [1.0, 0.0], [0.2, 0.7]), 3.0, 1e-2, {"abort_drift": 1e-15}),
+    ]
+    for spec, start, s_end, step, kwargs in cases:
+        got = _raised(integrate, spec, start, s_end, step, rhs=rhs, **kwargs)
+        want = _raised(_reference_integrate, spec, start, s_end, step, rhs=rhs, **kwargs)
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, DomainExitError):
+            assert got.s == want.s
+            assert got.position.full.tobytes() == want.position.full.tobytes()
+
+
+def test_a_sample_whose_derivatives_fail_keeps_its_norm():
+    # sqrt has no derivative at 0, though f = 1 + sqrt(x0) has a value there:
+    # a run that starts there and takes no step still returns its sample,
+    # and one that steps off it ends at it
+    spec = WarpedProductSpec.build(LINE, LINE, "1 + sqrt(x0)", "1")
+    start = state(spec, [0.0, 0.0], [1.0, 0.5])
+    _same_run(integrate(spec, start, 0.0, 0.1), _reference_integrate(spec, start, 0.0, 0.1))
+    # with a velocity that is not finite, that check comes first
+    for start in (start, state(spec, [0.0, 0.0], [math.inf, 0.5])):
+        got = _raised(integrate, spec, start, 1.0, 0.1)
+        want = _raised(_reference_integrate, spec, start, 1.0, 0.1)
+        assert isinstance(got, DomainExitError) and str(got) == str(want)
+        assert got.s == want.s == 0.0

@@ -224,7 +224,6 @@ def test_degenerate_metric_detected():
         _inverse_of(metric_at(cone, Point([1e-8, 1.0])))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_metric_is_degenerate():
     # inf - inf: the metric entry is NaN at x0 = 1 and 1 at x0 = 0.  The
     # expression layer rejects it where it is evaluated, on both paths.
