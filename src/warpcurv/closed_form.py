@@ -50,12 +50,13 @@ never depend on that choice.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from .bundle import CurvatureBundle
-from .errors import NonpositiveWarpError, NumericalInstabilityError
+from .errors import EvalDomainError, NonpositiveWarpError, NumericalInstabilityError
 from .expr import _gradients, _jets, _program_of
 # unused here: bench/tracer.py wraps closed_form.jet2 and
 # closed_form.value_and_gradient by name
@@ -98,6 +99,28 @@ def _riemann_and_ricci(g, ginv, gamma, DD):
     riem = (ginv @ (Z - Z.transpose(0, 1, 3, 2)).reshape(k, k**3)).reshape(k, k, k, k)
     ric = np.einsum("abad->bd", riem)
     return riem, 0.5 * (ric + ric.T)
+
+
+def _sq(w: float) -> float:
+    """w**2, and inf where that overflows: a float power raises
+    OverflowError there.  Not w * w, which differs from w**2 in the last
+    bit for about one float in a thousand."""
+    try:
+        return w**2
+    except OverflowError:
+        return math.inf
+
+
+def _finite(arrays, *numbers):
+    """Raise unless every entry is finite: a warp near the float range
+    overflows a product of warps where each warp itself is finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            break
+    else:
+        if all(map(math.isfinite, numbers)):
+            return
+    raise EvalDomainError("curvature is not finite at this point")
 
 
 def _read_only(*arrays) -> tuple:
@@ -224,7 +247,7 @@ def _christoffels_from_data(d) -> np.ndarray:
         a, o = A.own, O.own
         G[a, a, a] = A.gamma
         # other-up, own-pair block
-        G[o, a, a] = -(O.w / A.w**2) * (O.dwU[:, None, None] * A.g)
+        G[o, a, a] = -(O.w / _sq(A.w)) * (O.dwU[:, None, None] * A.g)
         # mixed lower pairs, diagonal in the own index:
         # G[k, k, o] = G[k, o, k] = d ln w_O
         for k in range(a.start, a.stop):
@@ -236,7 +259,9 @@ def _christoffels_from_data(d) -> np.ndarray:
 def christoffels_closed(spec: WarpedProductSpec, point) -> np.ndarray:
     """Product Christoffels [k, i, j] without differentiating the product
     metric: factor Christoffels plus exact warp-gradient terms."""
-    return _christoffels_from_data(_point_data(spec, point, with_hessians=False))
+    gamma = _christoffels_from_data(_point_data(spec, point, with_hessians=False))
+    _finite((gamma,))
+    return gamma
 
 
 def _outer4(u, v) -> np.ndarray:
@@ -260,16 +285,16 @@ def _riemann_from_data(d) -> np.ndarray:
         # own block: factor curvature plus a constant-curvature correction,
         # E[m, n, l, r] = delta_ml g_nr - delta_mr g_nl
         E = _outer4(I, A.g)
-        R[a, a, a, a] = A.riem - (O.nw2 / A.w**2) * (E - E.transpose(0, 1, 3, 2))
+        R[a, a, a, a] = A.riem - (O.nw2 / _sq(A.w)) * (E - E.transpose(0, 1, 3, 2))
         # even mixed blocks, upper index on this side: warp Hessians
-        X = -(1.0 / O.w) * _outer4(I, O.H) - (A.w / O.w**2) * _outer4(A.ginv @ A.H, O.g)
+        X = -(1.0 / O.w) * _outer4(I, O.H) - (A.w / _sq(O.w)) * _outer4(A.ginv @ A.H, O.g)
         R[a, o, a, o] = X
         R[a, o, o, a] = -X.transpose(0, 1, 3, 2)
         # odd blocks, proportional to d(ln f) x d(ln h)
         T = _outer4(I, O.lw[:, None] * A.lw)  # [a, m, b, g] = (lw_O[m] lw_A[g]) delta_ab
         R[a, o, a, a] = T - T.transpose(0, 1, 3, 2)
         V = _outer4(O.dwU[:, None] * A.lw, A.g)  # [c, m, n, l] = (dwU_O[c] lw_A[n]) g_A[l, m]
-        R[o, a, a, a] = (O.w / A.w**2) * (V - V.transpose(0, 1, 3, 2))
+        R[o, a, a, a] = (O.w / _sq(A.w)) * (V - V.transpose(0, 1, 3, 2))
         # P[m, n, l, c] = (lw_O[c] lw_A[n]) delta_ml - (lw_O[c] g_A[l, n]) dwU_A[m] / w_A
         P = _outer4(I, A.lw[:, None] * O.lw) - (1.0 / A.w) * (
             (A.g.T[:, :, None] * O.lw)[None] * A.dwU[:, None, None, None] + 0.0  # as in _outer4
@@ -287,7 +312,7 @@ def _ricci_from_data(d) -> np.ndarray:
         ric[A.own, A.own] = (
             A.ric
             - (O.dim / A.w) * A.H
-            - ((A.dim - 1) * O.nw2 + O.w * O.lap) / A.w**2 * A.g
+            - ((A.dim - 1) * O.nw2 + O.w * O.lap) / _sq(A.w) * A.g
         )
     base, fiber = d
     cross = (dim - 2) * np.outer(base.lw, fiber.lw)
@@ -306,11 +331,11 @@ def _scalar_paths_from_data(d, ric) -> tuple[float, float]:
     paths = []
     for A, O in (d, d[::-1]):
         a, k = A.own, A.dim
-        contraction = np.einsum("ij,ij->", A.ginv / O.w**2, ric[a, a])
+        contraction = np.einsum("ij,ij->", A.ginv / _sq(O.w), ric[a, a])
         direct = (
-            float(np.einsum("ij,ij->", A.ginv, A.ric)) / O.w**2
-            - 2.0 * k * O.lap / (O.w * A.w**2)
-            - k * (k - 1) * (O.nw2 / O.w**2) / A.w**2
+            float(np.einsum("ij,ij->", A.ginv, A.ric)) / _sq(O.w)
+            - 2.0 * k * O.lap / (O.w * _sq(A.w))
+            - k * (k - 1) * (O.nw2 / _sq(O.w)) / _sq(A.w)
         )
         paths.append((contraction, direct))
     (cB, dB), (cF, dF) = paths
@@ -341,6 +366,7 @@ def bundle_closed(
     riem = _riemann_from_data(d)
     ric = _ricci_from_data(d)
     scal, direct = _scalar_paths_from_data(d, ric)
+    _finite((gamma, riem, ric), scal, direct)
     if abs(scal - direct) > 1e-10 * (1.0 + abs(scal)):
         raise NumericalInstabilityError(
             f"scalar curvature paths disagree: contraction {scal!r} vs direct {direct!r}"

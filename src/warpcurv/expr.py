@@ -14,10 +14,14 @@ the gradient and the Hessian by explicit chain rules, each only up to the
 order the caller asks for, so gradients and Hessians are exact up to
 roundoff.  One rule table states each function's derivatives and domain.
 One point runs on floats with math (evaluate, value_and_gradient, jet2);
-N points run on numpy arrays through the same rules
-(value_and_gradient_batch), which serves the oracle's finite-difference
-stencil.  Nothing walks a tree by recursion, so a sum of thousands of terms
-evaluates, prints and reindexes like a short one.
+N points run on numpy arrays through the same rules (_batches), which
+serves the oracle's finite-difference stencil.  Nothing walks a tree by
+recursion, so a sum of thousands of terms evaluates, prints and reindexes
+like a short one.
+
+First derivatives can also be taken as trees, from the derivative rules
+stated here beside the forward-mode rules (_DERIVATIVES); the derivative
+module builds them.
 
 The domain narrows with the derivative order and never widens.  evaluate
 rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
@@ -32,7 +36,7 @@ No function returns a number that is not finite.  evaluate raises
 EvalDomainError where the value is inf or NaN, value_and_gradient and its
 batch where the value or a gradient entry is, and jet2 where any of the
 value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1 is rejected by all
-four, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
+of them, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
 whose gradient is inf - inf, by every function that returns the gradient.
 
 numpy's warnings on the way would only repeat that error, so each public
@@ -58,7 +62,6 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "value_and_gradient",
-    "value_and_gradient_batch",
     "jet2",
     "format_expression",
     "reindex",
@@ -70,7 +73,9 @@ __all__ = [
 
 
 class Node:
-    __slots__ = ()
+    # origin: set on the nodes of a derivative tree, the source node whose
+    # rule they state; an evaluation error names it, as forward mode would
+    __slots__ = ("origin",)
 
 
 class Const(Node):
@@ -187,6 +192,20 @@ _RULES = {
 
 # each rule with f itself in front, as math (floats) and numpy (arrays) give it
 _CALLS = {name: (getattr(math, name), getattr(np, name), *rule) for name, rule in _RULES.items()}
+
+# name: f' as a tree, from the argument u and the call c = f(u); the same
+# arithmetic as the first entry of each _RULES row, for derivative trees
+_DERIVATIVES = {
+    "sin": lambda u, c: Call("cos", u),
+    "cos": lambda u, c: Neg(Call("sin", u)),
+    "tan": lambda u, c: BinOp("+", Const(1.0), BinOp("*", c, c)),
+    "exp": lambda u, c: c,
+    "log": lambda u, c: BinOp("/", Const(1.0), u),
+    "sqrt": lambda u, c: BinOp("/", Const(0.5), c),
+    "sinh": lambda u, c: Call("cosh", u),
+    "cosh": lambda u, c: Call("sinh", u),
+    "tanh": lambda u, c: BinOp("-", Const(1.0), BinOp("*", c, c)),
+}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -442,17 +461,18 @@ def _run(program: tuple, leaves, hess: bool, m, finish) -> list:
                 elif type(right) is float:
                     right = (right, None, None)
                 push(arg[1](left, right, hess, m))
-            elif code is _OP_VAR:
-                push(leaves[arg])
+            # the rest by how often they come in a hash-consed program
+            elif code is _OP_LOAD:
+                push(kept[arg])
             elif code is _OP_CONST:
                 push(arg)
+            elif code is _OP_KEEP:
+                kept[arg] = stack[-1]
+            elif code is _OP_VAR:
+                push(leaves[arg])
             elif code is _OP_CALL:
                 a = pop()
                 push(arg[0](a) if type(a) is float else _call(arg, a, hess, m))
-            elif code is _OP_LOAD:
-                push(kept[arg])
-            elif code is _OP_KEEP:
-                kept[arg] = stack[-1]
             elif code is _OP_OUT:
                 outs.append(finish(arg, pop()))
             else:
@@ -462,6 +482,7 @@ def _run(program: tuple, leaves, hess: bool, m, finish) -> list:
                 else:
                     push((-a[0], -a[1], None if a[2] is None else -a[2]))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        node = getattr(node, "origin", node)
         what = node.name if type(node) is Call else repr(node.op)
         raise EvalDomainError(f"{what}: {exc}", node) from None
     return outs
@@ -586,25 +607,6 @@ def jet2(expr: Expression, point) -> Jet2:
         raise _length_error(expr, point)
     out = _jets(_program_of(expr), point)[0]
     return Jet2(out[0], np.array(out[1 : n + 1]), np.array(out[n + 1 :]).reshape(n, n))
-
-
-def value_and_gradient_batch(expr: Expression, points):
-    """Values (N,) and gradients (N, arity) at every row of an (N, arity)
-    array.
-
-    Each row equals value_and_gradient at that row up to roundoff (numpy's
-    elementwise functions may differ from math's in the last place), and
-    the call raises EvalDomainError exactly when value_and_gradient would
-    raise at some row.
-    """
-    x = np.asarray(points, dtype=float)
-    n = expr.arity
-    if x.ndim != 2 or x.shape[1] != n:
-        raise ValueError(f"points have shape {x.shape}, expected (N, {n})")
-    if x.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, n))
-    out = _batches(_program_of(expr), x)[0]
-    return out[:, 0], out[:, 1:]
 
 
 # ---------------------------------------------------------------------------

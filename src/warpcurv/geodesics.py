@@ -1,31 +1,52 @@
 """Geodesics of a doubly warped product, integrated with classical RK4.
 
-Two interchangeable right-hand sides are provided on purpose: rhs_full
-contracts the assembled product Christoffels, while rhs_split works purely
-in factor terms (factor Christoffels plus warp-gradient forcing).  They are
-algebraically identical, so their agreement is a structural check on the
-Christoffel blocks, and the integrator accepts either.
+Two interchangeable right-hand sides are provided on purpose, and they
+share no derivative.  rhs_full contracts the assembled product
+Christoffels of point data (closed_form._point_data: forward-mode
+gradients, numpy Christoffels).  rhs_split evaluates the paper's factor
+form: for each factor A against the other factor O, with w_A the warp
+that lives on A (f on the base, h on the fiber),
+
+    a_A = -Gamma_A(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
+          - 2 (d ln w_O / ds) v_A,
+
+all factor quantities unwarped.  The two are algebraically identical, so
+their agreement checks the Christoffel blocks, and the integrator accepts
+either.
+
+The split program.  For factors of dim <= 3 the factor form is one
+straight-line program over the 2d floats (x, v), which the split module
+builds on the first split right-hand side and which is kept on the spec.
+Its derivatives are derivative trees (the derivative module), each
+repeated subtree computed once; the inverse metric is the adjugate over
+the determinant, and the lowered Christoffels are contracted with the
+velocity before the inverse is applied.  Its outputs come in
+_point_data's check order (base metric, f, fiber metric, h).  Each live
+metric entry and warp is followed by its derivatives and checked with
+them, as forward mode checks a value with its gradient; a factor's
+determinant meets geometry._inverse_of's cutoff after the factor's
+entries, and a warp's sign is checked last.  So a point that fails
+raises the class _point_data raises there, and its message, except where
+two subexpressions of one entry fail at one point: the program meets the
+value's failure first, forward mode the first node's.  A factor of dim >
+3, or a metric entry beyond _ADJUGATE_PEAK, where _inverse_of turns to
+LAPACK, takes the factor form from point data instead (_accel_split).
 
 The squared velocity norm <v, v> is monitored at every accepted sample;
 geodesics preserve it exactly in the continuum, so its drift measures
 integration error and aborts the run when it passes a threshold.
 
-One RK4 step costs four right-hand sides on arrays of two to four entries,
-so the step is kept free of numpy calls that do no arithmetic.  Each stage
-computes the point data of its position once (closed_form._point_data,
-first derivatives only), and _RHS maps "full" and "split" to the two
-acceleration formulas over (point data, velocity); rhs_full and rhs_split
-compute the point data and call the same formulas.  A step's first stage
-starts at the sample the previous step ended on, so the point data that
-gives the sample its norm also gives that stage its acceleration: the norm
-is assemble_metric's arithmetic on the point data's factor metrics and
-warps, and only the final sample computes point data for its norm alone.
-
-The integrator carries one state vector y = (position, velocity); each
-stage checks y's entries for finiteness once, on Python floats, and hands
-the formula a position that views y without checking it again.  A stage
-or sample that is no longer finite ends the run with DomainExitError at
-the last healthy sample: the last one whose norm could be evaluated.
+The integrator carries one state y = (position, velocity) as a list of
+floats and does numpy's RK4 arithmetic elementwise, in its order, so a run
+is bitwise the numpy loop over the public right-hand sides.  Each stage
+checks y's entries for finiteness once.  On the split route a stage is one
+run of the program; on the full route it computes point data once and
+contracts.  A step's first stage starts at the sample the previous step
+ended on, so the run that gives the sample its norm also gives that stage
+its acceleration: the norm is assemble_metric's arithmetic on the factor
+metrics and warps of that run, bitwise metric_at's values.  A stage or
+sample that is no longer finite ends the run with DomainExitError at the
+last healthy sample: the last one whose norm could be evaluated.
 """
 
 from __future__ import annotations
@@ -45,8 +66,8 @@ from .errors import (
     NonpositiveWarpError,
     StepTooLargeError,
 )
-# assemble_metric gives the norm only at a sample whose point data fails
-from .warped import ProductPoint, WarpedProductSpec, assemble_metric
+# assemble_metric gives the norm only at a sample whose acceleration fails
+from .warped import ProductPoint, WarpedProductSpec, _as_product_point, assemble_metric
 
 __all__ = [
     "GeodesicState",
@@ -98,52 +119,89 @@ def _accel_full(d, v: np.ndarray) -> np.ndarray:
 
 
 def _accel_split(d, v: np.ndarray) -> np.ndarray:
-    """The acceleration in factor form, from point data d, one formula per
-    side.  For each factor A, with O the other factor and w_A the warp that
-    lives on A (f on the base, h on the fiber):
-
-        a_A = -AGamma(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
-              - 2 (d ln w_O / ds) v_A
-
-    with all factor quantities unwarped.  Identical to _accel_full after
-    expanding the Christoffel blocks; computed via a different code path.
-    """
+    """The factor form from point data d, for a product whose factors have
+    no split program (a factor of dim > 3, or a metric entry beyond
+    _ADJUGATE_PEAK at this point)."""
     accel = []
     for A, O in (d, d[::-1]):
         vA, vO = v[A.own], v[O.own]
         accel.append(
             -((A.gamma @ vA) @ vA)
-            + (A.w / O.w**2) * float(vO @ O.g @ vO) * A.dwU
+            + (A.w / (O.w * O.w)) * float(vO @ O.g @ vO) * A.dwU
             - 2.0 * float(O.lw @ vO) * vA
         )
     return np.concatenate(accel)
 
 
-# integrate looks its acceleration up here at call time, and so do the
-# public right-hand sides
-_RHS = {"full": _accel_full, "split": _accel_split}
+# ---------------------------------------------------------------------------
+# The split program, built and run by the split module
+
+
+class _Fallback(Exception):
+    """A factor metric entry beyond _ADJUGATE_PEAK, where _inverse_of takes
+    LAPACK's determinant and inverse: the point takes point data instead."""
+
+
+def _finite(accel: list) -> list:
+    if not all(map(math.isfinite, accel)):
+        raise EvalDomainError("acceleration is not finite at this point")
+    return accel
+
+
+def _split_of(spec: WarpedProductSpec):
+    """The split program of spec, built on first use and kept on it."""
+    split = spec._split
+    if split is None:
+        from .split import build  # imported with the first program it builds
+
+        split = build(spec)
+        object.__setattr__(spec, "_split", split)
+    return split
+
+
+def _split_values(split, y: list) -> list:
+    """The split program's checked outputs at the state y = [*x, *v], a
+    list of 2d floats; the acceleration is the last d."""
+    return split.values(y)
+
+
+# integrate looks its right-hand side up here at call time, and so do the
+# public right-hand sides: "full" is a formula over point data, "split" one
+# run of the split program
+_RHS = {"full": _accel_full, "split": _split_values}
 
 
 @np.errstate(all="ignore")
 def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
-    return _RHS["full"](_point_data(spec, state.position, with_hessians=False), state.velocity)
+    a = _RHS["full"](_point_data(spec, state.position, with_hessians=False), state.velocity)
+    _finite(a.tolist())
+    return a
 
 
 @np.errstate(all="ignore")
 def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
-    """Acceleration in factor form (see _accel_split)."""
-    return _RHS["split"](_point_data(spec, state.position, with_hessians=False), state.velocity)
+    """Acceleration in factor form, from one run of the split program."""
+    pp = _as_product_point(spec, state.position)
+    split = _split_of(spec)
+    if split:
+        y = pp.full.tolist() + state.velocity.tolist()
+        try:
+            return np.array(_finite(_RHS["split"](split, y)[-spec.dim:]))
+        except _Fallback:
+            pass
+    d = _point_data(spec, pp, with_hessians=False)
+    return np.array(_finite(_accel_split(d, state.velocity).tolist()))
 
 
-def _norm(d, v: np.ndarray) -> float:
-    """<v, v> in the product metric at point data d, by assemble_metric's
-    arithmetic: the same block-diagonal array, the same products."""
-    B, F = d
-    m, dim = B.dim, B.dim + F.dim
+def _norm(gb: np.ndarray, gf: np.ndarray, f: float, h: float, v: np.ndarray) -> float:
+    """<v, v> in the product metric of factor metrics gb, gf and warps f, h,
+    by assemble_metric's arithmetic: the same block-diagonal array, the
+    same products."""
+    m, dim = len(gb), len(gb) + len(gf)
     g = np.zeros((dim, dim))
-    g[:m, :m] = (F.w * F.w) * B.g
-    g[m:, m:] = (B.w * B.w) * F.g
+    g[:m, :m] = (h * h) * gb
+    g[m:, m:] = (f * f) * gf
     return float(v @ g @ v)
 
 
@@ -176,6 +234,8 @@ def integrate(
     if s_end < initial.s:
         raise ValueError("s_end must be >= the initial parameter value")
     accel = _RHS[rhs]
+    split = _split_of(spec) if rhs == "split" else False
+    formula = _accel_split if rhs == "split" else accel
     m, dim = spec.base.dim, spec.dim
 
     span = s_end - initial.s
@@ -185,54 +245,76 @@ def integrate(
         remainder = 0.0
     total_steps = whole + (1 if remainder else 0)
 
-    def state_at(s: float, y: np.ndarray) -> GeodesicState:
-        """The state y = (position, velocity), its entries checked here once."""
-        if not all(map(math.isfinite, y.tolist())):
+    def check(y: list):
+        """The state y = [*position, *velocity], its entries checked here once."""
+        if not all(map(math.isfinite, y)):
             last = samples[-1]
             raise DomainExitError(
                 last.s, last.position, f"trajectory state is no longer finite after s={last.s!r}"
             )
-        return GeodesicState(s, ProductPoint._checked_by_caller(y[:m], y[m:dim]), y[dim:])
 
-    def deriv(y: np.ndarray) -> np.ndarray:
-        state = state_at(0.0, y)
-        d = _point_data(spec, state.position, with_hessians=False)
-        return np.concatenate([state.velocity, accel(d, state.velocity)])
+    def at(y: list):
+        """(acceleration, what the norm reads) at a checked state y."""
+        if split:
+            try:
+                values = accel(split, y)
+                return values[-dim:], values
+            except _Fallback:
+                pass
+        pp = ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim]))
+        d = _point_data(spec, pp, with_hessians=False)
+        return formula(d, np.array(y[dim:])).tolist(), d
 
-    def reach(sample: GeodesicState):
-        """(point data, norm) at a sample.  The norm needs values alone,
-        which may exist where a derivative does not: where the point data
+    def deriv(y: list, c: float, k: list) -> list:
+        """The stage at y + c k, by numpy's arithmetic elementwise."""
+        y = [p + c * q for p, q in zip(y, k)]
+        check(y)
+        return y[dim:] + at(y)[0]
+
+    def reach(sample: GeodesicState, y: list):
+        """(acceleration, norm) at a sample.  The norm needs values alone,
+        which may exist where a derivative does not: where the acceleration
         fails, the sample takes its norm from assemble_metric and the error
-        stands in for the point data, raised if a step starts there."""
+        stands in for the acceleration, raised if a step starts there."""
+        v = sample.velocity
         try:
-            d = _point_data(spec, sample.position, with_hessians=False)
+            a, data = at(y)
         except _EXITS as exc:
-            v = sample.velocity
             return exc, float(v @ assemble_metric(spec, sample.position) @ v)
-        return d, _norm(d, sample.velocity)
+        if type(data) is list:
+            return a, _norm(*split.parts(data), v)
+        B, F = data
+        return a, _norm(B.g, F.g, B.w, F.w, v)
 
-    y = np.concatenate([initial.position.full, initial.velocity])
+    y = initial.position.full.tolist() + initial.velocity.tolist()
     samples = [GeodesicState(initial.s, initial.position, initial.velocity.copy())]
-    d, n0 = reach(samples[0])
+    a, n0 = reach(samples[0], y)
     norms = [n0]
     if total_steps:
-        state_at(initial.s, y)  # a non-finite initial velocity ends the run here
+        check(y)  # a non-finite initial velocity ends the run here
 
     for k in range(total_steps):
         h = step if k < whole else remainder
         s = initial.s + (k + 1) * step if k < whole else s_end
         try:
-            if isinstance(d, Exception):
-                raise d
-            # the first stage reads the point data of the sample it starts at
-            v = y[dim:]
-            k1 = np.concatenate([v, accel(d, v)])
-            k2 = deriv(y + (0.5 * h) * k1)
-            k3 = deriv(y + (0.5 * h) * k2)
-            k4 = deriv(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            sample = state_at(s, y)
-            d, norm = reach(sample)
+            if isinstance(a, Exception):
+                raise a
+            # numpy's RK4 arithmetic, elementwise and in its order: the
+            # first stage reads the acceleration of the sample it starts at
+            k1 = y[dim:] + a
+            k2 = deriv(y, 0.5 * h, k1)
+            k3 = deriv(y, 0.5 * h, k2)
+            k4 = deriv(y, h, k3)
+            c = h / 6.0
+            y = [p + c * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
+                 for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+            check(y)
+            sample = GeodesicState(
+                s,
+                ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim])),
+                np.array(y[dim:]),
+            )
+            a, norm = reach(sample, y)
         except _EXITS as exc:
             last = samples[-1]
             raise DomainExitError(last.s, last.position, str(exc)) from exc

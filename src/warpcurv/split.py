@@ -1,0 +1,309 @@
+"""The split geodesic acceleration as one straight-line program.
+
+For each factor A against the other factor O, with w_A the warp that lives
+on A (f on the base, h on the fiber), the paper's factor form is
+
+    a_A = -Gamma_A(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
+          - 2 (d ln w_O / ds) v_A,
+
+an explicit function of the 2d numbers (x, v).  build writes it as one
+program for expr's interpreter: the factor metrics' entries, their
+adjugate determinants and the warps, each followed by its derivative trees
+(the derivative module), then the acceleration, with the inverse metric as
+the adjugate over the determinant and the lowered Christoffels contracted
+with the velocity first.  Each repeated subtree is computed once.
+
+geodesics imports this module and builds a spec's program on its first
+split right-hand side; Program.values is then one run per point.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from types import SimpleNamespace
+
+import numpy as np
+
+from .errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
+from .derivative import gradient_nodes
+from .expr import _BINARY, BinOp, Const, Neg, Var, _compile, _run, reindex
+from .geodesics import _Fallback
+from .geometry import _ADJUGATE_PEAK, MetricSpec, _constant_value
+from .warped import WarpedProductSpec
+
+
+class Program:
+    """A spec's split program, with what its values place: tail holds the
+    constant entries and warps, gathers the flat positions of g_B, g_F and
+    (f, h) in values + tail."""
+
+    __slots__ = ("program", "tail", "gathers", "m", "n")
+
+    def __init__(self, program, tail, gathers, m, n):
+        self.program, self.tail, self.gathers, self.m, self.n = program, tail, gathers, m, n
+
+    def values(self, y: list) -> list:
+        """The checked outputs at the state y = [*x, *v]."""
+        values = []
+
+        def finish(out, value):
+            if out.check is not None:
+                _check(out.check, value, values)
+            values.append(value)
+
+        _run(self.program, y, False, math, finish)
+        return values
+
+    def parts(self, values: list):
+        """(g_B, g_F, f, h) from the values at a sample, for geodesics._norm."""
+        flat = tuple(values) + self.tail
+        get_b, get_f, get_w = self.gathers
+        m, n = self.m, self.n
+        return (np.array(get_b(flat)).reshape(m, m), np.array(get_f(flat)).reshape(n, n),
+                *get_w(flat))
+
+
+def _check(check, last, values):
+    """Raise where _point_data would raise at the same check.
+
+    ("det", k, live, peak) is _inverse_of's verdict on a determinant, from
+    the positions of the factor's live entries in values and the largest
+    |constant entry|.  ("entry", expr, n, _) and ("warp", expr, n, which)
+    close an entry's or a warp's n outputs, its value and then its
+    derivatives: forward mode checks them together, and a warp's sign
+    after them."""
+    kind, a, b, c = check
+    if kind == "det":
+        top = max([c, *[abs(values[i]) for i in b]])
+        if top > _ADJUGATE_PEAK:
+            raise _Fallback
+        if not abs(last) >= 1e-12 * math.prod([max(1.0, top)] * a):
+            raise DegenerateMetricError(
+                f"metric determinant {last!r} is degenerate at this point", last
+            )
+        return
+    group = values[len(values) - b + 1 :] + [last]
+    if not all(map(math.isfinite, group)):
+        raise EvalDomainError("value or gradient is not finite", a.root)
+    if kind == "warp" and not group[0] > 0.0:
+        raise NonpositiveWarpError(c, group[0])
+
+
+class _Out:
+    """One output of the split program: its tree, and the check its value
+    must pass, a tuple for _check, or None."""
+
+    __slots__ = ("root", "check")
+
+    def __init__(self, root, check=None):
+        self.root = root
+        self.check = check
+
+
+def _fails(check, value) -> bool:
+    try:
+        _check(check, value, [])
+    except (DegenerateMetricError, NonpositiveWarpError, _Fallback):
+        return True
+    return False
+
+
+def _exact(op: str, a, b):
+    """a op b, folded only where both are constants: the determinant is
+    computed as _adjugate computes it, for the same verdict and message."""
+    if type(a) is Const and type(b) is Const:
+        try:
+            return Const(_BINARY[op][0](a.value, b.value))
+        except ZeroDivisionError:  # left to raise where it runs
+            pass
+    return BinOp(op, a, b)
+
+
+def _fold(op: str, a, b):
+    """a op b in the acceleration, None standing for zero: zeros and ones
+    fold, and so does an operation on two constants."""
+    if type(a) is Const and a.value == 0.0:
+        a = None
+    if op != "/" and type(b) is Const and b.value == 0.0:
+        b = None
+    if op in "*/":
+        if a is None or b is None:
+            return None
+        if type(b) is Const and b.value == 1.0:
+            return a
+        if type(a) is Const and a.value == 1.0 and op == "*":
+            return b
+    elif b is None:
+        return a
+    elif a is None:
+        return b if op == "+" else Const(-b.value) if type(b) is Const else Neg(b)
+    return _exact(op, a, b)
+
+
+def _sum(terms):
+    out = None
+    for t in terms:
+        out = _fold("+", out, t)
+    return out
+
+
+def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs, tail):
+    """One factor's part of the split program: its metric entries, then
+    their determinant, then the warp that lives on it.  A live entry or
+    warp is an output, followed by its derivatives and preceded by the
+    derivatives that forward mode takes and drops (its guards).  A constant
+    one goes to tail instead, and a check on constants that passes is not
+    repeated at every run."""
+    k = factor.dim
+    own = range(offset, offset + k)
+
+    def place(expr, kind, arg):
+        """(node, where its value is, derivatives): the index of its value's
+        output, or -1 - its index in tail."""
+        c = _constant_value(expr)
+        if c is not None:
+            tail.append(c)
+            return Const(c), -len(tail), [None] * k
+        node = reindex(expr, offset, arity).root if offset else expr.root
+        guards = []
+        grads = gradient_nodes(node, own, guards)
+        trees = [node] + [d for d in grads if d is not None and type(d) is not Const]
+        outs.extend(_Out(t) for t in guards + trees[:-1])
+        outs.append(_Out(trees[-1], (kind, expr, len(trees), arg)))
+        return node, len(outs) - len(trees), grads
+
+    g = [[None] * k for _ in range(k)]
+    dg = [[None] * k for _ in range(k)]
+    refs = [[None] * k for _ in range(k)]
+    live, peak = [], 0.0
+    for i in range(k):
+        for j in range(i, k):
+            node, ref, grad = place(factor.components[i][j], "entry", None)
+            g[i][j] = g[j][i] = node
+            dg[i][j] = dg[j][i] = grad
+            refs[i][j] = refs[j][i] = ref
+            if ref >= 0:
+                live.append(ref)
+            else:
+                peak = max(peak, abs(node.value))
+    det = _determinant(g)
+    check = ("det", k, live, peak)
+    if type(det) is not Const or _fails(check, det.value):
+        outs.append(_Out(det, check))
+    w, wref, dw = place(warp.expr, "warp", which)
+    check = ("warp", warp.expr, 1, which)
+    if wref < 0 and _fails(check, w.value):
+        outs.append(_Out(w, check))
+    v = [Var(arity + i) for i in own]
+    # (a, b, v_a v_b) over a <= b: the terms of a quadratic form in v
+    pairs = [(a, b, _fold("*", v[a], v[b])) for a in range(k) for b in range(a, k)]
+    return SimpleNamespace(
+        k=k, g=g, dg=dg, refs=refs, det=det, w=w, wref=wref, dw=dw, v=v, pairs=pairs
+    )
+
+
+def _determinant(g):
+    """_adjugate's determinant of a dim <= 3 grid of nodes, operation for
+    operation."""
+    k = len(g)
+    if k == 1:
+        return g[0][0]
+    if k == 2:
+        return _exact("-", _exact("*", g[0][0], g[1][1]), _exact("*", g[0][1], g[1][0]))
+    (p, q, r), (s, t, u), (v, w, x) = g
+    c00 = _exact("-", _exact("*", t, x), _exact("*", u, w))
+    c01 = _exact("-", _exact("*", u, v), _exact("*", s, x))
+    c02 = _exact("-", _exact("*", s, w), _exact("*", t, v))
+    return _exact("+", _exact("+", _exact("*", p, c00), _exact("*", q, c01)), _exact("*", r, c02))
+
+
+def _adjugate_nodes(g):
+    """The adjugate of a symmetric dim <= 3 grid of nodes, symmetric."""
+    k = len(g)
+    if k == 1:
+        return [[Const(1.0)]]
+    adj = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            minor = [[g[r][s] for s in range(k) if s != i] for r in range(k) if r != j]
+            if k == 2:
+                cof = minor[0][0]
+            else:
+                (a, b), (c, d) = minor
+                cof = _fold("-", _fold("*", a, d), _fold("*", b, c))
+            adj[i][j] = adj[j][i] = cof if (i + j) % 2 == 0 else _fold("-", None, cof)
+    return adj
+
+
+def _accel_nodes(A, O):
+    """a_A = g_A^-1 (c_A dw_A - L) - 2 (d ln w_O / ds) v_A, with
+    c_A = (w_A / w_O^2) <v_O, v_O>_O and L_l = Gamma_{l,ab} v^a v^b, the
+    lowered Christoffels contracted with the velocity first: over the
+    pairs a <= b, Gamma_{l,aa} = d_a g_la - d_l g_aa / 2, and an
+    off-diagonal pair counts twice, 2 Gamma_{l,ab} = d_a g_lb + d_b g_la -
+    d_l g_ab.  Where l is a or b, two of those terms cancel and are left
+    out."""
+    k, dg = A.k, A.dg
+    L = []
+    for l in range(k):
+        terms = []
+        for a, b, vv in A.pairs:
+            if a == b == l:
+                gamma = _fold("*", Const(0.5), dg[l][l][l])
+            elif a == b:
+                gamma = _fold("-", dg[l][a][a], _fold("*", Const(0.5), dg[a][a][l]))
+            elif l in (a, b):
+                # 2 Gamma_{a,ab} = d_b g_aa, and 2 Gamma_{b,ab} = d_a g_bb
+                gamma = dg[l][l][b if l == a else a]
+            else:
+                gamma = _fold("-", _fold("+", dg[l][b][a], dg[l][a][b]), dg[a][b][l])
+            terms.append(_fold("*", gamma, vv))
+        L.append(_sum(terms))
+    force = None
+    if any(d is not None for d in A.dw):
+        diagonal = _sum(_fold("*", O.g[a][a], vv) for a, b, vv in O.pairs if a == b)
+        rest = _sum(_fold("*", O.g[a][b], vv) for a, b, vv in O.pairs if a != b)
+        norm = _fold("+", diagonal, _fold("*", Const(2.0), rest))
+        force = _fold("*", _fold("/", A.w, _exact("*", O.w, O.w)), norm)
+    R = [_fold("-", _fold("*", force, A.dw[l]), L[l]) for l in range(k)]
+    rate = _fold("/", _sum(_fold("*", O.dw[j], O.v[j]) for j in range(O.k)), O.w)
+    rate = _fold("*", Const(2.0), rate)
+    adj = _adjugate_nodes(A.g)
+    return [
+        _fold("-", _fold("/", _sum(_fold("*", adj[i][l], R[l]) for l in range(k)), A.det),
+              _fold("*", rate, A.v[i]))
+        for i in range(k)
+    ]
+
+
+def build(spec: WarpedProductSpec):
+    """The split acceleration's Program, or False when a factor has
+    dim > 3.
+
+    The program runs at order 0 over the 2d leaves (x, v).  Its outputs
+    come in _point_data's check order: the base metric's live entries and
+    its determinant, f, the fiber's, h, each live one followed by its
+    derivatives, then the d entries of the acceleration.  values + tail
+    hold every entry of both factor metrics and both warps, and gathers
+    places them for _norm.
+    """
+    m, n = spec.base.dim, spec.fiber.dim
+    if max(m, n) > 3:
+        return False
+    dim = m + n
+    outs, tail = [], []
+    B = _factor(spec.base, spec.f, "f", 0, dim, outs, tail)
+    F = _factor(spec.fiber, spec.h, "h", m, dim, outs, tail)
+    # the acceleration is left unchecked: integrate finds a non-finite one
+    # in the next stage's state, and the public right-hand sides check it
+    outs += [_Out(Const(0.0) if a is None else a)
+             for A, O in ((B, F), (F, B)) for a in _accel_nodes(A, O)]
+
+    def index(ref):
+        return ref if ref >= 0 else len(outs) - 1 - ref
+
+    gathers = tuple(
+        operator.itemgetter(*[index(r) for row in X.refs for r in row]) for X in (B, F)
+    ) + (operator.itemgetter(index(B.wref), index(F.wref)),)
+    return Program(_compile(outs), tuple(tail), gathers, m, n)

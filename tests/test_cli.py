@@ -404,6 +404,25 @@ def test_geodesic_state_overflow_exits_3(capsys):
     assert "no longer finite" in _one_line(captured.err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--point", "400,0"],
+        ["curvature", "--point", "400,0", "--oracle"],
+        ["geodesic", "--init", "400,0;0,1", "--s-end", "1"],
+        ["geodesic", "--init", "400,0;0,1", "--s-end", "1", "--rhs", "split"],
+    ],
+    ids=" ".join,
+)
+def test_a_warp_beyond_the_float_range_squared_exits_3(tmp_path, capsys, argv):
+    # f = exp(400) is finite, f*f is not: every product of warps overflows
+    path = _write_manifest(tmp_path, [["1"]], warp_f="exp(x0)")
+    assert main([argv[0], path, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in _one_line(captured.err)
+
+
 ERROR_EXITS = [
     (errors.WarpcurvError("boom"), 2),
     (errors.ExpressionError("boom"), 2),

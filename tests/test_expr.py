@@ -17,8 +17,9 @@ from warpcurv.expr import (
     parse_expression,
     reindex,
     value_and_gradient,
-    value_and_gradient_batch,
 )
+
+from batch_reference import value_and_gradient_batch
 
 from fd_reference import fd_gradient, fd_hessian
 

@@ -15,20 +15,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from warpcurv.derivative import gradient_nodes
 from warpcurv.errors import EvalDomainError, WarpcurvError
 from warpcurv.expr import (
+    Const,
     Expression,
     _batches,
     _compile,
     _gradients,
     _jets,
+    _run,
     _values,
     evaluate,
+    format_expression,
     jet2,
     parse_expression,
     value_and_gradient,
-    value_and_gradient_batch,
 )
+
+from batch_reference import value_and_gradient_batch
 
 FUZZ = settings(
     derandomize=True,
@@ -200,3 +205,61 @@ def test_a_shared_program_gives_each_expression_its_own_result(case):
             continue
         assert not isinstance(got, Exception)
         assert [_bits(out) for out in got] == [as_bits(w) for w in want]
+
+
+def _derived_gradient(expr: Expression, point):
+    """(value, gradient) from one order-0 program over the expression, its
+    derivative trees and their guards; raises where a value or a partial
+    derivative is not finite, as value_and_gradient does."""
+    k = expr.arity
+    guards = []
+    grads = gradient_nodes(expr.root, range(k), guards)
+    trees = [Const(0.0) if g is None else g for g in grads] + guards
+    outs = _run(_compile([expr, *[Expression(t, k) for t in trees]]),
+                [float(c) for c in point], False, math, lambda out, value: value)
+    if not all(map(math.isfinite, outs[: 1 + k])):
+        raise EvalDomainError("value or gradient is not finite")
+    return outs[0], np.array(outs[1 : 1 + k])
+
+
+def _same_gradient(expr, point):
+    want = _outcome(value_and_gradient, expr, point)
+    got = _outcome(_derived_gradient, expr, point)
+    assert (got is None) == (want is None), (format_expression(expr), point, want, got)
+    if want is not None:
+        assert got[0] == want[0]  # the value is the same tree's, bitwise
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0.0)
+
+
+@FUZZ
+@given(_case(rows=3))
+def test_derived_gradients_raise_iff_forward_mode_does_and_agree_otherwise(case):
+    expr, points = case
+    for point in points:
+        _same_gradient(expr, point)
+
+
+@pytest.mark.parametrize(
+    "text,arity,point",
+    [
+        ("x0^1", 1, [0.0]),  # the derivative's power x0^0 exists at 0
+        ("x0^(x1-x1)", 2, [-1.0, 2.0]),  # a variable exponent asks for log(x0)
+        ("x0^(x1-x1)", 2, [2.0, 2.0]),
+        ("sqrt(x0)", 1, [0.0]),
+        ("x0^0.5", 1, [0.0]),
+        ("x0^-0.5", 1, [0.0]),
+        ("sqrt(x0)^0", 1, [0.0]),  # the power drops sqrt's derivative, after taking it
+        ("sqrt(x1 - x1) + x0", 2, [1.0, 1.0]),
+        ("(-2)^x0", 1, [2.0]),
+        ("x0^x1", 2, [0.0, 2.0]),
+        ("x0^x1", 2, [-1.0, 2.0]),
+        ("0*sqrt(x0)", 1, [0.0]),
+        ("x0*1e308*10", 1, [1.0]),
+        ("1 + x0*1e308*10 - x0*1e308*10", 1, [0.0]),
+        ("exp(x0)*exp(x0)", 1, [400.0]),
+        ("x0^-2", 1, [1e-200]),  # the value exists, x0^-3 overflows
+        ("tan(x0)/x1 + log(x1)*cosh(x0)", 2, [0.3, 2.0]),
+    ],
+)
+def test_derived_gradients_at_the_domain_edges(text, arity, point):
+    _same_gradient(parse_expression(text, arity), point)

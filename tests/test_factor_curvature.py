@@ -95,7 +95,6 @@ def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
         oracle.bundle_fd,
         oracle._dgamma,
         geometry._christoffels_stacked,
-        expr.value_and_gradient_batch,
         expr._batches,
     }
     modules = [getattr(warpcurv, name) for name in dir(warpcurv)]

@@ -385,3 +385,49 @@ def test_a_sample_whose_derivatives_fail_keeps_its_norm():
         want = _raised(_reference_integrate, spec, start, 1.0, 0.1)
         assert isinstance(got, DomainExitError) and str(got) == str(want)
         assert got.s == want.s == 0.0
+
+
+def test_a_warp_whose_square_overflows_raises_a_warpcurv_error():
+    # f = exp(400) is finite, and every product of two warps overflows
+    from warpcurv import bundle_closed, christoffels_closed
+
+    spec = WarpedProductSpec.build(LINE, LINE, "exp(x0)", "1")
+    at = state(spec, [400.0, 0.0], [0.0, 1.0])
+    for call in (
+        lambda: rhs_split(spec, at),
+        lambda: rhs_full(spec, at),
+        lambda: christoffels_closed(spec, np.array([400.0, 0.0])),
+        lambda: bundle_closed(spec, np.array([400.0, 0.0])),
+    ):
+        with pytest.raises(EvalDomainError, match="not finite"):
+            call()
+    with pytest.raises(DomainExitError, match="no longer finite") as exc:
+        integrate(spec, at, 1.0, 0.1, rhs="split")
+    assert exc.value.s == 0.0
+
+
+def test_products_without_a_split_program_take_the_factor_form_from_point_data():
+    """A factor of dim > 3 has no split program, and a metric entry beyond
+    1e100 sends its point to point data, as _inverse_of turns to LAPACK;
+    both still agree with rhs_full, and integrate matches the reference
+    loop over rhs_split."""
+    space = MetricSpec.from_strings(
+        4, [["1 + x0^2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "exp(x1)"]]
+    )
+    wide = WarpedProductSpec.build(LINE, space, "1 + x0^2", "exp(0.1*x3)")
+    # a determinant of about 1e330, which the adjugate overflows
+    big = MetricSpec.from_strings(
+        3, [["1e110*(1 + x0^2)", "0", "0"], ["0", "1e110", "0"], ["0", "0", "1e110*exp(x1)"]]
+    )
+    huge = WarpedProductSpec.build(big, LINE, "exp(0.1*x0)", "1")
+    rng = np.random.default_rng(11)
+    for spec in (wide, huge):
+        for _ in range(10):
+            st = state(spec, rng.uniform(-0.5, 0.5, spec.dim), rng.standard_normal(spec.dim))
+            want = rhs_full(spec, st)
+            assert np.abs(rhs_split(spec, st) - want).max() <= 1e-12 * np.abs(want).max()
+        start = state(spec, [0.2] * spec.dim, [0.3] * spec.dim)
+        _same_run(integrate(spec, start, 0.2, 0.01, rhs="split"),
+                  _reference_integrate(spec, start, 0.2, 0.01, rhs="split"))
+    assert wide._split is False and huge._split

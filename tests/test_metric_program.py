@@ -26,8 +26,9 @@ from warpcurv.expr import (
     jet2,
     parse_expression,
     value_and_gradient,
-    value_and_gradient_batch,
 )
+
+from batch_reference import value_and_gradient_batch
 from warpcurv.geometry import (
     MetricSpec,
     _christoffels_stacked,
