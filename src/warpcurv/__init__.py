@@ -10,7 +10,7 @@ geodesics numerically at points, three independent ways:
 - a finite-difference oracle on the assembled metric (oracle.bundle_fd),
 - two algebraically identical geodesic right-hand sides (geodesics).
 
-Expressions are plain strings over x0, x1, ..., compiled once into a postfix
+Expressions are plain strings over x0, x1, ..., compiled once into a register
 program whose one interpreter gives values and exact gradients and Hessians
 (expr); manifolds load from JSON manifests and a small built-in catalog
 (manifest); the `warpcurv` CLI wraps the rest.

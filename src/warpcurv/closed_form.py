@@ -111,6 +111,13 @@ def _sq(w: float) -> float:
         return math.inf
 
 
+def _over(x, y: float):
+    """x / y for y >= 0, a square or product of warps.  Where y underflows
+    to 0 the quotient is IEEE's, inf or nan, which the finiteness checks
+    reject: Python's float division would raise ZeroDivisionError."""
+    return x / y if y else x * math.inf
+
+
 def _finite(arrays, *numbers):
     """Raise unless every entry is finite: a warp near the float range
     overflows a product of warps where each warp itself is finite."""
@@ -247,7 +254,7 @@ def _christoffels_from_data(d) -> np.ndarray:
         a, o = A.own, O.own
         G[a, a, a] = A.gamma
         # other-up, own-pair block
-        G[o, a, a] = -(O.w / _sq(A.w)) * (O.dwU[:, None, None] * A.g)
+        G[o, a, a] = -_over(O.w, _sq(A.w)) * (O.dwU[:, None, None] * A.g)
         # mixed lower pairs, diagonal in the own index:
         # G[k, k, o] = G[k, o, k] = d ln w_O
         for k in range(a.start, a.stop):
@@ -285,16 +292,16 @@ def _riemann_from_data(d) -> np.ndarray:
         # own block: factor curvature plus a constant-curvature correction,
         # E[m, n, l, r] = delta_ml g_nr - delta_mr g_nl
         E = _outer4(I, A.g)
-        R[a, a, a, a] = A.riem - (O.nw2 / _sq(A.w)) * (E - E.transpose(0, 1, 3, 2))
+        R[a, a, a, a] = A.riem - _over(O.nw2, _sq(A.w)) * (E - E.transpose(0, 1, 3, 2))
         # even mixed blocks, upper index on this side: warp Hessians
-        X = -(1.0 / O.w) * _outer4(I, O.H) - (A.w / _sq(O.w)) * _outer4(A.ginv @ A.H, O.g)
+        X = -(1.0 / O.w) * _outer4(I, O.H) - _over(A.w, _sq(O.w)) * _outer4(A.ginv @ A.H, O.g)
         R[a, o, a, o] = X
         R[a, o, o, a] = -X.transpose(0, 1, 3, 2)
         # odd blocks, proportional to d(ln f) x d(ln h)
         T = _outer4(I, O.lw[:, None] * A.lw)  # [a, m, b, g] = (lw_O[m] lw_A[g]) delta_ab
         R[a, o, a, a] = T - T.transpose(0, 1, 3, 2)
         V = _outer4(O.dwU[:, None] * A.lw, A.g)  # [c, m, n, l] = (dwU_O[c] lw_A[n]) g_A[l, m]
-        R[o, a, a, a] = (O.w / _sq(A.w)) * (V - V.transpose(0, 1, 3, 2))
+        R[o, a, a, a] = _over(O.w, _sq(A.w)) * (V - V.transpose(0, 1, 3, 2))
         # P[m, n, l, c] = (lw_O[c] lw_A[n]) delta_ml - (lw_O[c] g_A[l, n]) dwU_A[m] / w_A
         P = _outer4(I, A.lw[:, None] * O.lw) - (1.0 / A.w) * (
             (A.g.T[:, :, None] * O.lw)[None] * A.dwU[:, None, None, None] + 0.0  # as in _outer4
@@ -312,7 +319,7 @@ def _ricci_from_data(d) -> np.ndarray:
         ric[A.own, A.own] = (
             A.ric
             - (O.dim / A.w) * A.H
-            - ((A.dim - 1) * O.nw2 + O.w * O.lap) / _sq(A.w) * A.g
+            - _over((A.dim - 1) * O.nw2 + O.w * O.lap, _sq(A.w)) * A.g
         )
     base, fiber = d
     cross = (dim - 2) * np.outer(base.lw, fiber.lw)
@@ -333,9 +340,9 @@ def _scalar_paths_from_data(d, ric) -> tuple[float, float]:
         a, k = A.own, A.dim
         contraction = np.einsum("ij,ij->", A.ginv / _sq(O.w), ric[a, a])
         direct = (
-            float(np.einsum("ij,ij->", A.ginv, A.ric)) / _sq(O.w)
-            - 2.0 * k * O.lap / (O.w * _sq(A.w))
-            - k * (k - 1) * (O.nw2 / _sq(O.w)) / _sq(A.w)
+            _over(float(np.einsum("ij,ij->", A.ginv, A.ric)), _sq(O.w))
+            - _over(2.0 * k * O.lap, O.w * _sq(A.w))
+            - _over(k * (k - 1) * _over(O.nw2, _sq(O.w)), _sq(A.w))
         )
         paths.append((contraction, direct))
     (cB, dB), (cF, dF) = paths

@@ -9,8 +9,8 @@ with one gap: an overflow that forward mode multiplies by a zero gradient
 entry, where the tree has no term at all, leaves forward mode a nan, and
 so an error, and the tree a finite number.
 
-The split geodesic program is the one user; the split module imports this
-one with the first program it builds.
+The geodesic programs are the one user; the split module imports this one
+with the first program it builds.
 """
 
 from __future__ import annotations

@@ -6,22 +6,19 @@ log sqrt sinh cosh tanh, and the constants pi and e.  Parsing is a small
 recursive-descent pass, nested at most MAX_NESTING levels deep; no Python
 eval is involved anywhere.
 
-Every evaluation runs one interpreter over a compiled postfix program.  A
-program covers a sequence of expressions over one chart, each repeated
-subtree emitted once: one expression, compiled on first use and cached on
-it, or a metric's live components (see geometry).  It carries the value,
-the gradient and the Hessian by explicit chain rules, each only up to the
-order the caller asks for, so gradients and Hessians are exact up to
-roundoff.  One rule table states each function's derivatives and domain.
-One point runs on floats with math (evaluate, value_and_gradient, jet2);
-N points run on numpy arrays through the same rules (_batches), which
-serves the oracle's finite-difference stencil.  Nothing walks a tree by
-recursion, so a sum of thousands of terms evaluates, prints and reindexes
-like a short one.
-
-First derivatives can also be taken as trees, from the derivative rules
-stated here beside the forward-mode rules (_DERIVATIVES); the derivative
-module builds them.
+Every evaluation runs one interpreter over a compiled register program:
+one expression's, compiled on first use and cached on it, or one over many
+expressions of a chart, each repeated subtree computed once (a metric's
+live components, see geometry; a geodesic acceleration, see split).  It
+carries the value, the gradient and the Hessian by explicit chain rules,
+each only up to the order the caller asks for, so gradients and Hessians
+are exact up to roundoff; one rule table states each function's
+derivatives and domain.  The same loop runs one point on floats with math
+(evaluate, value_and_gradient, jet2) and N points on numpy columns
+(_batches, for the oracle's stencil).  Nothing walks a tree by recursion,
+so a sum of thousands of terms evaluates, prints and reindexes like a
+short one.  First derivatives can also be taken as trees, from the rules
+stated beside the forward-mode ones (_DERIVATIVES, the derivative module).
 
 The domain narrows with the derivative order and never widens.  evaluate
 rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
@@ -46,7 +43,6 @@ decorator, and the private runners that its loops call enter none.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -126,7 +122,7 @@ class Expression:
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
-        self._program = None  # postfix program, compiled on first use
+        self._program = None  # register program, compiled on first use
         self._fold = None
 
     def __repr__(self):
@@ -143,14 +139,13 @@ class Jet2:
 # ---------------------------------------------------------------------------
 # Rules
 #
-# A stack entry is a float where the subtree reads no variable, and every
-# entry is when no derivative is asked for; those are computed with math.
-# Otherwise it is (value, gradient, Hessian).  Derivative axes come first
-# and the batch axis last: one point carries a float, a (k,) gradient and a
-# (k, k) Hessian, N points carry (N,), (k, N) and (k, k, N), and every rule
-# below broadcasts over both.  The rules see a float operand as (value,
-# None, None).  The Hessian is None while it is zero, and always below
-# order 2.
+# A value is a float where its subtree reads no variable, and every value
+# is when no derivative is asked for; those are computed with math.  Else
+# it is (value, gradient, Hessian), derivative axes first and the batch
+# axis last: one point carries a float, a (k,) gradient and a (k, k)
+# Hessian, N points (N,), (k, N) and (k, k, N), and every rule below
+# broadcasts over both.  The rules see a float operand as (value, None,
+# None).  The Hessian is None while it is zero, and always below order 2.
 #
 # On floats, math raises where a function leaves its domain or overflows
 # from a finite argument, and Python raises on division by zero.  numpy
@@ -331,30 +326,32 @@ _BINARY = {
 # ---------------------------------------------------------------------------
 # The compiled program and its interpreter
 
-_OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN, _OP_KEEP, _OP_LOAD, _OP_OUT = range(8)
+# _postfix's opcodes; a compiled program keeps NEG, CALL and BIN, and adds OUT
+_OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN, _OP_OUT = range(6)
 
 
-def _postfix(root: Node) -> list:
-    """The tree as a postfix (opcode, argument, node) list, built with an
+def _postfix(root: Node, known=()):
+    """The tree as postfix (opcode, argument, node) entries, walked with an
     explicit stack so that deep trees cannot reach the recursion limit.  A
     constant's argument is its value, a variable's its index, and a call's
-    or binary op's its rules."""
-    program = []
+    or binary op's its rules.  A node whose id is in known is listed
+    without its subtree; the entries come lazily, so a caller may add to
+    known as it reads them."""
     todo = [(root, False)]
     while todo:
         node, expanded = todo.pop()
         kind = type(node)
         if kind is Const:
-            program.append((_OP_CONST, float(node.value), node))
+            yield _OP_CONST, float(node.value), node
         elif kind is Var:
-            program.append((_OP_VAR, node.index, node))
-        elif expanded:
+            yield _OP_VAR, node.index, node
+        elif expanded or id(node) in known:
             if kind is BinOp:
-                program.append((_OP_BIN, _BINARY[node.op], node))
+                yield _OP_BIN, _BINARY[node.op], node
             elif kind is Call:
-                program.append((_OP_CALL, _CALLS[node.name], node))
+                yield _OP_CALL, _CALLS[node.name], node
             else:
-                program.append((_OP_NEG, None, node))
+                yield _OP_NEG, None, node
         else:
             todo.append((node, True))
             if kind is BinOp:
@@ -362,68 +359,84 @@ def _postfix(root: Node) -> list:
                 todo.append((node.left, False))
             else:
                 todo.append((node.arg, False))
-    return program
 
 
-def _compile(exprs) -> tuple:
-    """One postfix program for a sequence of expressions over one chart.
+class _Code:
+    """A compiled program.  registers is the register file before a run,
+    in value-number order: each constant's value, and None for a computed
+    one; the leaves follow it.  An op is (opcode, rules, node, target,
+    operand, operand or None); OUT has its expression for the rules."""
 
-    Subtrees with the same structure are emitted once: a constant is keyed
-    by its bits, a variable by its index, and a negation, call or binary op
-    by its name or op and its operands' value numbers in order, so x0-x1
-    and x1-x0 stay apart.  KEEP stores an inner value read more than once
-    where it is first computed, LOAD pushes it again, and OUT pops each
-    expression's entry for the caller's finishing step.  A shared node
-    applies the same rule to the same operands, so each output is bitwise
-    the expression's own, and the first failure is the one the expressions
-    run one by one would meet: a loaded value was computed without error.
-    """
+    def __init__(self, ops: tuple, registers: list):
+        self.ops, self.registers = ops, registers
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+def _compile(exprs) -> _Code:
+    """One register program for a sequence of expressions over one chart.
+
+    Subtrees with the same structure get one value number and register: a
+    constant is keyed by its bits, a variable by its index, and a negation,
+    call or binary op by its name or op and its operands' numbers in order,
+    so x0-x1 and x1-x0 stay apart.  An op computes each number where the
+    postfix order first reaches it, and OUT hands each expression's entry
+    to the caller's finishing step.  A shared node applies the same rule to
+    the same operands, so each output is bitwise the expression's own, and
+    the first failure is the one the expressions run one by one would
+    meet: a value read again was computed without error."""
     numbers = {}  # structural key -> value number
+    known = {}  # id(node) -> value number, so a subtree shared by object is walked once
     nodes = []  # value number -> (opcode, argument, node, operand numbers)
     outputs = []
     for expr in exprs:
         stack = []
-        for code, arg, node in _postfix(expr.root):
-            if code is _OP_CONST:
-                operands, key = (), (code, arg.hex())
-            elif code is _OP_VAR:
-                operands, key = (), (code, arg)
-            elif code is _OP_BIN:
-                right = stack.pop()
-                operands = (stack.pop(), right)
-                key = (code, node.op, *operands)
-            else:
-                operands = (stack.pop(),)
-                key = (code, node.name if code is _OP_CALL else "-", *operands)
-            number = numbers.get(key)
+        for code, arg, node in _postfix(expr.root, known):
+            number = known.get(id(node))
             if number is None:
-                number = numbers[key] = len(nodes)
-                nodes.append((code, arg, node, operands))
+                if code is _OP_CONST:
+                    operands, key = (), (code, arg.hex())
+                elif code is _OP_VAR:
+                    operands, key = (), (code, arg)
+                elif code is _OP_BIN:
+                    right = stack.pop()
+                    operands = (stack.pop(), right)
+                    key = (code, node.op, *operands)
+                else:
+                    operands = (stack.pop(),)
+                    key = (code, node.name if code is _OP_CALL else "-", *operands)
+                number = numbers.get(key)
+                if number is None:
+                    number = numbers[key] = len(nodes)
+                    nodes.append((code, arg, node, operands))
+                known[id(node)] = number
             stack.append(number)
         outputs.append((stack.pop(), expr))
-    reads = collections.Counter(o for *_, operands in nodes for o in operands)
-    reads.update(number for number, _ in outputs)
-    program, slots = [], {}
-    for number, expr in outputs:
-        todo = [(number, False)]
+    registers = [arg if code is _OP_CONST else None
+                 for code, arg, *_ in nodes if code is not _OP_VAR]
+    fixed = iter(range(len(registers)))  # value number -> register, leaves last
+    where = [len(registers) + arg if code is _OP_VAR else next(fixed) for code, arg, *_ in nodes]
+    ops, done = [], set()
+    for out, expr in outputs:
+        todo = [(out, False)]
         while todo:
             number, expanded = todo.pop()
             code, arg, node, operands = nodes[number]
-            if number in slots:
-                program.append((_OP_LOAD, slots[number], node))
-            elif expanded or not operands:
-                program.append((code, arg, node))
-                if operands and reads[number] > 1:
-                    slots[number] = len(slots)
-                    program.append((_OP_KEEP, slots[number], node))
+            if not operands or number in done:
+                continue
+            if expanded:
+                done.add(number)
+                a, b, *_ = [where[o] for o in operands] + [None]
+                ops.append((code, arg, node, where[number], a, b))
             else:
                 todo.append((number, True))
                 todo.extend((o, False) for o in reversed(operands))
-        program.append((_OP_OUT, expr, expr.root))
-    return tuple(program)
+        ops.append((_OP_OUT, expr, expr.root, None, where[out], None))
+    return _Code(tuple(ops), registers)
 
 
-def _program_of(expr: Expression) -> tuple:
+def _program_of(expr: Expression) -> _Code:
     program = expr._program
     if program is None:
         program = expr._program = _compile((expr,))
@@ -438,49 +451,39 @@ def _triple(entry):
     return (entry, None, None) if type(entry) is float else entry
 
 
-def _run(program: tuple, leaves, hess: bool, m, finish) -> list:
+def _run(program: _Code, leaves: list, hess: bool, m, finish) -> list:
     """finish(expr, entry) of each output in order, where an entry is a
     float or (value, gradient, Hessian).  Variable i reads the entry
     leaves[i], and the elementwise functions come from math (m is math) or
     numpy (m is np).  Gradients are carried from the leaves that have one;
     Hessians only when hess is set.  finish runs at its output's OUT, so an
     output it rejects stops the run before the next output's ops."""
-    stack, kept, outs = [], {}, []
-    push, pop = stack.append, stack.pop
-    node = None
+    regs = program.registers + leaves
+    outs, node = [], None
     try:
-        for code, arg, node in program:
+        for code, arg, node, target, a, b in program.ops:
             if code is _OP_BIN:
-                right = pop()
-                left = pop()
+                left, right = regs[a], regs[b]
                 if type(left) is float:
                     if type(right) is float:
-                        push(arg[0](left, right))
+                        regs[target] = arg[0](left, right)
                         continue
                     left = (left, None, None)
                 elif type(right) is float:
                     right = (right, None, None)
-                push(arg[1](left, right, hess, m))
-            # the rest by how often they come in a hash-consed program
-            elif code is _OP_LOAD:
-                push(kept[arg])
-            elif code is _OP_CONST:
-                push(arg)
-            elif code is _OP_KEEP:
-                kept[arg] = stack[-1]
-            elif code is _OP_VAR:
-                push(leaves[arg])
+                regs[target] = arg[1](left, right, hess, m)
+            # the rest by how often they come
             elif code is _OP_CALL:
-                a = pop()
-                push(arg[0](a) if type(a) is float else _call(arg, a, hess, m))
+                a = regs[a]
+                regs[target] = arg[0](a) if type(a) is float else _call(arg, a, hess, m)
             elif code is _OP_OUT:
-                outs.append(finish(arg, pop()))
+                outs.append(finish(arg, regs[a]))
             else:
-                a = pop()
+                a = regs[a]
                 if type(a) is float:
-                    push(-a)
+                    regs[target] = -a
                 else:
-                    push((-a[0], -a[1], None if a[2] is None else -a[2]))
+                    regs[target] = (-a[0], -a[1], None if a[2] is None else -a[2])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         node = getattr(node, "origin", node)
         what = node.name if type(node) is Call else repr(node.op)
@@ -498,8 +501,11 @@ def _seeds(n: int) -> tuple:
     return tuple(eye), tuple(eye[:, i : i + 1] for i in range(n))
 
 
-def _length_error(expr: Expression, point):
-    return ValueError(f"point has length {len(point)}, expected {expr.arity}")
+def _program_at(expr: Expression, point) -> _Code:
+    """The program of expr, for a point of its arity."""
+    if len(point) != expr.arity:
+        raise ValueError(f"point has length {len(point)}, expected {expr.arity}")
+    return _program_of(expr)
 
 
 def _not_finite(expr: Expression, what: str):
@@ -561,21 +567,21 @@ def _rows_out(rows: int):
 # an expression's own program through these; geometry runs a metric's.
 
 
-def _values(program: tuple, point) -> list:
+def _values(program: _Code, point) -> list:
     return _run(program, [float(c) for c in point], False, math, _value_out)
 
 
-def _gradients(program: tuple, point) -> list:
+def _gradients(program: _Code, point) -> list:
     leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
     return _run(program, leaves, False, math, _gradient_out)
 
 
-def _jets(program: tuple, point) -> list:
+def _jets(program: _Code, point) -> list:
     leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
     return _run(program, leaves, True, math, _jet_out)
 
 
-def _batches(program: tuple, x: np.ndarray) -> list:
+def _batches(program: _Code, x: np.ndarray) -> list:
     leaves = [(x[:, i], s, None) for i, s in enumerate(_seeds(x.shape[1])[1])]
     with np.errstate(all="ignore"):
         return _run(program, leaves, False, np, _rows_out(len(x)))
@@ -584,17 +590,13 @@ def _batches(program: tuple, x: np.ndarray) -> list:
 @np.errstate(all="ignore")
 def evaluate(expr: Expression, point) -> float:
     """Evaluate at a point (sequence of reals, length == arity)."""
-    if len(point) != expr.arity:
-        raise _length_error(expr, point)
-    return _values(_program_of(expr), point)[0]
+    return _values(_program_at(expr, point), point)[0]
 
 
 @np.errstate(all="ignore")
 def value_and_gradient(expr: Expression, point):
     """Returns (value, gradient ndarray of length arity)."""
-    if len(point) != expr.arity:
-        raise _length_error(expr, point)
-    out = _gradients(_program_of(expr), point)[0]
+    out = _gradients(_program_at(expr, point), point)[0]
     return out[0], np.array(out[1:])
 
 
@@ -603,9 +605,7 @@ def jet2(expr: Expression, point) -> Jet2:
     """Value, gradient, and Hessian at a point.  The Hessian is exactly
     symmetric, because every rule builds it from symmetric terms."""
     n = expr.arity
-    if len(point) != n:
-        raise _length_error(expr, point)
-    out = _jets(_program_of(expr), point)[0]
+    out = _jets(_program_at(expr, point), point)[0]
     return Jet2(out[0], np.array(out[1 : n + 1]), np.array(out[n + 1 :]).reshape(n, n))
 
 

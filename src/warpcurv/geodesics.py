@@ -1,26 +1,24 @@
 """Geodesics of a doubly warped product, integrated with classical RK4.
 
-Two interchangeable right-hand sides are provided on purpose, and they
-share no derivative.  rhs_full contracts the assembled product
-Christoffels of point data (closed_form._point_data: forward-mode
-gradients, numpy Christoffels).  rhs_split evaluates the paper's factor
-form: for each factor A against the other factor O, with w_A the warp
-that lives on A (f on the base, h on the fiber),
+Two interchangeable right-hand sides are provided on purpose.  rhs_full
+contracts the assembled product Christoffels, -Gamma^k_ij v^i v^j, in the
+closed form's blocks.  rhs_split evaluates the paper's factor form: for
+each factor A against the other factor O, with w_A the warp that lives
+on A (f on the base, h on the fiber),
 
     a_A = -Gamma_A(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
           - 2 (d ln w_O / ds) v_A,
 
-all factor quantities unwarped.  The two are algebraically identical, so
-their agreement checks the Christoffel blocks, and the integrator accepts
-either.
+all factor quantities unwarped.  The two are algebraically identical, and
+the integrator accepts either.
 
-The split program.  For factors of dim <= 3 the factor form is one
-straight-line program over the 2d floats (x, v), which the split module
-builds on the first split right-hand side and which is kept on the spec.
-Its derivatives are derivative trees (the derivative module), each
-repeated subtree computed once; the inverse metric is the adjugate over
-the determinant, and the lowered Christoffels are contracted with the
-velocity before the inverse is applied.  Its outputs come in
+The programs.  For factors of dim <= 3 each route is one straight-line
+program over the 2d floats (x, v), which the split module builds on the
+route's first right-hand side and keeps on the spec.  The two share the
+factor part, derivative trees (the derivative module) included, and
+differ in how they contract it, so their agreement checks the blocks;
+the closed form's forward-mode gradients and sympy's derivatives are the
+independent references for the derivatives.  The outputs come in
 _point_data's check order (base metric, f, fiber metric, h).  Each live
 metric entry and warp is followed by its derivatives and checked with
 them, as forward mode checks a value with its gradient; a factor's
@@ -28,9 +26,11 @@ determinant meets geometry._inverse_of's cutoff after the factor's
 entries, and a warp's sign is checked last.  So a point that fails
 raises the class _point_data raises there, and its message, except where
 two subexpressions of one entry fail at one point: the program meets the
-value's failure first, forward mode the first node's.  A factor of dim >
-3, or a metric entry beyond _ADJUGATE_PEAK, where _inverse_of turns to
-LAPACK, takes the factor form from point data instead (_accel_split).
+value's failure first, forward mode the first node's.  A program leaves
+out a term that is zero by structure, where point data may multiply an
+inf by 0.  A factor of dim > 3, or a metric entry beyond _ADJUGATE_PEAK,
+where _inverse_of turns to LAPACK, takes the route's formula over point
+data instead (_accel_full, _accel_split).
 
 The squared velocity norm <v, v> is monitored at every accepted sample;
 geodesics preserve it exactly in the continuum, so its drift measures
@@ -39,14 +39,14 @@ integration error and aborts the run when it passes a threshold.
 The integrator carries one state y = (position, velocity) as a list of
 floats and does numpy's RK4 arithmetic elementwise, in its order, so a run
 is bitwise the numpy loop over the public right-hand sides.  Each stage
-checks y's entries for finiteness once.  On the split route a stage is one
-run of the program; on the full route it computes point data once and
-contracts.  A step's first stage starts at the sample the previous step
-ended on, so the run that gives the sample its norm also gives that stage
-its acceleration: the norm is assemble_metric's arithmetic on the factor
-metrics and warps of that run, bitwise metric_at's values.  A stage or
-sample that is no longer finite ends the run with DomainExitError at the
-last healthy sample: the last one whose norm could be evaluated.
+checks y's entries for finiteness once and is one run of the route's
+program, or one pass of point data where there is none.  A step's first
+stage starts at the sample the previous step ended on, so the run that
+gives the sample its norm also gives that stage its acceleration: the
+norm is assemble_metric's arithmetic on the factor metrics and warps of
+that run, bitwise metric_at's values.  A stage or sample that is no
+longer finite ends the run with DomainExitError at the last healthy
+sample: the last one whose norm could be evaluated.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _christoffels_from_data, _point_data
+from .closed_form import _christoffels_from_data, _over, _point_data
 # unused here: bench/tracer.py wraps geodesics.christoffels_closed by name
 from .closed_form import christoffels_closed  # noqa: F401
 from .errors import (
@@ -120,21 +120,21 @@ def _accel_full(d, v: np.ndarray) -> np.ndarray:
 
 def _accel_split(d, v: np.ndarray) -> np.ndarray:
     """The factor form from point data d, for a product whose factors have
-    no split program (a factor of dim > 3, or a metric entry beyond
+    no program (a factor of dim > 3, or a metric entry beyond
     _ADJUGATE_PEAK at this point)."""
     accel = []
     for A, O in (d, d[::-1]):
         vA, vO = v[A.own], v[O.own]
         accel.append(
             -((A.gamma @ vA) @ vA)
-            + (A.w / (O.w * O.w)) * float(vO @ O.g @ vO) * A.dwU
+            + _over(A.w, O.w * O.w) * float(vO @ O.g @ vO) * A.dwU
             - 2.0 * float(O.lw @ vO) * vA
         )
     return np.concatenate(accel)
 
 
 # ---------------------------------------------------------------------------
-# The split program, built and run by the split module
+# The programs, built and run by the split module
 
 
 class _Fallback(Exception):
@@ -148,50 +148,52 @@ def _finite(accel: list) -> list:
     return accel
 
 
-def _split_of(spec: WarpedProductSpec):
-    """The split program of spec, built on first use and kept on it."""
-    split = spec._split
-    if split is None:
+def _program_of(spec: WarpedProductSpec, route: str):
+    """The route's program of spec, built on first use and kept on it."""
+    program = spec._programs.get(route)
+    if program is None:
         from .split import build  # imported with the first program it builds
 
-        split = build(spec)
-        object.__setattr__(spec, "_split", split)
-    return split
+        program = spec._programs[route] = build(spec, route)
+    return program
 
 
-def _split_values(split, y: list) -> list:
-    """The split program's checked outputs at the state y = [*x, *v], a
-    list of 2d floats; the acceleration is the last d."""
-    return split.values(y)
+def _values(program, y: list) -> list:
+    """A program's checked outputs at the state y = [*x, *v], a list of 2d
+    floats; the acceleration is the last d."""
+    return program.values(y)
 
 
 # integrate looks its right-hand side up here at call time, and so do the
-# public right-hand sides: "full" is a formula over point data, "split" one
-# run of the split program
-_RHS = {"full": _accel_full, "split": _split_values}
+# public right-hand sides: one run of the route's program; where there is
+# none, the route's formula over point data
+_RHS = {"full": _values, "split": _values}
+_FORMULAS = {"full": _accel_full, "split": _accel_split}
+
+
+def _rhs(spec: WarpedProductSpec, state: GeodesicState, route: str) -> np.ndarray:
+    pp = _as_product_point(spec, state.position)
+    program = _program_of(spec, route)
+    if program:
+        y = pp.full.tolist() + state.velocity.tolist()
+        try:
+            return np.array(_finite(_RHS[route](program, y)[-spec.dim:]))
+        except _Fallback:
+            pass
+    d = _point_data(spec, pp, with_hessians=False)
+    return np.array(_finite(_FORMULAS[route](d, state.velocity).tolist()))
 
 
 @np.errstate(all="ignore")
 def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
-    a = _RHS["full"](_point_data(spec, state.position, with_hessians=False), state.velocity)
-    _finite(a.tolist())
-    return a
+    return _rhs(spec, state, "full")
 
 
 @np.errstate(all="ignore")
 def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
-    """Acceleration in factor form, from one run of the split program."""
-    pp = _as_product_point(spec, state.position)
-    split = _split_of(spec)
-    if split:
-        y = pp.full.tolist() + state.velocity.tolist()
-        try:
-            return np.array(_finite(_RHS["split"](split, y)[-spec.dim:]))
-        except _Fallback:
-            pass
-    d = _point_data(spec, pp, with_hessians=False)
-    return np.array(_finite(_accel_split(d, state.velocity).tolist()))
+    """Acceleration in factor form."""
+    return _rhs(spec, state, "split")
 
 
 def _norm(gb: np.ndarray, gf: np.ndarray, f: float, h: float, v: np.ndarray) -> float:
@@ -233,9 +235,7 @@ def integrate(
         raise ValueError("step must be positive")
     if s_end < initial.s:
         raise ValueError("s_end must be >= the initial parameter value")
-    accel = _RHS[rhs]
-    split = _split_of(spec) if rhs == "split" else False
-    formula = _accel_split if rhs == "split" else accel
+    accel, formula, program = _RHS[rhs], _FORMULAS[rhs], _program_of(spec, rhs)
     m, dim = spec.base.dim, spec.dim
 
     span = s_end - initial.s
@@ -255,9 +255,9 @@ def integrate(
 
     def at(y: list):
         """(acceleration, what the norm reads) at a checked state y."""
-        if split:
+        if program:
             try:
-                values = accel(split, y)
+                values = accel(program, y)
                 return values[-dim:], values
             except _Fallback:
                 pass
@@ -282,7 +282,7 @@ def integrate(
         except _EXITS as exc:
             return exc, float(v @ assemble_metric(spec, sample.position) @ v)
         if type(data) is list:
-            return a, _norm(*split.parts(data), v)
+            return a, _norm(*program.parts(data), v)
         B, F = data
         return a, _norm(B.g, F.g, B.w, F.w, v)
 

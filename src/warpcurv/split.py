@@ -1,4 +1,4 @@
-"""The split geodesic acceleration as one straight-line program.
+"""The geodesic acceleration as one straight-line program per route.
 
 For each factor A against the other factor O, with w_A the warp that lives
 on A (f on the base, h on the fiber), the paper's factor form is
@@ -7,14 +7,21 @@ on A (f on the base, h on the fiber), the paper's factor form is
           - 2 (d ln w_O / ds) v_A,
 
 an explicit function of the 2d numbers (x, v).  build writes it as one
-program for expr's interpreter: the factor metrics' entries, their
-adjugate determinants and the warps, each followed by its derivative trees
-(the derivative module), then the acceleration, with the inverse metric as
-the adjugate over the determinant and the lowered Christoffels contracted
-with the velocity first.  Each repeated subtree is computed once.
+program for expr's interpreter.  Both routes share the factor part
+(_factor): the factor metrics' entries, their adjugate determinants and
+the warps, each followed by its derivative trees (the derivative module)
+and checked as _point_data checks it.  They differ only in the
+acceleration, with the inverse metric as the adjugate over the
+determinant in both:
 
-geodesics imports this module and builds a spec's program on its first
-split right-hand side; Program.values is then one run per point.
+- "split" contracts the lowered factor Christoffels with the velocity
+  first and divides by the determinant once (_split_nodes);
+- "full" writes the closed form's assembled product Christoffel blocks,
+  each once per side, and contracts them (_full_nodes).
+
+Each repeated subtree is computed once.  geodesics imports this module
+with the first program it builds, on a route's first right-hand side for
+a spec; Program.values is then one run per point.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ from .warped import WarpedProductSpec
 
 
 class Program:
-    """A spec's split program, with what its values place: tail holds the
-    constant entries and warps, gathers the flat positions of g_B, g_F and
-    (f, h) in values + tail."""
+    """A route's program for a spec, with what its values place: tail
+    holds the constant entries and warps, gathers the flat positions of
+    g_B, g_F and (f, h) in values + tail."""
 
     __slots__ = ("program", "tail", "gathers", "m", "n")
 
@@ -91,7 +98,7 @@ def _check(check, last, values):
 
 
 class _Out:
-    """One output of the split program: its tree, and the check its value
+    """One output of a program: its tree, and the check its value
     must pass, a tuple for _check, or None."""
 
     __slots__ = ("root", "check")
@@ -149,12 +156,12 @@ def _sum(terms):
 
 
 def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs, tail):
-    """One factor's part of the split program: its metric entries, then
-    their determinant, then the warp that lives on it.  A live entry or
-    warp is an output, followed by its derivatives and preceded by the
-    derivatives that forward mode takes and drops (its guards).  A constant
-    one goes to tail instead, and a check on constants that passes is not
-    repeated at every run."""
+    """One factor's part of either route's program: its metric entries,
+    then their determinant, then the warp that lives on it.  A live entry
+    or warp is an output, followed by its derivatives and preceded by the
+    derivatives that forward mode takes and drops (its guards).  A
+    constant one goes to tail instead, and a check on constants that
+    passes is not repeated at every run."""
     k = factor.dim
     own = range(offset, offset + k)
 
@@ -236,19 +243,16 @@ def _adjugate_nodes(g):
     return adj
 
 
-def _accel_nodes(A, O):
-    """a_A = g_A^-1 (c_A dw_A - L) - 2 (d ln w_O / ds) v_A, with
-    c_A = (w_A / w_O^2) <v_O, v_O>_O and L_l = Gamma_{l,ab} v^a v^b, the
-    lowered Christoffels contracted with the velocity first: over the
-    pairs a <= b, Gamma_{l,aa} = d_a g_la - d_l g_aa / 2, and an
-    off-diagonal pair counts twice, 2 Gamma_{l,ab} = d_a g_lb + d_b g_la -
-    d_l g_ab.  Where l is a or b, two of those terms cancel and are left
-    out."""
-    k, dg = A.k, A.dg
-    L = []
-    for l in range(k):
-        terms = []
-        for a, b, vv in A.pairs:
+def _lowered(A):
+    """[l][p]: the lowered Christoffel Gamma_{l,ab} of each pair p = (a, b),
+    a <= b, doubled where a != b, since a contraction over the pairs meets
+    (a, b) and (b, a) there: Gamma_{l,aa} = d_a g_la - d_l g_aa / 2, and
+    2 Gamma_{l,ab} = d_a g_lb + d_b g_la - d_l g_ab.  Where l is a or b,
+    two of those terms cancel and are left out."""
+    dg, out = A.dg, []
+    for l in range(A.k):
+        row = []
+        for a, b, _ in A.pairs:
             if a == b == l:
                 gamma = _fold("*", Const(0.5), dg[l][l][l])
             elif a == b:
@@ -258,14 +262,33 @@ def _accel_nodes(A, O):
                 gamma = dg[l][l][b if l == a else a]
             else:
                 gamma = _fold("-", _fold("+", dg[l][b][a], dg[l][a][b]), dg[a][b][l])
-            terms.append(_fold("*", gamma, vv))
-        L.append(_sum(terms))
+            row.append(gamma)
+        out.append(row)
+    return out
+
+
+def _contract(coefficients, A):
+    """sum over the pairs p of coefficients[p] v_a v_b."""
+    return _sum(_fold("*", c, vv) for c, (_, _, vv) in zip(coefficients, A.pairs))
+
+
+def _norm(O):
+    """<v_O, v_O>_O, the diagonal pairs first."""
+    diagonal = _sum(_fold("*", O.g[a][a], vv) for a, b, vv in O.pairs if a == b)
+    rest = _sum(_fold("*", O.g[a][b], vv) for a, b, vv in O.pairs if a != b)
+    return _fold("+", diagonal, _fold("*", Const(2.0), rest))
+
+
+def _split_nodes(A, O):
+    """The factor form a_A = g_A^-1 (c_A dw_A - L) - 2 (d ln w_O / ds) v_A,
+    with c_A = (w_A / w_O^2) <v_O, v_O>_O and L_l = Gamma_{l,ab} v^a v^b:
+    the lowered Christoffels are contracted with the velocity first, and
+    the adjugate is applied before the one division by the determinant."""
+    k = A.k
+    L = [_contract(row, A) for row in _lowered(A)]
     force = None
     if any(d is not None for d in A.dw):
-        diagonal = _sum(_fold("*", O.g[a][a], vv) for a, b, vv in O.pairs if a == b)
-        rest = _sum(_fold("*", O.g[a][b], vv) for a, b, vv in O.pairs if a != b)
-        norm = _fold("+", diagonal, _fold("*", Const(2.0), rest))
-        force = _fold("*", _fold("/", A.w, _exact("*", O.w, O.w)), norm)
+        force = _fold("*", _fold("/", A.w, _exact("*", O.w, O.w)), _norm(O))
     R = [_fold("-", _fold("*", force, A.dw[l]), L[l]) for l in range(k)]
     rate = _fold("/", _sum(_fold("*", O.dw[j], O.v[j]) for j in range(O.k)), O.w)
     rate = _fold("*", Const(2.0), rate)
@@ -277,9 +300,37 @@ def _accel_nodes(A, O):
     ]
 
 
-def build(spec: WarpedProductSpec):
-    """The split acceleration's Program, or False when a factor has
-    dim > 3.
+def _full_nodes(A, O):
+    """a_k = -G^k_ij v^i v^j for k on side A, over the assembled blocks
+    with the upper index on A, as closed_form._christoffels_from_data
+    writes them: the factor's Christoffels Gamma^k_ab = (g_A^-1)_kl
+    Gamma_{l,ab}, with g_A^-1 the adjugate over the determinant;
+    G[A,O,O] = -(w_A / w_O^2) (g_A^-1 dw_A) (x) g_O; and G[k,k,o] =
+    G[k,o,k] = d_o w_O / w_O."""
+    k = A.k
+    adj = _adjugate_nodes(A.g)
+    inv = [[_fold("/", adj[i][l], A.det) for l in range(k)] for i in range(k)]
+    lowered = _lowered(A)
+    gamma = [[_sum(_fold("*", inv[i][l], row[p]) for l, row in enumerate(lowered))
+              for p in range(len(A.pairs))] for i in range(k)]  # [k][p] = Gamma^k_ab
+    own = [_contract(row, A) for row in gamma]
+    other = [None] * k
+    if any(d is not None for d in A.dw):
+        scale = _fold("*", _fold("-", None, _fold("/", A.w, _exact("*", O.w, O.w))), _norm(O))
+        other = [_fold("*", _sum(_fold("*", inv[i][l], A.dw[l]) for l in range(k)), scale)
+                 for i in range(k)]
+    rate = _sum(_fold("*", _fold("/", O.dw[o], O.w), O.v[o]) for o in range(O.k))
+    rate = _fold("*", Const(2.0), rate)
+    return [_fold("-", None, _sum((own[i], other[i], _fold("*", rate, A.v[i]))))
+            for i in range(k)]
+
+
+_ROUTES = {"split": _split_nodes, "full": _full_nodes}
+
+
+def build(spec: WarpedProductSpec, route: str):
+    """The Program of a route, "split" or "full", or False when a factor
+    has dim > 3.
 
     The program runs at order 0 over the 2d leaves (x, v).  Its outputs
     come in _point_data's check order: the base metric's live entries and
@@ -297,8 +348,9 @@ def build(spec: WarpedProductSpec):
     F = _factor(spec.fiber, spec.h, "h", m, dim, outs, tail)
     # the acceleration is left unchecked: integrate finds a non-finite one
     # in the next stage's state, and the public right-hand sides check it
+    accel = _ROUTES[route]
     outs += [_Out(Const(0.0) if a is None else a)
-             for A, O in ((B, F), (F, B)) for a in _accel_nodes(A, O)]
+             for A, O in ((B, F), (F, B)) for a in accel(A, O)]
 
     def index(ref):
         return ref if ref >= 0 else len(outs) - 1 - ref

@@ -70,9 +70,9 @@ class WarpedProductSpec:
     f: ScalarFieldSpec  # on the base, scales the fiber block
     h: ScalarFieldSpec  # on the fiber, scales the base block
     name: str = ""
-    # the split geodesic acceleration's program (split.Program), built on
-    # the first split right-hand side; False when a factor has dim > 3
-    _split: object = field(default=None, init=False, repr=False, compare=False)
+    # route -> its geodesic acceleration's program (split.Program), built on
+    # the route's first right-hand side; False when a factor has dim > 3
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f.expr.arity != self.base.dim:

@@ -423,6 +423,33 @@ def test_a_warp_beyond_the_float_range_squared_exits_3(tmp_path, capsys, argv):
     assert "finite" in _one_line(captured.err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--point", "0.3,0"],
+        ["curvature", "--point", "0.3,0", "--oracle"],
+        ["geodesic", "--init", "0.3,0;1,1", "--s-end", "1"],
+        ["geodesic", "--init", "0.3,0;1,1", "--s-end", "1", "--rhs", "split"],
+    ],
+    ids=" ".join,
+)
+def test_a_warp_whose_square_underflows_exits_3_or_prints_finite_numbers(tmp_path, capsys, argv):
+    # f ~ 2e-170 is positive, f*f underflows to 0: the closed form divides
+    # by it, and the geodesic programs leave out the one term it scales,
+    # which h's zero gradient makes zero
+    path = _write_manifest(tmp_path, [["1"]], warp_f="1e-170*(2 + sin(x0))")
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    if argv[0] == "curvature":
+        assert code == 3 and captured.out == ""
+        assert "not finite" in _one_line(captured.err)
+        return
+    assert code == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if line[:1].isdigit()]
+    assert len(rows) == 1001
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 ERROR_EXITS = [
     (errors.WarpcurvError("boom"), 2),
     (errors.ExpressionError("boom"), 2),

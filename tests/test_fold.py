@@ -20,7 +20,7 @@ from warpcurv.closed_form import (
 )
 from warpcurv.errors import DegenerateMetricError, NonpositiveWarpError
 from warpcurv.expr import jet2, value_and_gradient
-from warpcurv.geodesics import GeodesicState
+from warpcurv.geodesics import GeodesicState, _accel_full
 from warpcurv.geometry import (
     MetricSpec,
     _christoffels_from_parts,
@@ -143,9 +143,12 @@ def test_folded_point_data_is_bitwise_the_unfolded(label, load):
         gamma = _christoffels_from_data(lean)
         assert _bits(christoffels_closed(spec, x)) == _bits(gamma)
         state = GeodesicState(0.0, pp, v)
-        assert _bits(rhs_full(spec, state)) == _bits(-((gamma @ v) @ v))
-        # rhs_split runs the split program, not point data: it agrees with
-        # the factor form on the records to roundoff
+        want = -((gamma @ v) @ v)
+        folded = _accel_full(_point_data(spec, pp, with_hessians=False), v)
+        assert _bits(folded) == _bits(_accel_full(lean, v)) == _bits(want)
+        # the public right-hand sides run their routes' programs, not point
+        # data: each agrees with its formula on the records to roundoff
+        assert np.abs(rhs_full(spec, state) - want).max() <= 1e-13 * np.abs(want).max()
         want = _split_reference(lean, v)
         assert np.abs(rhs_split(spec, state) - want).max() <= 1e-13 * np.abs(want).max()
         b = bundle_closed(spec, x, None, "common")
@@ -168,12 +171,17 @@ def test_building_folds_nothing_and_the_cache_is_read_only(label, load):
     x = np.asarray(mf.box).mean(axis=1)
     _point_data(spec, x)
     base, fiber = _point_data(spec, x, with_hessians=False)
-    rhs_full(spec, GeodesicState(0.0, ProductPoint.from_full(x, spec.base.dim), np.ones(spec.dim)))
-    # the split program is built by the first split right-hand side, and
-    # by nothing before it
-    assert spec._split is None
-    rhs_split(spec, GeodesicState(0.0, ProductPoint.from_full(x, spec.base.dim), np.ones(spec.dim)))
-    assert spec._split is not None
+    # each route's program is built by the route's first right-hand side,
+    # by nothing before it, and by no other route
+    assert spec._programs == {}
+    state = GeodesicState(0.0, ProductPoint.from_full(x, spec.base.dim), np.ones(spec.dim))
+    rhs_full(spec, state)
+    assert list(spec._programs) == ["full"]
+    rhs_split(spec, state)
+    assert spec._programs["full"] is not spec._programs["split"]
+    other = load().spec
+    rhs_split(other, state)
+    assert list(other._programs) == ["split"]
     for factor, warp, record in ((spec.base, spec.f, base), (spec.fiber, spec.h, fiber)):
         assert (factor._fold is not None) == all(
             e._constant is not None for row in factor.components for e in row

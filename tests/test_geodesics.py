@@ -14,8 +14,9 @@ from warpcurv.errors import (
     StepTooLargeError,
 )
 from warpcurv.geodesics import GeodesicState, Trajectory, integrate, rhs_full, rhs_split
+from warpcurv.closed_form import christoffels_closed
 from warpcurv.geometry import MetricSpec, christoffels_of
-from warpcurv.manifest import catalog_names, load_catalog, load_manifest
+from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
 from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric, assemble_metric
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
@@ -316,13 +317,18 @@ def _reference_integrate(spec, initial, s_end, step, rhs="full", abort_drift=1e-
     return Trajectory(samples, np.asarray(norms))
 
 
-def _fan_starts():
-    """The first state of each of the benchmark's geodesic fans, with its
-    manifest's spec and step."""
+def _bench_workloads():
     path = Path(__file__).parents[1] / "bench" / "workloads.py"
     module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _fan_starts():
+    """The first state of each of the benchmark's geodesic fans, with its
+    manifest's spec and step."""
+    workloads = _bench_workloads()
     out = []
     for k, (name, make, _, step) in enumerate(workloads.GEODESIC_FANS):
         spec = load_catalog(name).spec
@@ -406,11 +412,33 @@ def test_a_warp_whose_square_overflows_raises_a_warpcurv_error():
     assert exc.value.s == 0.0
 
 
+def test_the_full_program_is_the_closed_form_contraction():
+    """rhs_full runs a program over derivative trees, christoffels_closed
+    contracts forward mode's gradients: at seeded points of every catalog
+    entry, valid fixture and dense manifest they agree to 1e-13."""
+    fixtures = Path(__file__).parent / "fixtures"
+    manifests = [load_catalog(name) for name in catalog_names()]
+    manifests += [load_manifest(fixtures / f"{n}.json")
+                  for n in ("shifted-warp", "doubly-exp-2x2")]
+    manifests += [parse_manifest(doc, source=doc["name"])
+                  for doc in _bench_workloads().dense_manifests(1)]
+    rng = np.random.default_rng(12)
+    for mf in manifests:
+        spec, box = mf.spec, np.asarray(mf.box)
+        for _ in range(20):
+            x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(spec.dim)
+            v = rng.standard_normal(spec.dim)
+            want = -((christoffels_closed(spec, x) @ v) @ v)
+            got = rhs_full(spec, state(spec, x, v))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (mf.name, x.tolist())
+        assert spec._programs["full"] and "split" not in spec._programs
+
+
 def test_products_without_a_split_program_take_the_factor_form_from_point_data():
-    """A factor of dim > 3 has no split program, and a metric entry beyond
-    1e100 sends its point to point data, as _inverse_of turns to LAPACK;
-    both still agree with rhs_full, and integrate matches the reference
-    loop over rhs_split."""
+    """A factor of dim > 3 has no program, and a metric entry beyond 1e100
+    sends its point to point data, as _inverse_of turns to LAPACK; there
+    rhs_full is the closed form's contraction, rhs_split agrees with it,
+    and integrate matches the reference loop over either."""
     space = MetricSpec.from_strings(
         4, [["1 + x0^2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
             ["0", "0", "0", "exp(x1)"]]
@@ -426,8 +454,13 @@ def test_products_without_a_split_program_take_the_factor_form_from_point_data()
         for _ in range(10):
             st = state(spec, rng.uniform(-0.5, 0.5, spec.dim), rng.standard_normal(spec.dim))
             want = rhs_full(spec, st)
+            # the full route's point data is the closed form's contraction
+            gamma = christoffels_closed(spec, st.position)
+            assert want.tobytes() == (-((gamma @ st.velocity) @ st.velocity)).tobytes()
             assert np.abs(rhs_split(spec, st) - want).max() <= 1e-12 * np.abs(want).max()
         start = state(spec, [0.2] * spec.dim, [0.3] * spec.dim)
-        _same_run(integrate(spec, start, 0.2, 0.01, rhs="split"),
-                  _reference_integrate(spec, start, 0.2, 0.01, rhs="split"))
-    assert wide._split is False and huge._split
+        for rhs in ("full", "split"):
+            _same_run(integrate(spec, start, 0.2, 0.01, rhs=rhs),
+                      _reference_integrate(spec, start, 0.2, 0.01, rhs=rhs))
+    assert wide._programs == {"full": False, "split": False}
+    assert huge._programs["full"] and huge._programs["split"]

@@ -15,10 +15,11 @@ from test_factor_curvature import IDS, MANIFESTS
 from warpcurv import geometry
 from warpcurv.errors import EvalDomainError
 from warpcurv.expr import (
+    _OP_BIN,
     _OP_CALL,
-    _OP_KEEP,
-    _OP_LOAD,
+    _OP_CONST,
     _OP_OUT,
+    _OP_VAR,
     _compile,
     _postfix,
     evaluate,
@@ -156,14 +157,19 @@ def test_first_failing_component_raises_what_the_loop_raises():
 
 def test_a_lone_expression_compiles_to_its_postfix_and_one_out():
     alone = parse_expression("x0*sin(x1) - 2^x0 + sin(x0)", 2)
-    ops = [(code, arg) for code, arg, _ in _compile([alone])]
-    assert ops[:-1] == [(code, arg) for code, arg, _ in _postfix(alone.root)]
+    ops = [(code, arg) for code, arg, *_ in _compile([alone]).ops]
+    # leaves and constants are registers filled before the run, so the ops
+    # are the postfix's operations alone
+    assert ops[:-1] == [(code, arg) for code, arg, _ in _postfix(alone.root)
+                        if code not in (_OP_CONST, _OP_VAR)]
     assert ops[-1] == (_OP_OUT, alone)
-    # a repeated subtree is computed once, kept, and loaded where it repeats
+    # a repeated subtree is computed by one op, and both reads name its register
     twice = parse_expression("sin(x0 + 1)*sin(x0 + 1)", 1)
-    codes = [op[0] for op in _compile([twice])]
-    assert codes.count(_OP_CALL) == 1
-    assert codes.count(_OP_KEEP) == 1 and codes.count(_OP_LOAD) == 1
+    ops = _compile([twice]).ops
+    assert [op[0] for op in ops] == [_OP_BIN, _OP_CALL, _OP_BIN, _OP_OUT]
+    (_, _, _, sine, _, _), (_, _, _, product, left, right) = ops[1:3]
+    assert left == right == sine
+    assert ops[3][4] == product
 
 
 def _dense_3x3():
@@ -172,7 +178,7 @@ def _dense_3x3():
 
 
 def _outputs(program):
-    return [arg for code, arg, _ in program if code is _OP_OUT]
+    return [arg for code, arg, *_ in program.ops if code is _OP_OUT]
 
 
 def test_plain_chart_program_shares_the_warps():
@@ -186,7 +192,7 @@ def test_plain_chart_program_shares_the_warps():
     # each warp is exp(...) and no factor component calls exp
     factors = [e for f in (mf.spec.base, mf.spec.fiber) for row in f.components for e in row]
     assert not any("exp" in format_expression(e) for e in factors)
-    exps = [op for op in program if op[0] is _OP_CALL and op[2].name == "exp"]
+    exps = [op for op in program.ops if op[0] is _OP_CALL and op[2].name == "exp"]
     assert len(exps) == 2
     separate = sum(len(_compile([e])) for e in live)
     assert len(program) < separate / 2

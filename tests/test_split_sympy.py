@@ -1,4 +1,4 @@
-"""The geodesic right-hand sides against a third derivative source.
+"""The geodesic right-hand sides against an independent derivative source.
 
 sympy differentiates the manifest's own expression text; the paper's
 factor form is then contracted from those derivatives with numpy:
@@ -6,9 +6,9 @@ factor form is then contracted from those derivatives with numpy:
     a_A = -Gamma_A(v_A, v_A) + (w_A / w_O^2) <v_O, v_O>_O grad_A w_A
           - 2 (d ln w_O / ds) v_A.
 
-The split program takes its derivatives from expr's derivative trees and
-rhs_full from forward mode, so neither shares a derivative with this
-reference.
+Both right-hand sides are programs over the same derivative trees (the
+derivative module) and differ only in how they contract them, so sympy is
+the reference their derivatives are held to.
 """
 
 import importlib.util
