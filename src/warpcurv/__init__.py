@@ -23,7 +23,6 @@ from .closed_form import bundle_closed, christoffels_closed
 from .errors import (
     ArityError,
     DegenerateMetricError,
-    DegeneratePlaneError,
     DomainExitError,
     EvalDomainError,
     ExpressionError,
@@ -51,7 +50,6 @@ from .geodesics import GeodesicState, Trajectory, integrate, rhs_full, rhs_split
 from .geometry import (
     MetricSpec,
     Point,
-    ScalarFieldSpec,
     christoffels_of,
     metric_at,
 )
@@ -62,7 +60,6 @@ from .oracle import (
     TensorComparison,
     bundle_fd,
     compare_bundles,
-    sectional_fd,
 )
 from .warped import (
     ProductPoint,
@@ -80,7 +77,6 @@ __all__ = [
     "christoffels_closed",
     "ArityError",
     "DegenerateMetricError",
-    "DegeneratePlaneError",
     "DomainExitError",
     "EvalDomainError",
     "ExpressionError",
@@ -108,7 +104,6 @@ __all__ = [
     "rhs_split",
     "MetricSpec",
     "Point",
-    "ScalarFieldSpec",
     "christoffels_of",
     "metric_at",
     "Manifest",
@@ -121,7 +116,6 @@ __all__ = [
     "TensorComparison",
     "bundle_fd",
     "compare_bundles",
-    "sectional_fd",
     "ProductPoint",
     "WarpedProductSpec",
     "as_plain_metric",

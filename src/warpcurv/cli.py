@@ -77,6 +77,11 @@ def _parse_reals(text: str, what: str) -> np.ndarray:
     return values
 
 
+def _tolerance(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ManifestError(f"{flag} must be finite and >= 0, got {value!r}")
+
+
 def _parse_box(text: str, dim: int) -> np.ndarray:
     spans = text.split(",")
     if len(spans) != dim:
@@ -125,6 +130,8 @@ def _bundle_json(bundle: CurvatureBundle) -> dict:
 
 
 def cmd_curvature(mf: Manifest, args) -> int:
+    if args.check is not None:
+        _tolerance("--check", args.check)
     point = _parse_reals(args.point, "--point")
     if len(point) != mf.dim:
         raise ManifestError(f"--point needs {mf.dim} coordinates, got {len(point)}")
@@ -154,6 +161,7 @@ def cmd_curvature(mf: Manifest, args) -> int:
 def cmd_verify(mf: Manifest, args) -> int:
     if args.samples < 1:
         raise ManifestError(f"--samples must be at least 1, got {args.samples}")
+    _tolerance("--tol", args.tol)
     if args.box is not None:
         box = _parse_box(args.box, mf.dim)
     elif mf.box is not None:
@@ -220,6 +228,9 @@ def cmd_geodesic(mf: Manifest, args) -> int:
         raise ManifestError(f"--s-end must be finite and >= 0, got {args.s_end!r}")
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ManifestError(f"--step must be finite and positive, got {args.step!r}")
+    _tolerance("--drift-tol", args.drift_tol)
+    _tolerance("--path-tol", args.path_tol)
+    _tolerance("--abort-drift", args.abort_drift)
     if args.s_end / args.step > MAX_GEODESIC_STEPS:
         raise ManifestError(
             f"--s-end / --step asks for {args.s_end / args.step:.3g} steps, "

@@ -34,14 +34,16 @@ gives both R[B,F,B,F] and R[F,B,F,B].
 
 bundle_closed is the one curvature entry point: it evaluates the point
 data once, factor curvature included, and builds all four tensors from
-it.  christoffels_closed, for the geodesic right-hand side, needs only
-first derivatives.
+it.  christoffels_closed needs only first derivatives; it is the
+forward-mode reference that the tests hold geodesics.rhs_full to.
 
 What does not depend on the point is folded: a constant factor metric's
-inverse and Christoffels, and a constant warp's jet, are computed at the
-first evaluation by the calls that compute them at any point, and cached
-read-only (_metric_data, _warp_data).  Building a spec computes nothing,
-and a fold that raises is not cached, so it raises at every call.
+inverse and Christoffels are computed at the first evaluation, by the
+calls that compute them at any point, and cached read-only on its
+MetricSpec (_metric_data); a constant warp has geometry._constant_value
+and shared read-only zero derivatives (_warp_data).  Building a spec
+computes nothing.  A fold that raises is not cached, and a nonpositive
+constant warp is rejected, at every call.
 
 Internally the Riemann array is built in the 'common' sign convention
 (R(X,Y) = [D_X,D_Y] - D_[X,Y]) and negated on request; Ricci and scalar
@@ -50,6 +52,7 @@ never depend on that choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -57,13 +60,12 @@ import numpy as np
 
 from .bundle import CurvatureBundle
 from .errors import EvalDomainError, NonpositiveWarpError, NumericalInstabilityError
-from .expr import _gradients, _jets, _program_of
+from .expr import Expression, _gradients, _jets, _program_of
 # unused here: bench/tracer.py wraps closed_form.jet2 and
 # closed_form.value_and_gradient by name
 from .expr import jet2, value_and_gradient  # noqa: F401
 from .geometry import (
     MetricSpec,
-    ScalarFieldSpec,
     _christoffels_from_parts,
     _constant_value,
     _grid,
@@ -155,30 +157,32 @@ def _metric_data(factor: MetricSpec, coords, hessians: bool):
     return g, ginv, gamma, DD
 
 
-def _warp_data(warp: ScalarFieldSpec, coords, which: str, hessians: bool):
+@functools.cache
+def _zero_jet(k: int) -> tuple:
+    """(gradient, Hessian) of a constant on a k-dim factor: exact zeros,
+    shared read-only."""
+    return _read_only(np.zeros(k), np.zeros((k, k)))
+
+
+def _warp_data(warp: Expression, coords, which: str, hessians: bool):
     """(w, dw, lw, hess) of the warp that lives on a factor: its value,
     checked positive, its gradient, d(ln w) and, with Hessians, its Hessian
-    (else None).  A warp that reads no variable is kept on its Expression,
-    as a jet, once its value is found positive."""
-    expr = warp.expr
-    cached = expr._fold
-    if cached is None:
-        k = expr.arity
-        fold = _constant_value(expr) is not None
-        if hessians or fold:
-            out = _jets(_program_of(expr), coords)[0]
-            hess = np.array(out[k + 1 :]).reshape(k, k)
-        else:
-            out = _gradients(_program_of(expr), coords)[0]
-            hess = None
-        w, dw = out[0], np.array(out[1 : k + 1])
-        if not w > 0.0:
-            raise NonpositiveWarpError(which, w)
-        if not fold:
-            return w, dw, dw / w, hess
-        cached = expr._fold = (w, *_read_only(dw, dw / w, hess))
-    w, dw, lw, hess = cached
-    return w, dw, lw, hess if hessians else None
+    (else None).  A warp that reads no variable has its cached constant
+    value and _zero_jet's derivatives, d(ln w) the gradient itself."""
+    k = warp.arity
+    w = _constant_value(warp)
+    constant = w is not None
+    if constant:
+        dw, hess = _zero_jet(k)
+    elif hessians:
+        out = _jets(_program_of(warp), coords)[0]
+        w, dw, hess = out[0], np.array(out[1 : k + 1]), np.array(out[k + 1 :]).reshape(k, k)
+    else:
+        out = _gradients(_program_of(warp), coords)[0]
+        w, dw, hess = out[0], np.array(out[1 : k + 1]), None
+    if not w > 0.0:
+        raise NonpositiveWarpError(which, w)
+    return w, dw, dw if constant else dw / w, hess if hessians else None
 
 
 def _factor_data(factor: MetricSpec, coords, warp, which: str, own: slice, hessians: bool):

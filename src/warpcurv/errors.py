@@ -95,11 +95,6 @@ class NumericalInstabilityError(OracleError):
     than the documented tolerance."""
 
 
-class DegeneratePlaneError(OracleError):
-    """Sectional curvature requested for a plane whose induced Gram
-    determinant vanishes."""
-
-
 class GeodesicError(WarpcurvError):
     """Base class for integrator failures."""
 

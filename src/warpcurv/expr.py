@@ -115,15 +115,13 @@ class BinOp(Node):
 class Expression:
     """A parsed expression together with its declared arity."""
 
-    # _constant is left unset until geometry first folds the expression;
-    # _fold holds a constant warp's jet once the closed form has taken it
-    __slots__ = ("root", "arity", "_program", "_constant", "_fold")
+    # _constant is left unset until geometry first folds the expression
+    __slots__ = ("root", "arity", "_program", "_constant")
 
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
         self._program = None  # register program, compiled on first use
-        self._fold = None
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r}, arity={self.arity})"

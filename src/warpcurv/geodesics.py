@@ -164,24 +164,33 @@ def _values(program, y: list) -> list:
     return program.values(y)
 
 
-# integrate looks its right-hand side up here at call time, and so do the
-# public right-hand sides: one run of the route's program; where there is
-# none, the route's formula over point data
+# per route, one run of its program, and its formula where it has none or
+# falls back; _accel looks both up at call time
 _RHS = {"full": _values, "split": _values}
 _FORMULAS = {"full": _accel_full, "split": _accel_split}
 
 
-def _rhs(spec: WarpedProductSpec, state: GeodesicState, route: str) -> np.ndarray:
-    pp = _as_product_point(spec, state.position)
-    program = _program_of(spec, route)
+def _accel(spec: WarpedProductSpec, route: str, program, y: list):
+    """(acceleration, what the norm reads) at the state y = [*x, *v], 2d
+    floats whose position the caller has found finite: one run of the
+    route's program and its values, or, where the route has no program
+    (False) or it falls back at y, the route's formula and its point data.
+    The integrator's stages and the public right-hand sides all come here."""
+    m, n = spec.base.dim, spec.fiber.dim
     if program:
-        y = pp.full.tolist() + state.velocity.tolist()
         try:
-            return np.array(_finite(_RHS[route](program, y)[-spec.dim:]))
+            values = _RHS[route](program, y)
+            return values[-(m + n):], values
         except _Fallback:
             pass
+    pp = ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m : m + n]))
     d = _point_data(spec, pp, with_hessians=False)
-    return np.array(_finite(_FORMULAS[route](d, state.velocity).tolist()))
+    return _FORMULAS[route](d, np.array(y[m + n :])).tolist(), d
+
+
+def _rhs(spec: WarpedProductSpec, state: GeodesicState, route: str) -> np.ndarray:
+    y = _as_product_point(spec, state.position).full.tolist() + state.velocity.tolist()
+    return np.array(_finite(_accel(spec, route, _program_of(spec, route), y)[0]))
 
 
 @np.errstate(all="ignore")
@@ -233,9 +242,11 @@ def integrate(
         raise ValueError(f"rhs must be one of {sorted(_RHS)}, got {rhs!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if not abort_drift >= 0.0:
+        raise ValueError(f"abort_drift must be >= 0, got {abort_drift!r}")
     if s_end < initial.s:
         raise ValueError("s_end must be >= the initial parameter value")
-    accel, formula, program = _RHS[rhs], _FORMULAS[rhs], _program_of(spec, rhs)
+    program = _program_of(spec, rhs)
     m, dim = spec.base.dim, spec.dim
 
     span = s_end - initial.s
@@ -253,23 +264,11 @@ def integrate(
                 last.s, last.position, f"trajectory state is no longer finite after s={last.s!r}"
             )
 
-    def at(y: list):
-        """(acceleration, what the norm reads) at a checked state y."""
-        if program:
-            try:
-                values = accel(program, y)
-                return values[-dim:], values
-            except _Fallback:
-                pass
-        pp = ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim]))
-        d = _point_data(spec, pp, with_hessians=False)
-        return formula(d, np.array(y[dim:])).tolist(), d
-
     def deriv(y: list, c: float, k: list) -> list:
         """The stage at y + c k, by numpy's arithmetic elementwise."""
         y = [p + c * q for p, q in zip(y, k)]
         check(y)
-        return y[dim:] + at(y)[0]
+        return y[dim:] + _accel(spec, rhs, program, y)[0]
 
     def reach(sample: GeodesicState, y: list):
         """(acceleration, norm) at a sample.  The norm needs values alone,
@@ -278,7 +277,7 @@ def integrate(
         stands in for the acceleration, raised if a step starts there."""
         v = sample.velocity
         try:
-            a, data = at(y)
+            a, data = _accel(spec, rhs, program, y)
         except _EXITS as exc:
             return exc, float(v @ assemble_metric(spec, sample.position) @ v)
         if type(data) is list:

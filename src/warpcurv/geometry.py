@@ -60,7 +60,6 @@ from .expr import jet2, value_and_gradient  # noqa: F401
 
 __all__ = [
     "MetricSpec",
-    "ScalarFieldSpec",
     "Point",
     "metric_at",
     "christoffels_of",
@@ -148,18 +147,6 @@ class MetricSpec:
                 e = parse_expression(rows[i][j], dim)
                 grid[i][j] = grid[j][i] = e
         return cls(dim, tuple(tuple(r) for r in grid), name)
-
-
-@dataclass(frozen=True)
-class ScalarFieldSpec:
-    """A scalar function on a chart, optionally constrained positive."""
-
-    expr: Expression
-    positivity_required: bool = False
-
-    @classmethod
-    def from_string(cls, text: str, arity: int, positivity_required: bool = False):
-        return cls(parse_expression(text, arity), positivity_required)
 
 
 def _constant_value(expr: Expression):

@@ -6,15 +6,14 @@ themselves are exact (the expression module's chain rules); only their
 derivatives are numerical, so a single layer of central differences with
 Richardson extrapolation is the entire error budget.
 
-bundle_fd is the curvature entry point, sectional_fd the one extra
-quantity.  Both evaluate the centre point alone, in one pass through the
-steps of christoffels_of (metric and first derivatives, inverse,
-Christoffels), so a bundle's Christoffels and the errors raised at the
-centre are those of the geometry module, and the inverse metric that
-raises the Ricci index is the one that built them.  The 2*d*L stencil
-points around the centre are stacked and evaluated in one batched pass
-(one run of the metric's program over every point, stacked inverse, one
-einsum).  That program holds each live component of the chart and each
+bundle_fd is the curvature entry point.  It evaluates the centre point
+alone, in one pass through the steps of christoffels_of (metric and first
+derivatives, inverse, Christoffels), so a bundle's Christoffels and the
+errors raised at the centre are those of the geometry module, and the
+inverse metric that raises the Ricci index is the one that built them.
+The 2*d*L stencil points around the centre are stacked and evaluated in
+one batched pass (one run of the metric's program over every point,
+stacked inverse, one einsum).  That program holds each live component of the chart and each
 repeated subtree once: on a plain chart h^2 g_B + f^2 g_F, the warps are
 evaluated once per point, not once per component, and the constant zeros
 of the cross blocks not at all.  When that pass fails, the stencil is
@@ -34,7 +33,6 @@ import numpy as np
 from .bundle import CurvatureBundle
 from .errors import (
     DegenerateMetricError,
-    DegeneratePlaneError,
     EvalDomainError,
     NumericalInstabilityError,
     StencilDomainError,
@@ -52,7 +50,6 @@ from .geometry import (
 
 __all__ = [
     "DiffPolicy",
-    "sectional_fd",
     "bundle_fd",
     "TensorComparison",
     "ComparisonReport",
@@ -148,41 +145,6 @@ def _ricci_from_common(riem_common: np.ndarray) -> np.ndarray:
     return 0.5 * (ric + ric.T)
 
 
-def _centre(spec: MetricSpec, c: np.ndarray):
-    """(g, g^-1, Gamma) at the centre point: the steps of christoffels_of,
-    run once, so the Christoffels and the errors raised are bitwise its."""
-    g, D = _metric_and_first_derivs(spec, c)
-    ginv = _inverse_of(g)
-    return g, ginv, _christoffels_from_parts(ginv, D)
-
-
-@np.errstate(all="ignore")
-def sectional_fd(
-    spec: MetricSpec, point, u, v, policy: DiffPolicy | None = None
-) -> float:
-    """Sectional curvature of span{u, v}; independent of the convention tag."""
-    if policy is None:
-        policy = DiffPolicy()
-    c = _coords(point, spec.dim)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g, _, gamma = _centre(spec, c)
-    uu = float(u @ g @ u)
-    vv = float(v @ g @ v)
-    uv = float(u @ g @ v)
-    denom = uu * vv - uv * uv
-    scale = max(abs(uu * vv), uv * uv, 1e-30)
-    if abs(denom) <= 1e-10 * scale:
-        raise DegeneratePlaneError(
-            f"plane Gram determinant {denom:.3e} is degenerate (scale {scale:.3e})"
-        )
-    riem = _riemann_common(gamma, _dgamma(spec, c, policy))
-    # numerator g(R(u,v)v, u) with (R(u,v)w)^mu = R^mu_{nu lam rho} w^nu u^lam v^rho
-    rv = np.einsum("mnlr,n,l,r->m", riem, v, u, v)
-    num = float(u @ g @ rv)
-    return num / denom
-
-
 @np.errstate(all="ignore")
 def bundle_fd(
     spec: MetricSpec, point, policy: DiffPolicy | None = None, convention: str = "paper"
@@ -193,7 +155,9 @@ def bundle_fd(
     if policy is None:
         policy = DiffPolicy()
     c = _coords(point, spec.dim)
-    _, ginv, gamma = _centre(spec, c)
+    g, D = _metric_and_first_derivs(spec, c)
+    ginv = _inverse_of(g)
+    gamma = _christoffels_from_parts(ginv, D)
     riem_common = _riemann_common(gamma, _dgamma(spec, c, policy))
     ric = _ricci_from_common(riem_common)
     scal = float(np.einsum("ij,ij->", ginv, ric))

@@ -198,8 +198,8 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
     check = ("det", k, live, peak)
     if type(det) is not Const or _fails(check, det.value):
         outs.append(_Out(det, check))
-    w, wref, dw = place(warp.expr, "warp", which)
-    check = ("warp", warp.expr, 1, which)
+    w, wref, dw = place(warp, "warp", which)
+    check = ("warp", warp, 1, which)
     if wref < 0 and _fails(check, w.value):
         outs.append(_Out(w, check))
     v = [Var(arity + i) for i in own]

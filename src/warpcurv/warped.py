@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonpositiveWarpError
-from .expr import BinOp, Const, Expression, evaluate, reindex
-from .geometry import MetricSpec, Point, ScalarFieldSpec, metric_at
+from .expr import BinOp, Const, Expression, evaluate, parse_expression, reindex
+from .geometry import MetricSpec, Point, metric_at
 
 __all__ = [
     "WarpedProductSpec",
@@ -67,20 +67,20 @@ class ProductPoint:
 class WarpedProductSpec:
     base: MetricSpec
     fiber: MetricSpec
-    f: ScalarFieldSpec  # on the base, scales the fiber block
-    h: ScalarFieldSpec  # on the fiber, scales the base block
+    f: Expression  # on the base, scales the fiber block
+    h: Expression  # on the fiber, scales the base block
     name: str = ""
     # route -> its geodesic acceleration's program (split.Program), built on
     # the route's first right-hand side; False when a factor has dim > 3
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.f.expr.arity != self.base.dim:
+        if not (isinstance(self.f, Expression) and isinstance(self.h, Expression)):
+            raise TypeError("warp functions must be Expression objects")
+        if self.f.arity != self.base.dim:
             raise ValueError("warp f must be a function on the base chart")
-        if self.h.expr.arity != self.fiber.dim:
+        if self.h.arity != self.fiber.dim:
             raise ValueError("warp h must be a function on the fiber chart")
-        if not (self.f.positivity_required and self.h.positivity_required):
-            raise ValueError("warp functions must be flagged positivity_required")
 
     @property
     def dim(self) -> int:
@@ -88,8 +88,8 @@ class WarpedProductSpec:
 
     @classmethod
     def build(cls, base, fiber, f_text: str, h_text: str, name: str = ""):
-        f = ScalarFieldSpec.from_string(f_text, base.dim, positivity_required=True)
-        h = ScalarFieldSpec.from_string(h_text, fiber.dim, positivity_required=True)
+        f = parse_expression(f_text, base.dim)
+        h = parse_expression(h_text, fiber.dim)
         return cls(base, fiber, f, h, name)
 
 
@@ -104,10 +104,10 @@ def _as_product_point(spec: WarpedProductSpec, point) -> ProductPoint:
 def warp_values(spec: WarpedProductSpec, point) -> tuple[float, float]:
     """Evaluate (f, h) at the point, enforcing positivity."""
     pp = _as_product_point(spec, point)
-    fval = evaluate(spec.f.expr, pp.base_coords)
+    fval = evaluate(spec.f, pp.base_coords)
     if not fval > 0.0:
         raise NonpositiveWarpError("f", fval)
-    hval = evaluate(spec.h.expr, pp.fiber_coords)
+    hval = evaluate(spec.h, pp.fiber_coords)
     if not hval > 0.0:
         raise NonpositiveWarpError("h", hval)
     return fval, hval
@@ -143,8 +143,8 @@ def as_plain_metric(spec: WarpedProductSpec) -> MetricSpec:
     """
     m, n = spec.base.dim, spec.fiber.dim
     d = m + n
-    h_shifted = reindex(spec.h.expr, m, d).root
-    f_root = reindex(spec.f.expr, 0, d).root
+    h_shifted = reindex(spec.h, m, d).root
+    f_root = reindex(spec.f, 0, d).root
     zero = Expression(Const(0.0), d)
     grid = [[zero] * d for _ in range(d)]
     for i in range(m):

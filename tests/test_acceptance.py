@@ -147,8 +147,8 @@ def test_04_cross_ricci_law(corpus):
     for i, point in enumerate(sample_points(mf2, 50, rng)):
         pp = ProductPoint.from_full(point, 2)
         ric = bundle_closed(mf2.spec, pp, mf2.policy).ricci
-        fval, df = value_and_gradient(mf2.spec.f.expr, pp.base_coords)
-        hval, dh = value_and_gradient(mf2.spec.h.expr, pp.fiber_coords)
+        fval, df = value_and_gradient(mf2.spec.f, pp.base_coords)
+        hval, dh = value_and_gradient(mf2.spec.h, pp.fiber_coords)
         ratio = ric[:2, 2:] / np.outer(df / fval, dh / hval)
         worst_ratio = max(worst_ratio, float(np.abs(ratio - 2.0).max()))
         if i % 10 == 0:

@@ -292,6 +292,17 @@ def test_missing_manifest_file(capsys):
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1e9", "--step", "1e-3"],
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1001", "--step", "1e-3"],
         ["geodesic", catalog("unit-sphere"), "--init", "1.5,0;0,1", "--s-end", "1e300", "--step", "1e-300"],
+        # a tolerance that is not finite and >= 0 would check nothing
+        ["curvature", catalog("unit-sphere"), "--point", "1,0", "--check", "nan"],
+        ["curvature", catalog("unit-sphere"), "--point", "1,0", "--check=-1e-5"],
+        ["verify", catalog("unit-sphere"), "--tol", "nan"],
+        ["verify", catalog("unit-sphere"), "--tol", "inf"],
+        *[
+            ["geodesic", catalog("unit-sphere"), "--init", "1.2,0;0.3,1", "--s-end", "0.5",
+             "--step", "0.01", "--rhs", "both", f"{flag}={value}"]
+            for flag in ("--drift-tol", "--path-tol", "--abort-drift")
+            for value in ("nan", "inf", "-1e-3")
+        ],
     ],
     ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
 )
@@ -463,7 +474,6 @@ ERROR_EXITS = [
     (errors.OracleError("boom"), 2),
     (errors.StencilDomainError("boom"), 3),
     (errors.NumericalInstabilityError("boom"), 1),
-    (errors.DegeneratePlaneError("boom"), 2),
     (errors.GeodesicError("boom"), 2),
     (errors.DomainExitError(0.5, None), 3),
     (errors.StepTooLargeError(0.5, 1.0, 1e-3), 1),

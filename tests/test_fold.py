@@ -1,6 +1,7 @@
-"""The closed form evaluates a constant factor metric and a constant warp
-once and caches them.  Every number it gives must be bitwise what the
-per-point evaluation gives, and a fold that fails must not be cached."""
+"""The closed form evaluates a constant factor metric once and caches it,
+and gives a constant warp its cached value and shared read-only zero
+derivatives.  Every number it gives must be bitwise what the per-point
+evaluation gives, and a fold that fails must not be cached."""
 
 import importlib.util
 from pathlib import Path
@@ -17,6 +18,7 @@ from warpcurv.closed_form import (
     _riemann_and_ricci,
     _riemann_from_data,
     _scalar_paths_from_data,
+    _zero_jet,
 )
 from warpcurv.errors import DegenerateMetricError, NonpositiveWarpError
 from warpcurv.expr import jet2, value_and_gradient
@@ -71,10 +73,10 @@ def _unfolded_factor(factor, coords, warp, which, own, hessians):
     ginv = _inverse_of(g)
     gamma = _christoffels_from_parts(ginv, D)
     if hessians:
-        jet = jet2(warp.expr, coords)
+        jet = jet2(warp, coords)
         w, dw = jet.value, jet.gradient
     else:
-        w, dw = value_and_gradient(warp.expr, coords)
+        w, dw = value_and_gradient(warp, coords)
     if not w > 0.0:
         raise NonpositiveWarpError(which, w)
     dwU = ginv @ dw
@@ -160,14 +162,17 @@ def test_folded_point_data_is_bitwise_the_unfolded(label, load):
 
 
 def _folds(spec):
-    return [spec.base._fold, spec.fiber._fold, spec.f.expr._fold, spec.h.expr._fold]
+    """Each factor metric's cached arrays and each warp's cached constant
+    value, "unset" until it is first asked for."""
+    return [spec.base._fold, spec.fiber._fold,
+            getattr(spec.f, "_constant", "unset"), getattr(spec.h, "_constant", "unset")]
 
 
 @pytest.mark.parametrize("label,load", MANIFESTS, ids=[label for label, _ in MANIFESTS])
 def test_building_folds_nothing_and_the_cache_is_read_only(label, load):
     mf = load()
     spec = mf.spec
-    assert _folds(spec) == [None] * 4
+    assert _folds(spec) == [None, None, "unset", "unset"]
     x = np.asarray(mf.box).mean(axis=1)
     _point_data(spec, x)
     base, fiber = _point_data(spec, x, with_hessians=False)
@@ -186,14 +191,16 @@ def test_building_folds_nothing_and_the_cache_is_read_only(label, load):
         assert (factor._fold is not None) == all(
             e._constant is not None for row in factor.components for e in row
         )
-        assert (warp.expr._fold is not None) == (getattr(warp.expr, "_constant", None) is not None)
         cached = []
         if factor._fold is not None:
             cached += factor._fold
             assert record.g is factor._fold[0] and record.gamma is factor._fold[2]
-        if warp.expr._fold is not None:
-            cached += warp.expr._fold[1:]
-            assert record.lw is warp.expr._fold[2]
+        zeros = _zero_jet(warp.arity)
+        assert (record.lw is zeros[0]) == (warp._constant is not None)
+        if warp._constant is not None:
+            assert _bits(record.w) == _bits(warp._constant)
+            assert not any(z.any() for z in zeros)
+            cached += zeros
         for a in cached:
             assert isinstance(a, np.ndarray) and not a.flags.writeable
             with pytest.raises(ValueError):
@@ -218,11 +225,12 @@ def test_a_failing_fold_is_not_cached_and_raises_in_order(hessians):
         for call in calls:
             with pytest.raises(DegenerateMetricError):
                 call(np.array(x))
-    assert bad.base._fold is None and bad.f.expr._fold is None
+    assert bad.base._fold is None
     # with a healthy base, f is the first check to fail, every time
     spec = WarpedProductSpec.build(MetricSpec.from_strings(1, [["1"]]), LINE, "-1", "1")
     for x in ([0.3, 0.1], [-2.0, 5.0]):
         with pytest.raises(NonpositiveWarpError) as exc:
             _point_data(spec, np.array(x), with_hessians=hessians)
         assert str(exc.value) == "warp function f must be positive, got -1.0"
-    assert spec.f.expr._fold is None and spec.base._fold is not None
+    # the value is cached, and rejected at every call
+    assert spec.f._constant == -1.0 and spec.base._fold is not None

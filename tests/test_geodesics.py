@@ -187,6 +187,9 @@ def test_integrate_validates_arguments():
         integrate(SPHERE, st, s_end=1.0, step=-1e-2)
     with pytest.raises(ValueError):
         integrate(SPHERE, st, s_end=-1.0, step=1e-2)
+    for abort_drift in (-1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            integrate(SPHERE, st, s_end=1.0, step=1e-2, abort_drift=abort_drift)
     with pytest.raises(ValueError):
         GeodesicState(0.0, ProductPoint.from_full(np.array([1.0, 0.0]), 1), np.array([1.0]))
 

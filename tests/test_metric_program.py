@@ -224,6 +224,6 @@ def test_setup_compiles_nothing():
     for spec in (mf.spec.base, mf.spec.fiber, plain):
         assert spec._compiled is None
         assert all(e._program is None for row in spec.components for e in row)
-    assert mf.spec.f.expr._program is None and mf.spec.h.expr._program is None
+    assert mf.spec.f._program is None and mf.spec.h._program is None
     metric_at(plain, np.zeros(plain.dim))
     assert plain._compiled is not None and mf.spec.base._compiled is None

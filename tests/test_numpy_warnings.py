@@ -49,7 +49,6 @@ CALLS = {
     "christoffels_closed": lambda: wc.christoffels_closed(WARPED, AT),
     "bundle_closed": lambda: wc.bundle_closed(WARPED, AT),
     "bundle_fd": lambda: wc.bundle_fd(PLANE, AT),
-    "sectional_fd": lambda: wc.sectional_fd(PLANE, AT, [1.0, 0.0], [0.0, 1.0]),
     "rhs_full": lambda: wc.rhs_full(WARPED, _state(AT, [1.0, 1.0])),
     "rhs_split": lambda: wc.rhs_split(WARPED, _state(AT, [1.0, 1.0])),
     "christoffels_closed_underflow": lambda: wc.christoffels_closed(TINY, [0.3, 0.0]),

@@ -60,7 +60,7 @@ def _factor(metric, warp, symbols):
     sympy expressions."""
     k = metric.dim
     g = [_sympy(metric.components[i][j], symbols) for i in range(k) for j in range(k)]
-    w = _sympy(warp.expr, symbols)
+    w = _sympy(warp, symbols)
     dg = [sympy.diff(e, x) for e in g for x in symbols]
     dw = [sympy.diff(w, x) for x in symbols]
     return g + dg + [w] + dw

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from warpcurv.errors import NonpositiveWarpError
-from warpcurv.expr import format_expression
-from warpcurv.geometry import MetricSpec, ScalarFieldSpec, metric_at
+from warpcurv.expr import format_expression, parse_expression
+from warpcurv.geometry import MetricSpec, metric_at
 from warpcurv.warped import (
     ProductPoint,
     WarpedProductSpec,
@@ -42,17 +42,16 @@ def test_warp_arity_validated():
     with pytest.raises(ArityError):
         WarpedProductSpec.build(LINE, CIRCLE, "sin(x1)", "1")
     # caught at assembly time: pre-parsed field with the wrong arity
-    f_wrong = ScalarFieldSpec.from_string("x0 + x1", 2, positivity_required=True)
-    h_ok = ScalarFieldSpec.from_string("1", 1, positivity_required=True)
+    f_wrong = parse_expression("x0 + x1", 2)
+    h_ok = parse_expression("1", 1)
     with pytest.raises(ValueError):
         WarpedProductSpec(LINE, CIRCLE, f_wrong, h_ok)
 
 
-def test_positivity_flag_required():
-    f = ScalarFieldSpec.from_string("1", 1, positivity_required=True)
-    bare = ScalarFieldSpec.from_string("1", 1, positivity_required=False)
-    with pytest.raises(ValueError):
-        WarpedProductSpec(LINE, CIRCLE, f, bare)
+@pytest.mark.parametrize("f, h", [("1", parse_expression("1", 1)), (parse_expression("1", 1), 1.0)])
+def test_warps_must_be_expressions(f, h):
+    with pytest.raises(TypeError):
+        WarpedProductSpec(LINE, CIRCLE, f, h)
 
 
 def test_sphere_metric_assembles():
