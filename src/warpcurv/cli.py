@@ -97,6 +97,8 @@ def _parse_box(text: str, dim: int) -> np.ndarray:
             raise ManifestError(f"--box span {span!r}: {exc}") from exc
         if not out[i, 0] < out[i, 1]:
             raise ManifestError(f"--box span {span!r} needs lo < hi")
+        if not math.isfinite(out[i, 1] - out[i, 0]):
+            raise ManifestError(f"--box span {span!r} needs a finite width")
     return out
 
 

@@ -4,7 +4,8 @@ Everything here is expressed through unwarped factor-metric quantities:
 factor Christoffels, factor curvature, warp gradients/Hessians taken with
 respect to the plain factor metrics.  Nothing is differenced: the factor
 curvature comes from the second-order jets (geometry._metric_jets) of the
-factor metric components, and every warp-dependent term from the warps' jets.
+factor metric components, and every warp-dependent term from the warps' jets:
+programs over derivative trees (the derivative module), one per order.
 No number here comes from the oracle module, which differentiates the
 assembled product metric numerically and is the independent check.
 
@@ -34,8 +35,9 @@ gives both R[B,F,B,F] and R[F,B,F,B].
 
 bundle_closed is the one curvature entry point: it evaluates the point
 data once, factor curvature included, and builds all four tensors from
-it.  christoffels_closed needs only first derivatives; it is the
-forward-mode reference that the tests hold geodesics.rhs_full to.
+it.  christoffels_closed needs only first derivatives; the tests hold
+geodesics.rhs_full, a program over the same derivative trees, to its
+contraction, which assembles the blocks with numpy.
 
 What does not depend on the point is folded: a constant factor metric's
 inverse and Christoffels are computed at the first evaluation, by the
@@ -60,7 +62,7 @@ import numpy as np
 
 from .bundle import CurvatureBundle
 from .errors import EvalDomainError, NonpositiveWarpError, NumericalInstabilityError
-from .expr import Expression, _gradients, _jets, _program_of
+from .expr import Expression, _jet
 # unused here: bench/tracer.py wraps closed_form.jet2 and
 # closed_form.value_and_gradient by name
 from .expr import jet2, value_and_gradient  # noqa: F401
@@ -145,14 +147,15 @@ def _metric_data(factor: MetricSpec, coords, hessians: bool):
     (an empty program) is kept on its MetricSpec once its inverse exists."""
     if factor._fold is not None:
         return (*factor._fold, None)
-    DD = None
+    DD, order = None, 1
     if hessians and factor.dim > 1:
         g, D, DD = _metric_jets(factor, coords)
+        order = 2
     else:
         g, D = _metric_and_first_derivs(factor, coords)
     ginv = _inverse_of(g)
     gamma = _christoffels_from_parts(ginv, D)
-    if not _grid(factor)[0]:
+    if not _grid(factor, order)[0]:
         object.__setattr__(factor, "_fold", _read_only(g, ginv, gamma))
     return g, ginv, gamma, DD
 
@@ -174,12 +177,10 @@ def _warp_data(warp: Expression, coords, which: str, hessians: bool):
     constant = w is not None
     if constant:
         dw, hess = _zero_jet(k)
-    elif hessians:
-        out = _jets(_program_of(warp), coords)[0]
-        w, dw, hess = out[0], np.array(out[1 : k + 1]), np.array(out[k + 1 :]).reshape(k, k)
     else:
-        out = _gradients(_program_of(warp), coords)[0]
-        w, dw, hess = out[0], np.array(out[1 : k + 1]), None
+        out = _jet(warp, coords, 2 if hessians else 1)
+        w, dw = out[0], np.array(out[1 : k + 1])
+        hess = np.array(out[k + 1 :]).reshape(k, k) if hessians else None
     if not w > 0.0:
         raise NonpositiveWarpError(which, w)
     return w, dw, dw if constant else dw / w, hess if hessians else None

@@ -1,16 +1,26 @@
-"""First derivatives of expressions as expression trees.
+"""Derivatives of expressions as expression trees: the package's one
+differentiator.
 
 gradient_nodes writes each partial derivative of a tree as a tree of its
-own, by the chain rules that forward mode applies (expr's _RULES), with
-the derivative of each function from expr._DERIVATIVES.  A program over
-such trees runs at order 0, on floats alone, gives forward mode's
-gradient up to the sign of a zero, and raises where forward mode raises,
-with one gap: an overflow that forward mode multiplies by a zero gradient
-entry, where the tree has no term at all, leaves forward mode a nan, and
-so an error, and the tree a finite number.
+own, by the chain rule, with the derivative of each function from
+expr._DERIVATIVES.  jet_nodes applies it twice for second derivatives:
+Hessian entry (i, j), i <= j, is the derivative tree of the i-th
+first-derivative tree, and entry (j, i) is the same tree, so a Hessian is
+bitwise symmetric.  derived compiles the trees of many expressions up to
+an order, 0, 1 or 2, into one program for expr's interpreter, which runs
+it on floats or on numpy columns.  Every evaluator runs such programs:
+expr's evaluate, value_and_gradient and jet2, geometry's metric grids (at a
+point and over the oracle's stencil), the closed form's warps, and the
+geodesic programs of the split module.
 
-The geodesic programs are the one user; the split module imports this one
-with the first program it builds.
+A program raises where one of its operations leaves the domain, so the
+domain narrows with the order by itself.  A power u^0 is 1 whatever u is,
+and its derivatives are zero, but they exist only where u's do: u's
+derivatives up to the order are guards, outputs that are computed and
+dropped, so that the program raises there.  One gap: where an overflow
+would be multiplied by a derivative that is zero by structure, the tree
+has no such term, so it gives a finite number where the product inf * 0
+would be nan.
 """
 
 from __future__ import annotations
@@ -28,19 +38,21 @@ from .expr import (
     Const,
     Neg,
     Node,
+    _compile,
     _postfix,
 )
 
 # A derivative is None where it is zero by structure, and _ONE where it is
 # exactly one (a variable by itself); only these fold.  A literal 0 or 1 of
-# the source stays, so 0*sqrt(x0) still takes sqrt's derivative at 0, as
-# forward mode does.
+# the source stays, so 0*sqrt(x0) still takes sqrt's derivative at 0.
 
 _ONE = Const(1.0)
 
 
 def _tagged(node: Node, origin: Node) -> Node:
-    node.origin = origin
+    """node, made by the rule of origin; a node of a derivative tree passes
+    on its own origin, so an error names a node of the source."""
+    node.origin = getattr(origin, "origin", origin)
     return node
 
 
@@ -62,27 +74,27 @@ def _d(op: str, a, b, origin):
     return _tagged(BinOp(op, a, b), origin)
 
 
-def gradient_nodes(root: Node, variables, guards: list) -> list:
+def gradient_nodes(root: Node, variables, guards: list, memo=None) -> list:
     """[d root / dx_v for v in variables], each a tree or None where it is
     zero by structure.
 
-    Each rule is forward mode's chain rule written as a tree, operand for
-    operand, so the trees compute what value_and_gradient computes.  A
-    subtree that forward mode carries as a float (no variable, or raised
-    to a constant power equal to 0) has no derivative; where such a power
-    drops its base's derivatives, forward mode has computed them all the
-    same, so they are appended to guards, for a program that must raise
-    where forward mode raises.  The nodes of a derivative carry the source
-    node whose rule made them as their origin.  The walk is iterative, so
-    a deep tree cannot reach the recursion limit.
+    A subtree that reads no variable, or is raised to a constant power
+    equal to 0, is static: it has no derivative.  Where such a power drops
+    its base's derivatives, they are appended to guards.  The nodes of a
+    derivative carry the source node whose rule made them as their origin.
+    The walk is iterative, so a deep tree cannot reach the recursion limit.
+    Calls that pass one memo over the same variables share what they have
+    walked: a subtree met again gets the same derivative trees.
     """
     k = len(variables)
-    static = {}  # id -> the value of a subtree forward mode carries as a float, None if it raises
-    grads = {}  # id -> its derivatives, for the other subtrees
-    for code, arg, node in _postfix(root):
+    # id -> the value of a static subtree, None if it raises; id -> the
+    # derivatives of any other subtree; the ids walked
+    static, grads, done = memo or ({}, {}, set())
+    for code, arg, node in _postfix(root, done):
         key = id(node)
-        if key in static or key in grads:
+        if key in done:
             continue
+        done.add(key)
         if code is _OP_CONST:
             static[key] = arg
             continue
@@ -96,7 +108,7 @@ def gradient_nodes(root: Node, variables, guards: list) -> list:
                 continue
             if node.op == "^" and rk in static and static[rk] == 0.0:
                 static[key] = 1.0
-                guards.extend(g for g in grads[lk] if g is not None and g is not _ONE)
+                guards.extend(g for g in grads[lk] if g is not None and type(g) is not Const)
                 continue
             grads[key] = _binary_gradient(node, grads.get(lk), grads.get(rk), k)
             continue
@@ -124,8 +136,7 @@ def _static(f, *values):
 
 def _binary_gradient(node: BinOp, gl, gr, k: int) -> list:
     """The derivatives of a binary node one of whose operands reads a
-    variable; gl or gr is None for an operand forward mode carries as a
-    float."""
+    variable; gl or gr is None for a static operand."""
     op, left, right = node.op, node.left, node.right
     if op == "/" and gl is None:
         t = _tagged(BinOp("/", _tagged(Neg(node), node), right), node)
@@ -157,3 +168,84 @@ def _binary_gradient(node: BinOp, gl, gr, k: int) -> list:
             d = _d("*", node, z, node)
         out.append(d)
     return out
+
+
+def jet_nodes(root: Node, variables, order: int, guards: list) -> list:
+    """[root, *gradient, *Hessian in row-major order], as far as order (0,
+    1 or 2) goes, each entry a tree or None where it is zero by structure.
+    The guards of every derivative are appended to guards; at order 2 they
+    hold the second derivatives that a power u^0 drops as well as the
+    first."""
+    entries = [root]
+    if order == 0:
+        return entries
+    memo = ({}, {}, set())  # the second derivatives reuse the first's walk
+    first = []
+    grads = gradient_nodes(root, variables, first, memo)
+    guards += first
+    if order == 1:
+        return entries + grads
+    k = len(variables)
+    hessian = [None] * (k * k)
+    for i, d in enumerate(grads):
+        if d is not None:
+            row = gradient_nodes(d, variables, guards, memo)
+            for j in range(i, k):
+                hessian[i * k + j] = hessian[j * k + i] = row[j]
+    for g in first:
+        guards += [h for h in gradient_nodes(g, variables, guards, memo)
+                   if h is not None and type(h) is not Const]
+    return entries + grads + hessian
+
+
+def live_entries(entries: list) -> list:
+    """The entries a program must compute: the value, then each distinct
+    derivative that is neither zero nor a constant."""
+    out, seen = [], set()
+    for i, node in enumerate(entries):
+        if id(node) not in seen and (i == 0 or node is not None and type(node) is not Const):
+            seen.add(id(node))
+            out.append(node)
+    return out
+
+
+_WHAT = ("value", "value or gradient", "value, gradient or Hessian")
+
+
+def derived(exprs, order: int):
+    """One program over exprs and their derivatives up to order, and where
+    each expression's entries land: (program, places, tail), places[e]
+    holding the positions of the 1 + k (+ k*k) entries of jet_nodes for
+    expression e of arity k in outputs + tail, outputs being the
+    program's.  tail holds 0.0, for the zeros, then each constant entry.
+
+    Each expression's outputs are its guards, then its live entries; the
+    last of them carries the check (expr, n, what) that expr's finishing
+    steps read: the expression's n live entries must be finite, else
+    "<what> is not finite".  So a program over many expressions raises at
+    the first one that fails, as they would one by one.
+    """
+    outputs, refs, tail = [], [], [0.0]
+    for expr in exprs:
+        guards = []
+        entries = jet_nodes(expr.root, range(expr.arity), order, guards)
+        outputs += [(g, None) for g in guards]
+        group = live_entries(entries)
+        where = {}
+        for node in group:
+            where[id(node)] = len(outputs)
+            outputs.append((node, None))
+        outputs[-1] = (group[-1], (expr, len(group), _WHAT[order]))
+        ref = []  # an output's index, or -1 - its index in tail
+        for node in entries:
+            if node is None:
+                ref.append(-1)
+            elif id(node) in where:
+                ref.append(where[id(node)])
+            else:
+                tail.append(node.value)
+                ref.append(-len(tail))
+        refs.append(ref)
+    width = len(outputs)
+    places = [[r if r >= 0 else width - 1 - r for r in ref] for ref in refs]
+    return _compile(outputs), places, tail

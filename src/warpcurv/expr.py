@@ -1,4 +1,5 @@
-"""Expression parsing, evaluation, and forward-mode differentiation.
+"""Expression parsing, evaluation, and the interpreter that runs every
+derivative.
 
 Expressions are closed-form formulas in variables x0..x{arity-1} built from
 the binary operators + - * / ^, unary minus, the functions sin cos tan exp
@@ -6,35 +7,37 @@ log sqrt sinh cosh tanh, and the constants pi and e.  Parsing is a small
 recursive-descent pass, nested at most MAX_NESTING levels deep; no Python
 eval is involved anywhere.
 
-Every evaluation runs one interpreter over a compiled register program:
-one expression's, compiled on first use and cached on it, or one over many
-expressions of a chart, each repeated subtree computed once (a metric's
-live components, see geometry; a geodesic acceleration, see split).  It
-carries the value, the gradient and the Hessian by explicit chain rules,
-each only up to the order the caller asks for, so gradients and Hessians
-are exact up to roundoff; one rule table states each function's
-derivatives and domain.  The same loop runs one point on floats with math
-(evaluate, value_and_gradient, jet2) and N points on numpy columns
-(_batches, for the oracle's stencil).  Nothing walks a tree by recursion,
-so a sum of thousands of terms evaluates, prints and reindexes like a
-short one.  First derivatives can also be taken as trees, from the rules
-stated beside the forward-mode ones (_DERIVATIVES, the derivative module).
+Every evaluation runs one interpreter over a compiled register program of
+values alone.  Derivatives are trees too: the derivative module writes
+them from _DERIVATIVES, the one statement of each function's derivative,
+and compiles an expression's trees up to an order, 0, 1 or 2, into one
+program (derivative.derived).  An expression keeps one such program per
+order, compiled on first use: evaluate runs order 0, value_and_gradient
+order 1 and jet2 order 2.  A program may also cover many expressions of a
+chart, each repeated subtree computed once (a metric's live components,
+see geometry; a geodesic acceleration, see split).  The same loop runs one
+point on floats with math and N points on numpy columns (_columns, for the
+oracle's stencil).  Nothing walks a tree by recursion, so a sum of
+thousands of terms evaluates, differentiates, prints and reindexes like a
+short one.  The tests hold the derivatives to sympy and to finite
+differences, two references that share nothing with this code.
 
 The domain narrows with the derivative order and never widens.  evaluate
 rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
 (-1, 2) is 1.  A derivative also rejects sqrt and x^p (p < 1) at 0 and a
 variable exponent on a base <= 0.  Where a higher order succeeds, the lower
-ones give bitwise its value and gradient.  The batch raises EvalDomainError
-exactly when value_and_gradient would raise at one of its rows, and agrees
-with it per row to roundoff: numpy's elementwise functions may differ from
-math's in the last place.
+ones give bitwise its value and gradient.  A run over columns raises
+EvalDomainError exactly when the run on floats would raise at one of its
+rows, and agrees with it per row to roundoff: numpy's elementwise functions
+may differ from math's in the last place.
 
 No function returns a number that is not finite.  evaluate raises
 EvalDomainError where the value is inf or NaN, value_and_gradient and its
-batch where the value or a gradient entry is, and jet2 where any of the
-value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1 is rejected by all
-of them, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0, whose value is 1 but
-whose gradient is inf - inf, by every function that returns the gradient.
+program over columns where the value or a gradient entry is, and jet2
+where any of the value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1
+is rejected by all of them, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0,
+whose value is 1 but whose gradient is inf - inf, by every function that
+returns the gradient.
 
 numpy's warnings on the way would only repeat that error, so each public
 numeric function of the package runs under np.errstate(all="ignore"), as a
@@ -43,7 +46,6 @@ decorator, and the private runners that its loops call enter none.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -70,7 +72,7 @@ __all__ = [
 
 class Node:
     # origin: set on the nodes of a derivative tree, the source node whose
-    # rule they state; an evaluation error names it, as forward mode would
+    # rule they state; an evaluation error names it
     __slots__ = ("origin",)
 
 
@@ -116,12 +118,12 @@ class Expression:
     """A parsed expression together with its declared arity."""
 
     # _constant is left unset until geometry first folds the expression
-    __slots__ = ("root", "arity", "_program", "_constant")
+    __slots__ = ("root", "arity", "_programs", "_constant")
 
     def __init__(self, root: Node, arity: int):
         self.root = root
         self.arity = arity
-        self._program = None  # register program, compiled on first use
+        self._programs = [None, None, None]  # one per derivative order, compiled on first use
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r}, arity={self.arity})"
@@ -137,21 +139,18 @@ class Jet2:
 # ---------------------------------------------------------------------------
 # Rules
 #
-# A value is a float where its subtree reads no variable, and every value
-# is when no derivative is asked for; those are computed with math.  Else
-# it is (value, gradient, Hessian), derivative axes first and the batch
-# axis last: one point carries a float, a (k,) gradient and a (k, k)
-# Hessian, N points (N,), (k, N) and (k, k, N), and every rule below
-# broadcasts over both.  The rules see a float operand as (value, None,
-# None).  The Hessian is None while it is zero, and always below order 2.
+# A value is a float, computed with math, or a numpy column holding one
+# value per point of a stack, computed with numpy.  On floats, math raises
+# where a function leaves its domain or overflows from a finite argument,
+# and Python raises on division by zero.  numpy only returns inf or nan, so
+# on columns each rule marks the rows where math would have raised, and a
+# marked row raises too.  Whatever turns inf or nan without raising is left
+# to the finiteness check of the caller.
 #
-# On floats, math raises where a function leaves its domain or overflows
-# from a finite argument, and Python raises on division by zero.  numpy
-# only returns inf or nan, so on arrays each rule marks the rows where math
-# would have raised, and a marked row raises too.  Taking a derivative
-# narrows the domain where math rejects f' or f'': sqrt and x^p with p < 1
-# at 0, a variable exponent on a base <= 0.  Whatever turns inf or nan
-# without raising is left to the finiteness check of the caller.
+# No rule takes a derivative.  The derivative module writes derivatives as
+# trees from _DERIVATIVES, and a tree runs on these same rules, so the
+# domain narrows with the order by itself: sqrt is taken at 0, its
+# derivative 0.5 / sqrt(x) is not.
 
 
 def _reject(bad, what: str):
@@ -160,34 +159,49 @@ def _reject(bad, what: str):
         raise ValueError(f"{what} at batch row {int(np.argmax(bad))}")
 
 
-def _overflow(a, r, d):
-    return np.isfinite(a) & (np.isinf(r) | np.isinf(d))
+def _on_columns(f, bad):
+    """f on numpy columns, raising at the rows bad(argument, result) marks;
+    f itself where bad is None."""
+    if bad is None:
+        return f
+
+    def rule(a):
+        r = f(a)
+        _reject(bad(a, r), "outside the domain")
+        return r
+
+    return rule
 
 
-def _inf_arg(a, r, d):
+def _inf_arg(a, r):
     return np.isinf(a)
 
 
-# name: (f' from the library m, the argument a and the value r;
-#        f'' from a, r and f'; the rows math rejects when f and f' are
-#        taken, or None)
-_RULES = {
-    "sin": (lambda m, a, r: m.cos(a), lambda a, r, d: -r, _inf_arg),
-    "cos": (lambda m, a, r: -m.sin(a), lambda a, r, d: -r, _inf_arg),
-    "tan": (lambda m, a, r: 1.0 + r * r, lambda a, r, d: 2.0 * r * d, _inf_arg),
-    "exp": (lambda m, a, r: r, lambda a, r, d: r, lambda a, r, d: np.isinf(r) & np.isfinite(a)),
-    "log": (lambda m, a, r: 1.0 / a, lambda a, r, d: -d * d, lambda a, r, d: a <= 0.0),
-    "sqrt": (lambda m, a, r: 0.5 / r, lambda a, r, d: -0.5 * d / a, lambda a, r, d: a <= 0.0),
-    "sinh": (lambda m, a, r: m.cosh(a), lambda a, r, d: r, _overflow),
-    "cosh": (lambda m, a, r: m.sinh(a), lambda a, r, d: r, _overflow),
-    "tanh": (lambda m, a, r: 1.0 - r * r, lambda a, r, d: -2.0 * r * d, None),
+def _overflow(a, r):
+    return np.isfinite(a) & np.isinf(r)
+
+
+# name: the rows math rejects, or None
+_DOMAINS = {
+    "sin": _inf_arg,
+    "cos": _inf_arg,
+    "tan": _inf_arg,
+    "exp": _overflow,
+    "log": lambda a, r: a <= 0.0,
+    "sqrt": lambda a, r: a < 0.0,
+    "sinh": _overflow,
+    "cosh": _overflow,
+    "tanh": None,
 }
 
-# each rule with f itself in front, as math (floats) and numpy (arrays) give it
-_CALLS = {name: (getattr(math, name), getattr(np, name), *rule) for name, rule in _RULES.items()}
+# name: (f on floats, f on columns)
+_CALLS = {
+    name: (getattr(math, name), _on_columns(getattr(np, name), bad))
+    for name, bad in _DOMAINS.items()
+}
 
-# name: f' as a tree, from the argument u and the call c = f(u); the same
-# arithmetic as the first entry of each _RULES row, for derivative trees
+# name: f' as a tree, from the argument u and the call c = f(u); the one
+# statement of each function's derivative
 _DERIVATIVES = {
     "sin": lambda u, c: Call("cos", u),
     "cos": lambda u, c: Neg(Call("sin", u)),
@@ -203,121 +217,24 @@ _DERIVATIVES = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def _call(rule, entry, hess: bool, m):
-    a, b, h = entry
-    f_math, f_np, d1, d2, bad = rule
-    r = f_math(a) if m is math else f_np(a)
-    d = d1(m, a, r)
-    if m is np and bad is not None:
-        _reject(bad(a, r, d), "outside the domain")
-    if not hess:
-        return r, d * b, None
-    H = d2(a, r, d) * _outer(b, b)
-    return r, d * b, H if h is None else H + d * h
+def _divide(x, y):
+    _reject(y == 0.0, "division by zero")
+    return x / y
 
 
-def _outer(u, v):
-    return u[:, None] * v[None]
+def _power(x, y):
+    r = np.power(x, y)
+    _reject(np.isfinite(x) & np.isfinite(y) & ~np.isfinite(r), "power outside the domain")
+    return r
 
 
-def _sym(u, v):
-    """u v^T + v u^T, bitwise symmetric because float addition commutes."""
-    return _outer(u, v) + _outer(v, u)
-
-
-def _plus(x, y):
-    return y if x is None else x if y is None else x + y
-
-
-def _minus(x, y):
-    if y is None:
-        return x
-    return -y if x is None else x - y
-
-
-# Binary rules take two triples, at least one of which reads a variable.
-
-
-def _add(left, right, hess, m):
-    return left[0] + right[0], _plus(left[1], right[1]), _plus(left[2], right[2])
-
-
-def _sub(left, right, hess, m):
-    return left[0] - right[0], _minus(left[1], right[1]), _minus(left[2], right[2])
-
-
-def _mul(left, right, hess, m):
-    (a1, b1, h1), (a2, b2, h2) = left, right
-    if b1 is None:
-        return a1 * a2, a1 * b2, None if h2 is None else a1 * h2
-    if b2 is None:
-        return a1 * a2, b1 * a2, None if h1 is None else h1 * a2
-    H = None
-    if hess:
-        H = _sym(b1, b2)
-        if h1 is not None:
-            H = H + h1 * a2
-        if h2 is not None:
-            H = H + a1 * h2
-    return a1 * a2, b1 * a2 + a1 * b2, H
-
-
-def _div(left, right, hess, m):
-    (a1, b1, h1), (a2, b2, h2) = left, right
-    if m is np:
-        _reject(a2 == 0.0, "division by zero")
-    q = a1 / a2
-    if b2 is None:
-        return q, b1 / a2, None if h1 is None else h1 / a2
-    # from q a2 = a1: q' = (a1' - q a2') / a2, q'' = (a1'' - q a2'' - sym(q', a2')) / a2
-    g = (-q / a2) * b2 if b1 is None else (b1 - q * b2) / a2
-    H = None
-    if hess:
-        H = _minus(_minus(h1, None if h2 is None else q * h2), _sym(g, b2)) / a2
-    return q, g, H
-
-
-def _pow(left, right, hess, m):
-    (a1, b1, h1), (a2, b2, h2) = left, right
-    power = math.pow if m is math else np.power
-    if b2 is None:
-        # constant exponent p: f = a^p, f' = p a^(p-1), f'' = p (p-1) a^(p-2)
-        p = a2
-        if p == 0.0:
-            return 1.0
-        r, r1 = power(a1, p), power(a1, p - 1.0)
-        if m is np and math.isfinite(p):
-            bad = np.isfinite(a1) & ~(np.isfinite(r) & np.isfinite(r1))
-            _reject(bad, "power outside the domain")
-        d = p * r1
-        if not hess:
-            return r, d * b1, None
-        if p == 1.0:  # f'' = 0, and a^(p-2) need not exist
-            return r, d * b1, None if h1 is None else d * h1
-        H = (p * (p - 1.0) * power(a1, p - 2.0)) * _outer(b1, b1)
-        return r, d * b1, H if h1 is None else H + d * h1
-    # variable exponent: the derivatives are those of exp(a2 * log(a1)),
-    # so log's domain asks for a1 > 0
-    if b1 is None:
-        log_base = (math.log(a1), None, None)
-    else:
-        log_base = _call(_CALLS["log"], left, hess, m)
-    _, zb, zh = _mul(right, log_base, hess, m)
-    r = power(a1, a2)
-    if m is np:
-        _reject(np.isinf(r) & np.isfinite(a1) & np.isfinite(a2), "power overflows")
-    if not hess:
-        return r, r * zb, None
-    return r, r * zb, r * _plus(zh, _outer(zb, zb))
-
-
-# op: (the rule on two floats, the rule with derivatives)
+# op: (the rule on floats, the rule on columns)
 _BINARY = {
-    "+": (operator.add, _add),
-    "-": (operator.sub, _sub),
-    "*": (operator.mul, _mul),
-    "/": (operator.truediv, _div),
-    "^": (math.pow, _pow),
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, _divide),
+    "^": (math.pow, _power),
 }
 
 
@@ -363,34 +280,37 @@ class _Code:
     """A compiled program.  registers is the register file before a run,
     in value-number order: each constant's value, and None for a computed
     one; the leaves follow it.  An op is (opcode, rules, node, target,
-    operand, operand or None); OUT has its expression for the rules."""
+    operand, operand or None); OUT has its check for the rules.  width
+    counts the outputs."""
 
     def __init__(self, ops: tuple, registers: list):
         self.ops, self.registers = ops, registers
+        self.width = sum(op[0] is _OP_OUT for op in ops)
 
     def __len__(self) -> int:
         return len(self.ops)
 
 
-def _compile(exprs) -> _Code:
-    """One register program for a sequence of expressions over one chart.
+def _compile(outputs) -> _Code:
+    """One register program for a sequence of (root, check) outputs over
+    one chart.
 
     Subtrees with the same structure get one value number and register: a
     constant is keyed by its bits, a variable by its index, and a negation,
     call or binary op by its name or op and its operands' numbers in order,
     so x0-x1 and x1-x0 stay apart.  An op computes each number where the
-    postfix order first reaches it, and OUT hands each expression's entry
-    to the caller's finishing step.  A shared node applies the same rule to
-    the same operands, so each output is bitwise the expression's own, and
-    the first failure is the one the expressions run one by one would
-    meet: a value read again was computed without error."""
+    postfix order first reaches it, and OUT hands each output to the run,
+    with its check, or None.  A shared node applies the same rule to the
+    same operands, so each output is bitwise the tree's own, and the first
+    failure is the one the trees run one by one would meet: a value read
+    again was computed without error."""
     numbers = {}  # structural key -> value number
     known = {}  # id(node) -> value number, so a subtree shared by object is walked once
     nodes = []  # value number -> (opcode, argument, node, operand numbers)
-    outputs = []
-    for expr in exprs:
+    outs = []
+    for root, check in outputs:
         stack = []
-        for code, arg, node in _postfix(expr.root, known):
+        for code, arg, node in _postfix(root, known):
             number = known.get(id(node))
             if number is None:
                 if code is _OP_CONST:
@@ -410,13 +330,13 @@ def _compile(exprs) -> _Code:
                     nodes.append((code, arg, node, operands))
                 known[id(node)] = number
             stack.append(number)
-        outputs.append((stack.pop(), expr))
+        outs.append((stack.pop(), root, check))
     registers = [arg if code is _OP_CONST else None
                  for code, arg, *_ in nodes if code is not _OP_VAR]
     fixed = iter(range(len(registers)))  # value number -> register, leaves last
     where = [len(registers) + arg if code is _OP_VAR else next(fixed) for code, arg, *_ in nodes]
     ops, done = [], set()
-    for out, expr in outputs:
+    for out, root, check in outs:
         todo = [(out, False)]
         while todo:
             number, expanded = todo.pop()
@@ -430,58 +350,35 @@ def _compile(exprs) -> _Code:
             else:
                 todo.append((number, True))
                 todo.extend((o, False) for o in reversed(operands))
-        ops.append((_OP_OUT, expr, expr.root, None, where[out], None))
+        ops.append((_OP_OUT, check, root, None, where[out], None))
     return _Code(tuple(ops), registers)
-
-
-def _program_of(expr: Expression) -> _Code:
-    program = expr._program
-    if program is None:
-        program = expr._program = _compile((expr,))
-    return program
 
 
 def _reads_variables(expr: Expression) -> bool:
     return any(code is _OP_VAR for code, _, _ in _postfix(expr.root))
 
 
-def _triple(entry):
-    return (entry, None, None) if type(entry) is float else entry
-
-
-def _run(program: _Code, leaves: list, hess: bool, m, finish) -> list:
-    """finish(expr, entry) of each output in order, where an entry is a
-    float or (value, gradient, Hessian).  Variable i reads the entry
-    leaves[i], and the elementwise functions come from math (m is math) or
-    numpy (m is np).  Gradients are carried from the leaves that have one;
-    Hessians only when hess is set.  finish runs at its output's OUT, so an
-    output it rejects stops the run before the next output's ops."""
+def _run(program: _Code, leaves: list, finish, columns: int = 0) -> list:
+    """The outputs of a program, in order.  Variable i reads leaves[i]:
+    floats, run with math's rules, or with columns=1 numpy columns of one
+    length, run with numpy's.  At an output with a check, finish(check,
+    outputs so far) runs, so an output it rejects stops the run before the
+    next output's ops."""
     regs = program.registers + leaves
     outs, node = [], None
     try:
         for code, arg, node, target, a, b in program.ops:
             if code is _OP_BIN:
-                left, right = regs[a], regs[b]
-                if type(left) is float:
-                    if type(right) is float:
-                        regs[target] = arg[0](left, right)
-                        continue
-                    left = (left, None, None)
-                elif type(right) is float:
-                    right = (right, None, None)
-                regs[target] = arg[1](left, right, hess, m)
+                regs[target] = arg[columns](regs[a], regs[b])
             # the rest by how often they come
             elif code is _OP_CALL:
-                a = regs[a]
-                regs[target] = arg[0](a) if type(a) is float else _call(arg, a, hess, m)
+                regs[target] = arg[columns](regs[a])
             elif code is _OP_OUT:
-                outs.append(finish(arg, regs[a]))
+                outs.append(regs[a])
+                if arg is not None:
+                    finish(arg, outs)
             else:
-                a = regs[a]
-                if type(a) is float:
-                    regs[target] = -a
-                else:
-                    regs[target] = (-a[0], -a[1], None if a[2] is None else -a[2])
+                regs[target] = -regs[a]
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         node = getattr(node, "origin", node)
         what = node.name if type(node) is Call else repr(node.op)
@@ -489,121 +386,85 @@ def _run(program: _Code, leaves: list, hess: bool, m, finish) -> list:
     return outs
 
 
-@functools.lru_cache(maxsize=None)
-def _seeds(n: int) -> tuple:
-    """Gradient seeds of the n variables, read-only because every call
-    shares them: row i of the identity for one point, and column i, kept
-    (n, 1), for a batch."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return tuple(eye), tuple(eye[:, i : i + 1] for i in range(n))
+# Finishing steps for derivative.derived's programs: the check (expr, n,
+# what) closes one expression's entries, the last n outputs.
 
 
-def _program_at(expr: Expression, point) -> _Code:
-    """The program of expr, for a point of its arity."""
+def _finite(check, outs: list):
+    """At one point."""
+    expr, n, what = check
+    if not all(map(math.isfinite, outs[-n:])):
+        raise EvalDomainError(f"{what} is not finite", expr.root)
+
+
+def _finite_rows(check, outs: list):
+    """Over columns."""
+    expr, n, what = check
+    finite = True
+    for value in outs[-n:]:
+        finite = finite & np.isfinite(value)
+    if not np.all(finite):
+        bad = int(np.argmax(~finite))
+        raise EvalDomainError(f"{what} at batch row {bad} is not finite", expr.root)
+
+
+def _columns(program: _Code, x: np.ndarray) -> list:
+    """A program's outputs at the rows of an (N, arity) array, N >= 1: a
+    column each, or one number where an output reads no variable."""
+    with np.errstate(all="ignore"):
+        return _run(program, [x[:, i] for i in range(x.shape[1])], _finite_rows, 1)
+
+
+def _gather(places):
+    """flat -> the entries at places, as a tuple."""
+    if len(places) == 1:
+        (place,) = places
+        return lambda flat: (flat[place],)
+    return operator.itemgetter(*places)
+
+
+def _program_of(expr: Expression, order: int) -> tuple:
+    """(program, tail, gather) of expr at a derivative order (0, 1 or 2),
+    compiled on first use and kept on it: gather(outputs + tail) is its
+    value, gradient and row-major Hessian, as far as the order goes."""
+    program = expr._programs[order]
+    if program is None:
+        from .derivative import derived  # it builds on this module
+
+        code, (places,), tail = derived((expr,), order)
+        program = expr._programs[order] = (code, tail, _gather(places))
+    return program
+
+
+def _jet(expr: Expression, point, order: int) -> tuple:
+    """The value, gradient and row-major Hessian of expr at a point (a
+    sequence of reals, one per variable), as far as the order goes, each
+    checked finite."""
     if len(point) != expr.arity:
         raise ValueError(f"point has length {len(point)}, expected {expr.arity}")
-    return _program_of(expr)
-
-
-def _not_finite(expr: Expression, what: str):
-    return EvalDomainError(f"{what} is not finite", expr.root)
-
-
-# Finishing steps: one output's entry in the form its evaluator returns,
-# checked finite.
-
-
-def _value_out(expr: Expression, value: float) -> float:
-    if not math.isfinite(value):
-        raise _not_finite(expr, "value")
-    return value
-
-
-def _gradient_out(expr: Expression, entry) -> list:
-    """[value, *gradient]"""
-    if type(entry) is float:
-        out = [entry] + [0.0] * expr.arity
-    else:
-        out = [entry[0], *entry[1].tolist()]
-    if not all(map(math.isfinite, out)):
-        raise _not_finite(expr, "value or gradient")
-    return out
-
-
-def _jet_out(expr: Expression, entry) -> list:
-    """[value, *gradient, *Hessian in row-major order]"""
-    n = expr.arity
-    value, grad, hess = _triple(entry)
-    out = [value]
-    out += [0.0] * n if grad is None else grad.tolist()
-    out += [0.0] * (n * n) if hess is None else hess.ravel().tolist()
-    if not all(map(math.isfinite, out)):
-        raise _not_finite(expr, "value, gradient or Hessian")
-    return out
-
-
-def _rows_out(rows: int):
-    def finish(expr: Expression, entry) -> np.ndarray:
-        """(rows, 1 + arity): each row's value, then its gradient"""
-        value, grad, _ = _triple(entry)
-        out = np.zeros((rows, 1 + expr.arity))
-        out[:, 0] = value
-        if grad is not None:
-            out[:, 1:] = grad.T
-        finite = np.isfinite(out).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmax(~finite))
-            raise _not_finite(expr, f"value or gradient at batch row {bad}")
-        return out
-
-    return finish
-
-
-# A program's outputs at one point (a sequence of reals, one per variable)
-# or at the rows of an (N, arity) array, N >= 1.  The public evaluators run
-# an expression's own program through these; geometry runs a metric's.
-
-
-def _values(program: _Code, point) -> list:
-    return _run(program, [float(c) for c in point], False, math, _value_out)
-
-
-def _gradients(program: _Code, point) -> list:
-    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
-    return _run(program, leaves, False, math, _gradient_out)
-
-
-def _jets(program: _Code, point) -> list:
-    leaves = [(float(c), s, None) for c, s in zip(point, _seeds(len(point))[0])]
-    return _run(program, leaves, True, math, _jet_out)
-
-
-def _batches(program: _Code, x: np.ndarray) -> list:
-    leaves = [(x[:, i], s, None) for i, s in enumerate(_seeds(x.shape[1])[1])]
-    with np.errstate(all="ignore"):
-        return _run(program, leaves, False, np, _rows_out(len(x)))
+    program, tail, gather = _program_of(expr, order)
+    return gather(_run(program, [float(c) for c in point], _finite) + tail)
 
 
 @np.errstate(all="ignore")
 def evaluate(expr: Expression, point) -> float:
     """Evaluate at a point (sequence of reals, length == arity)."""
-    return _values(_program_at(expr, point), point)[0]
+    return _jet(expr, point, 0)[0]
 
 
 @np.errstate(all="ignore")
 def value_and_gradient(expr: Expression, point):
     """Returns (value, gradient ndarray of length arity)."""
-    out = _gradients(_program_at(expr, point), point)[0]
+    out = _jet(expr, point, 1)
     return out[0], np.array(out[1:])
 
 
 @np.errstate(all="ignore")
 def jet2(expr: Expression, point) -> Jet2:
     """Value, gradient, and Hessian at a point.  The Hessian is exactly
-    symmetric, because every rule builds it from symmetric terms."""
+    symmetric: entries (i, j) and (j, i) are one tree's value."""
     n = expr.arity
-    out = _jets(_program_at(expr, point), point)[0]
+    out = _jet(expr, point, 2)
     return Jet2(out[0], np.array(out[1 : n + 1]), np.array(out[n + 1 :]).reshape(n, n))
 
 

@@ -17,16 +17,15 @@ program over the 2d floats (x, v), which the split module builds on the
 route's first right-hand side and keeps on the spec.  The two share the
 factor part, derivative trees (the derivative module) included, and
 differ in how they contract it, so their agreement checks the blocks;
-the closed form's forward-mode gradients and sympy's derivatives are the
-independent references for the derivatives.  The outputs come in
-_point_data's check order (base metric, f, fiber metric, h).  Each live
-metric entry and warp is followed by its derivatives and checked with
-them, as forward mode checks a value with its gradient; a factor's
-determinant meets geometry._inverse_of's cutoff after the factor's
-entries, and a warp's sign is checked last.  So a point that fails
-raises the class _point_data raises there, and its message, except where
-two subexpressions of one entry fail at one point: the program meets the
-value's failure first, forward mode the first node's.  A program leaves
+sympy's derivatives are the independent reference for the derivatives.
+The outputs come in _point_data's check order (base metric, f, fiber
+metric, h).  Each live metric entry and warp is followed by its
+derivatives and checked with them, as value_and_gradient checks a value
+with its gradient; a factor's determinant meets geometry._inverse_of's
+cutoff after the factor's entries, and a warp's sign is checked last.  So
+a point that fails raises what _point_data raises there: both run the
+same derivative trees, output by output in the same order.  A program
+leaves
 out a term that is zero by structure, where point data may multiply an
 inf by 0.  A factor of dim > 3, or a metric entry beyond _ADJUGATE_PEAK,
 where _inverse_of turns to LAPACK, takes the route's formula over point
@@ -240,6 +239,8 @@ def integrate(
     """
     if rhs not in _RHS:
         raise ValueError(f"rhs must be one of {sorted(_RHS)}, got {rhs!r}")
+    if not (math.isfinite(step) and math.isfinite(s_end)):
+        raise ValueError(f"step and s_end must be finite, got {step!r} and {s_end!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if not abort_drift >= 0.0:

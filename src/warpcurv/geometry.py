@@ -6,17 +6,19 @@ so symmetry of everything downstream (metric values, Christoffel symbols in
 their lower pair, the closed form's covariant warp Hessians) holds bitwise,
 not just to roundoff.
 
-Partial derivatives of metric entries come from the expression module's
-compiled evaluator, at one point or over a stack of points, never from
-finite differences; the only approximation anywhere in this module is the
-linear solve for the inverse metric.  Christoffels need first derivatives;
-a factor's curvature in the closed form takes second ones from _metric_jets.
+Partial derivatives of metric entries are derivative trees (the
+derivative module), never finite differences; the only approximation
+anywhere in this module is the linear solve for the inverse metric.
+Christoffels need first derivatives; a factor's curvature in the closed
+form takes second ones from _metric_jets.
 
-A metric's live components are compiled into one program (_grid), each
-repeated subtree once, on first evaluation, and cached on the MetricSpec.
-metric_at, _metric_and_first_derivs, _metric_jets and _christoffels_stacked
-each make one run of it; the first component that fails raises what it
-would raise alone.
+A metric's live components and their derivatives up to an order are
+compiled into one program per order (_grid), each repeated subtree once,
+on first use, and cached on the MetricSpec.  metric_at runs the order-0
+program, _metric_and_first_derivs the order-1 and _metric_jets the order-2
+program at one point, and _christoffels_stacked the order-1 program over
+the columns of a stack of points; the first component that fails raises
+what it would raise alone.
 
 The one-point path is built for many calls on tiny arrays, where numpy's
 per-call cost outweighs the arithmetic:
@@ -46,12 +48,10 @@ import numpy as np
 from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
     Expression,
-    _batches,
-    _compile,
-    _gradients,
-    _jets,
+    _columns,
+    _finite,
     _reads_variables,
-    _values,
+    _run,
     evaluate,
     parse_expression,
 )
@@ -100,8 +100,8 @@ class MetricSpec:
     dim: int
     components: tuple  # dim x dim nested tuples of Expression
     name: str = ""
-    # the compiled grid, built by _grid on first evaluation
-    _compiled: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the compiled grids, one per derivative order, built by _grid on first use
+    _compiled: list = field(default=None, init=False, repr=False, compare=False)
     # a constant metric's (g, g^-1, Christoffels), set by the closed form
     # on its first successful evaluation (closed_form._metric_data)
     _fold: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -167,62 +167,54 @@ def _constant_value(expr: Expression):
     return c
 
 
-def _grid(spec: MetricSpec) -> tuple:
-    """(program, tail, gathers, fixed) of a metric, cached on the spec.
+def _grid(spec: MetricSpec, order: int) -> tuple:
+    """(program, tail, gathers) of a metric at a derivative order, 0, 1 or
+    2, built on first use and cached on the spec.
 
     program computes the live components (i, j), i <= j, in row-major
-    order: at derivative order 0, 1 or 2 each gives its value, gradient
-    and row-major Hessian as far as the order goes.  Laid flat behind tail
-    (0.0, then each folded component's value), the outputs hold every
-    entry of the metric arrays; gathers[order] holds, for g, D and DD up
-    to that order, an itemgetter and an index array of those flat
-    positions, and the array's shape.  fixed is g, D and DD when no
-    component is live.
+    order, each with its derivatives up to the order (derivative.derived).
+    Its outputs, followed by tail (0.0, the constant derivatives and each
+    folded component's value), hold every entry of the metric arrays;
+    gathers holds, for g, D and DD up to the order, an itemgetter and an
+    index array of those flat positions, and the array's shape.  With no
+    live component the program is empty and tail alone holds them.
     """
-    grid = spec._compiled
+    grids = spec._compiled
+    if grids is None:
+        grids = [None, None, None]
+        object.__setattr__(spec, "_compiled", grids)
+    grid = grids[order]
     if grid is None:
+        from .derivative import derived  # imported with the first program it builds
+
         dim = spec.dim
-        tail, live, place = [0.0], [], {}
-        for i in range(dim):
-            for j in range(i, dim):
-                e = spec.components[i][j]
-                v = _constant_value(e)
-                if v is None:
-                    place[i, j] = place[j, i] = (len(live), None)
-                    live.append(e)
-                else:
-                    place[i, j] = place[j, i] = (None, len(tail))
-                    tail.append(v)
-        pairs = [place[i, j] for i in range(dim) for j in range(dim)]
+        upper = [spec.components[i][j] for i in range(dim) for j in range(i, dim)]
+        live = [e for e in upper if _constant_value(e) is None]
+        program, places, tail = derived(live, order)
+        width, place = program.width, {}
+        for e, p in zip(live, places):
+            place[id(e)] = p
+        for e in upper:
+            if id(e) not in place:  # a folded component: its value, then zeros
+                tail.append(_constant_value(e))
+                place[id(e)] = [width + len(tail) - 1] + [width] * (dim + dim * dim)
+        cells = [place[id(spec.components[i][j])] for i in range(dim) for j in range(dim)]
         gathers = []
-        for order, width in enumerate((1, 1 + dim, 1 + dim + dim * dim)):
-            blocks = ([0], range(1, dim + 1), range(dim + 1, width))[: order + 1]
-            arrays = []
-            for rank, block in enumerate(blocks):
-                # entry t of a live component's output; a folded one's
-                # value, or 0.0 for its derivatives
-                ix = [len(tail) + k * width + t if c is None else c if t == 0 else 0
-                      for t in block for k, c in pairs]
-                arrays.append((operator.itemgetter(*ix), np.array(ix), (dim,) * (2 + rank)))
-            gathers.append(arrays)
-        fixed = None
-        if not live:
-            fixed = [np.array(get(tail)).reshape(shape) for get, _, shape in gathers[2]]
-        grid = (_compile(live), tail, gathers, fixed)
-        object.__setattr__(spec, "_compiled", grid)
+        blocks = ([0], range(1, dim + 1), range(dim + 1, 1 + dim + dim * dim))
+        for rank, block in enumerate(blocks[: order + 1]):
+            ix = [p[t] for t in block for p in cells]
+            gathers.append((operator.itemgetter(*ix), np.array(ix), (dim,) * (2 + rank)))
+        grid = grids[order] = (program, tail, gathers)
     return grid
 
 
 def _at_point(spec: MetricSpec, c, order: int) -> list:
     """[g, D, DD][: order + 1] at one point, from one run of the metric's
-    program; D[l, i, j] = d g_ij / dx_l and DD[l, m, i, j] = d^2 g_ij /
-    dx_l dx_m, each bitwise symmetric in (i, j)."""
-    program, tail, gathers, fixed = _grid(spec)
-    if not program:
-        return [a.copy() for a in fixed[: order + 1]]
-    outs = (_values, _gradients, _jets)[order](program, c)
-    flat = tail + (outs if order == 0 else [x for out in outs for x in out])
-    return [np.array(get(flat)).reshape(shape) for get, _, shape in gathers[order]]
+    program of that order; D[l, i, j] = d g_ij / dx_l and DD[l, m, i, j] =
+    d^2 g_ij / dx_l dx_m, each bitwise symmetric in (i, j)."""
+    program, tail, gathers = _grid(spec, order)
+    flat = _run(program, [float(x) for x in c], _finite) + tail
+    return [np.array(get(flat)).reshape(shape) for get, _, shape in gathers]
 
 
 @np.errstate(all="ignore")
@@ -288,12 +280,12 @@ def _metric_and_first_derivs(spec: MetricSpec, c: np.ndarray):
 
 
 def _metric_jets(spec: MetricSpec, c: np.ndarray):
-    """(g, D, DD) with DD[l, m, i, j] = d^2 g_ij / dx_l dx_m, from one jet
-    run over the live components.  g and D are bitwise those of
-    _metric_and_first_derivs; DD is symmetric in both pairs bitwise, and
-    None when every component is folded (a constant metric)."""
+    """(g, D, DD) with DD[l, m, i, j] = d^2 g_ij / dx_l dx_m, from one run
+    of the order-2 program over the live components.  g and D are bitwise
+    those of _metric_and_first_derivs; DD is symmetric in both pairs
+    bitwise, and None when every component is folded (a constant metric)."""
     g, D, DD = _at_point(spec, c, 2)
-    return g, D, DD if _grid(spec)[0] else None
+    return g, D, DD if _grid(spec, 2)[0] else None
 
 
 def _christoffels_from_parts(ginv: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -317,18 +309,18 @@ def christoffels_of(spec: MetricSpec, point) -> np.ndarray:
 def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
     """christoffels_of at every row of an (N, dim) array, [n, k, i, j].
 
-    One run of the metric's program over every row gives the stacked
-    metric and its first derivatives; folded components are not
-    evaluated.  Raises EvalDomainError or DegenerateMetricError when
-    christoffels_of would raise at some row; which row is left to the
+    One run of the metric's order-1 program over the columns of every row
+    gives the stacked metric and its first derivatives; folded components
+    are not evaluated.  Raises EvalDomainError or DegenerateMetricError
+    when christoffels_of would raise at some row; which row is left to the
     caller.
     """
     rows, dim = len(xs), spec.dim
-    program, tail, gathers, _ = _grid(spec)
-    flat = np.broadcast_to(tail, (rows, len(tail)))
-    if program:
-        flat = np.concatenate([flat, *_batches(program, xs)], axis=1)
-    (_, gi, _), (_, di, _) = gathers[1]
+    program, tail, gathers = _grid(spec, 1)
+    flat = np.empty((rows, program.width + len(tail)))
+    for i, column in enumerate(_columns(program, xs) + tail):
+        flat[:, i] = column
+    (_, gi, _), (_, di, _) = gathers
     # take, not flat[:, index], which would lay the result out in Fortran
     # order; einsum and LAPACK may round differently on another layout
     g = flat.take(gi, axis=1).reshape(rows, dim, dim)

@@ -31,6 +31,7 @@ offending JSON path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -184,6 +185,7 @@ def _box(obj, dim: int, path: str):
         )
         lo, hi = float(pair[0]), float(pair[1])
         _require(lo < hi, f"{path}[{i}]", f"needs lo < hi, got [{lo}, {hi}]")
+        _require(math.isfinite(hi - lo), f"{path}[{i}]", f"needs a finite width, got [{lo}, {hi}]")
         out[i] = (lo, hi)
     return out
 

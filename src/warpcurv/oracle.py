@@ -2,7 +2,7 @@
 
 This route knows nothing about product structure: it differentiates the
 Christoffel symbols of whatever metric it is handed.  The Christoffels
-themselves are exact (the expression module's chain rules); only their
+themselves are exact (derivative trees, the derivative module); only their
 derivatives are numerical, so a single layer of central differences with
 Richardson extrapolation is the entire error budget.
 
@@ -12,9 +12,10 @@ derivatives, inverse, Christoffels), so a bundle's Christoffels and the
 errors raised at the centre are those of the geometry module, and the
 inverse metric that raises the Ricci index is the one that built them.
 The 2*d*L stencil points around the centre are stacked and evaluated in
-one batched pass (one run of the metric's program over every point,
-stacked inverse, one einsum).  That program holds each live component of the chart and each
-repeated subtree once: on a plain chart h^2 g_B + f^2 g_F, the warps are
+one batched pass (one run of the metric's order-1 program over the columns
+of every point, stacked inverse, one einsum).  That program holds each
+live component of the chart, its first derivatives and each repeated
+subtree once: on a plain chart h^2 g_B + f^2 g_F, the warps are
 evaluated once per point, not once per component, and the constant zeros
 of the cross blocks not at all.  When that pass fails, the stencil is
 walked again point by point in the order axis, level, +h before -h, so
@@ -26,6 +27,7 @@ modules: its value as a cross-check depends on that separation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +74,8 @@ class DiffPolicy:
     relative_scaling: bool = True
 
     def __post_init__(self):
-        if not self.base_step > 0.0:
-            raise ValueError("base_step must be positive")
+        if not (self.base_step > 0.0 and math.isfinite(self.base_step)):
+            raise ValueError("base_step must be positive and finite")
         if self.richardson_levels not in (1, 2, 3):
             raise ValueError("richardson_levels must be 1, 2, or 3")
 

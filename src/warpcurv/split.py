@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
-from .derivative import gradient_nodes
+from .derivative import jet_nodes, live_entries
 from .expr import _BINARY, BinOp, Const, Neg, Var, _compile, _run, reindex
 from .geodesics import _Fallback
 from .geometry import _ADJUGATE_PEAK, MetricSpec, _constant_value
@@ -52,15 +52,7 @@ class Program:
 
     def values(self, y: list) -> list:
         """The checked outputs at the state y = [*x, *v]."""
-        values = []
-
-        def finish(out, value):
-            if out.check is not None:
-                _check(out.check, value, values)
-            values.append(value)
-
-        _run(self.program, y, False, math, finish)
-        return values
+        return _run(self.program, y, _check)
 
     def parts(self, values: list):
         """(g_B, g_F, f, h) from the values at a sample, for geodesics._norm."""
@@ -71,16 +63,18 @@ class Program:
                 *get_w(flat))
 
 
-def _check(check, last, values):
-    """Raise where _point_data would raise at the same check.
+def _check(check, values):
+    """Raise where _point_data would raise at the same check, on the last
+    of the values so far.
 
     ("det", k, live, peak) is _inverse_of's verdict on a determinant, from
     the positions of the factor's live entries in values and the largest
     |constant entry|.  ("entry", expr, n, _) and ("warp", expr, n, which)
     close an entry's or a warp's n outputs, its value and then its
-    derivatives: forward mode checks them together, and a warp's sign
-    after them."""
+    derivatives: they are checked together, as value_and_gradient checks
+    them, and a warp's sign after them."""
     kind, a, b, c = check
+    last = values[-1]
     if kind == "det":
         top = max([c, *[abs(values[i]) for i in b]])
         if top > _ADJUGATE_PEAK:
@@ -90,27 +84,16 @@ def _check(check, last, values):
                 f"metric determinant {last!r} is degenerate at this point", last
             )
         return
-    group = values[len(values) - b + 1 :] + [last]
+    group = values[-b:]
     if not all(map(math.isfinite, group)):
         raise EvalDomainError("value or gradient is not finite", a.root)
     if kind == "warp" and not group[0] > 0.0:
         raise NonpositiveWarpError(c, group[0])
 
 
-class _Out:
-    """One output of a program: its tree, and the check its value
-    must pass, a tuple for _check, or None."""
-
-    __slots__ = ("root", "check")
-
-    def __init__(self, root, check=None):
-        self.root = root
-        self.check = check
-
-
 def _fails(check, value) -> bool:
     try:
-        _check(check, value, [])
+        _check(check, [value])
     except (DegenerateMetricError, NonpositiveWarpError, _Fallback):
         return True
     return False
@@ -158,10 +141,11 @@ def _sum(terms):
 def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs, tail):
     """One factor's part of either route's program: its metric entries,
     then their determinant, then the warp that lives on it.  A live entry
-    or warp is an output, followed by its derivatives and preceded by the
-    derivatives that forward mode takes and drops (its guards).  A
-    constant one goes to tail instead, and a check on constants that
-    passes is not repeated at every run."""
+    or warp is an output, followed by its derivatives and preceded by its
+    guards (derivative.jet_nodes).  A constant one goes to tail instead,
+    and a check on constants that passes is not repeated at every run.
+    outs holds (tree, check) pairs, the check a tuple for _check or
+    None."""
     k = factor.dim
     own = range(offset, offset + k)
 
@@ -174,11 +158,11 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
             return Const(c), -len(tail), [None] * k
         node = reindex(expr, offset, arity).root if offset else expr.root
         guards = []
-        grads = gradient_nodes(node, own, guards)
-        trees = [node] + [d for d in grads if d is not None and type(d) is not Const]
-        outs.extend(_Out(t) for t in guards + trees[:-1])
-        outs.append(_Out(trees[-1], (kind, expr, len(trees), arg)))
-        return node, len(outs) - len(trees), grads
+        entries = jet_nodes(node, own, 1, guards)
+        trees = live_entries(entries)
+        outs.extend((t, None) for t in guards + trees[:-1])
+        outs.append((trees[-1], (kind, expr, len(trees), arg)))
+        return node, len(outs) - len(trees), entries[1:]
 
     g = [[None] * k for _ in range(k)]
     dg = [[None] * k for _ in range(k)]
@@ -197,11 +181,11 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
     det = _determinant(g)
     check = ("det", k, live, peak)
     if type(det) is not Const or _fails(check, det.value):
-        outs.append(_Out(det, check))
+        outs.append((det, check))
     w, wref, dw = place(warp, "warp", which)
     check = ("warp", warp, 1, which)
     if wref < 0 and _fails(check, w.value):
-        outs.append(_Out(w, check))
+        outs.append((w, check))
     v = [Var(arity + i) for i in own]
     # (a, b, v_a v_b) over a <= b: the terms of a quadratic form in v
     pairs = [(a, b, _fold("*", v[a], v[b])) for a in range(k) for b in range(a, k)]
@@ -349,8 +333,8 @@ def build(spec: WarpedProductSpec, route: str):
     # the acceleration is left unchecked: integrate finds a non-finite one
     # in the next stage's state, and the public right-hand sides check it
     accel = _ROUTES[route]
-    outs += [_Out(Const(0.0) if a is None else a)
-             for A, O in ((B, F), (F, B)) for a in accel(A, O)]
+    outs += [(Const(0.0) if a is None else a, None)
+              for A, O in ((B, F), (F, B)) for a in accel(A, O)]
 
     def index(ref):
         return ref if ref >= 0 else len(outs) - 1 - ref

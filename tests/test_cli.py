@@ -169,6 +169,28 @@ def test_verify_box_validation(capsys):
     assert main(["verify", catalog("unit-sphere"), "--box", "0..1"]) == 2
     assert main(["verify", catalog("unit-sphere"), "--box", "0..1,5..2"]) == 2
     assert main(["verify", catalog("unit-sphere"), "--box", "0..1,zz..2"]) == 2
+    capsys.readouterr()
+    assert main(["verify", catalog("unit-sphere"), "--box", "0.3..inf,0..6"]) == 2
+    assert "needs a finite width" in _one_line(capsys.readouterr().err)
+    assert main(["verify", catalog("unit-sphere"), "--box=-1e308..1e308,0..6"]) == 2
+    assert "needs a finite width" in _one_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("box", "[[0.3, 1e309], [0, 6]]"), ("box", "[[-1e308, 1e308], [0, 6]]"),
+     ("diff_policy", '{"base_step": 1e309}')],
+)
+def test_nonfinite_manifest_numbers_exit_2(tmp_path, capsys, field, value):
+    doc = json.loads(Path(catalog("unit-sphere")).read_text())
+    doc.pop("box", None)
+    text = json.dumps(doc)[:-1] + f', "{field}": {value}}}'  # 1e309 as JSON text
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    assert main(["verify", str(path), "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"$.{field}" in _one_line(captured.err)
 
 
 def test_geodesic_flat_straight_line(tmp_path):

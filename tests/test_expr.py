@@ -574,9 +574,9 @@ def test_nesting_limit_is_a_parse_error(opening, closing):
 def test_batch_program_compiled_once_and_shape_checked():
     expr = parse_expression("x0*sin(x1)", 2)
     value_and_gradient_batch(expr, np.ones((3, 2)))
-    program = expr._program
+    program = expr._programs[1]
     value_and_gradient_batch(expr, np.zeros((5, 2)))
-    assert expr._program is program
+    assert expr._programs[1] is program
     with pytest.raises(ValueError):
         value_and_gradient_batch(expr, np.ones((3, 3)))
     with pytest.raises(ValueError):

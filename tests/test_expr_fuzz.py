@@ -15,17 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from warpcurv.derivative import gradient_nodes
+from warpcurv.derivative import derived
 from warpcurv.errors import EvalDomainError, WarpcurvError
 from warpcurv.expr import (
-    Const,
     Expression,
-    _batches,
-    _compile,
-    _gradients,
-    _jets,
+    _columns,
+    _finite,
     _run,
-    _values,
     evaluate,
     format_expression,
     jet2,
@@ -34,6 +30,7 @@ from warpcurv.expr import (
 )
 
 from batch_reference import value_and_gradient_batch
+from sympy_reference import jet_reference
 
 FUZZ = settings(
     derandomize=True,
@@ -48,16 +45,16 @@ _EXPONENTS = ["0", "0.5", "1", "1.5", "2", "3", "-1", "-0.5"]
 _COORDS = [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 2.0, -2.0, 3.0, 1e-200, 800.0, -800.0]
 
 
-def _text(rnd, arity: int, depth: int) -> str:
+def _text(rnd, arity: int, depth: int, consts=_CONSTS) -> str:
     """Expression text from the grammar, each choice drawn from rnd."""
     if depth == 0 or rnd.random() < 0.25:
         if rnd.random() < 0.5:
             return f"x{rnd.randrange(arity)}"
-        return rnd.choice(_CONSTS)
-    a = _text(rnd, arity, depth - 1)
+        return rnd.choice(consts)
+    a = _text(rnd, arity, depth - 1, consts)
     r = rnd.random()
     if r < 0.45:
-        return f"({a} {rnd.choice('+-*/^')} {_text(rnd, arity, depth - 1)})"
+        return f"({a} {rnd.choice('+-*/^')} {_text(rnd, arity, depth - 1, consts)})"
     if r < 0.6:
         return f"({a})^{rnd.choice(_EXPONENTS)}"
     if r < 0.7:
@@ -66,13 +63,13 @@ def _text(rnd, arity: int, depth: int) -> str:
 
 
 @st.composite
-def _case(draw, rows=1):
+def _case(draw, rows=1, consts=_CONSTS):
     """An expression that parses, with `rows` grid points.  Raised to the
     power 0 half the time: that discards the value and derivatives, so only
     the domain rules can reject a point, not the finiteness check."""
     rnd = draw(st.randoms(use_true_random=False))
     arity = rnd.randint(1, 3)
-    text = _text(rnd, arity, rnd.randint(1, 4))
+    text = _text(rnd, arity, rnd.randint(1, 4), consts)
     if rnd.random() < 0.5:
         text = f"({text})^0"
     expr = parse_expression(text, arity)
@@ -177,28 +174,41 @@ def _bits(*parts) -> bytes:
     return np.concatenate([np.ravel(p) for p in parts]).astype(float).tobytes()
 
 
+def _grid_run(grid, at):
+    """Each expression's entries (value, gradient, row-major Hessian as far
+    as the order goes) from one run of a program over all of them, grid =
+    (program, places, tail): at a point, or as columns over the rows of an
+    array."""
+    program, places, tail = grid
+    if np.ndim(at) == 1:
+        flat = _run(program, [float(c) for c in at], _finite) + tail
+        return [[flat[p] for p in ps] for ps in places]
+    flat = _columns(program, at) + tail
+    return [np.column_stack([np.broadcast_to(flat[p], len(at)) for p in ps]) for ps in places]
+
+
 @settings(FUZZ, max_examples=150)
 @given(_grid_case())
 def test_a_shared_program_gives_each_expression_its_own_result(case):
     """Each output of one program over a grid of expressions is bitwise what
-    the expression's own evaluator returns, at every order and in the batch,
-    and the grid raises exactly when one of them does: with the class and
-    message of the first expression that raises."""
+    the expression's own evaluator returns, at every order and over
+    columns, and the grid raises exactly when one of them does: with the
+    class and message of the first expression that raises."""
     exprs, points = case
-    program = _compile(exprs)
-    # (grid run, the expression's own evaluator, its result as bytes)
+    grids = [derived(exprs, order) for order in range(3)]
+    # (order, the expression's own evaluator, its result as bytes)
     runs = [
-        (_values, evaluate, _bits),
-        (_gradients, value_and_gradient, lambda out: _bits(*out)),
-        (_jets, jet2, lambda jet: _bits(jet.value, jet.gradient, jet.hessian)),
+        (0, evaluate, _bits),
+        (1, value_and_gradient, lambda out: _bits(*out)),
+        (2, jet2, lambda jet: _bits(jet.value, jet.gradient, jet.hessian)),
     ]
-    calls = [(grid, own, as_bits, p) for grid, own, as_bits in runs for p in points]
-    calls.append((_batches, value_and_gradient_batch, lambda out: _bits(np.column_stack(out)),
+    calls = [(order, own, as_bits, p) for order, own, as_bits in runs for p in points]
+    calls.append((1, value_and_gradient_batch, lambda out: _bits(np.column_stack(out)),
                   np.array(points, dtype=float)))
-    for grid, own, as_bits, at in calls:
+    for order, own, as_bits, at in calls:
         want = [_raised(own, e, at) for e in exprs]
         first = next((w for w in want if isinstance(w, EvalDomainError)), None)
-        got = _raised(grid, program, at)
+        got = _raised(_grid_run, grids[order], at)
         if first is not None:
             assert isinstance(got, EvalDomainError)
             assert (type(got), str(got)) == (type(first), str(first))
@@ -207,59 +217,70 @@ def test_a_shared_program_gives_each_expression_its_own_result(case):
         assert [_bits(out) for out in got] == [as_bits(w) for w in want]
 
 
-def _derived_gradient(expr: Expression, point):
-    """(value, gradient) from one order-0 program over the expression, its
-    derivative trees and their guards; raises where a value or a partial
-    derivative is not finite, as value_and_gradient does."""
-    k = expr.arity
-    guards = []
-    grads = gradient_nodes(expr.root, range(k), guards)
-    trees = [Const(0.0) if g is None else g for g in grads] + guards
-    outs = _run(_compile([expr, *[Expression(t, k) for t in trees]]),
-                [float(c) for c in point], False, math, lambda out, value: value)
-    if not all(map(math.isfinite, outs[: 1 + k])):
-        raise EvalDomainError("value or gradient is not finite")
-    return outs[0], np.array(outs[1 : 1 + k])
+def _same_as_sympy(expr, point, reference, rtol):
+    """Where value_and_gradient and jet2 return and sympy's derivatives are
+    finite, they agree to rtol, entry by entry."""
+    want = reference(point)
+    if want is None:
+        return
+    scalar = _outcome(value_and_gradient, expr, point)
+    if scalar is not None:
+        np.testing.assert_allclose(scalar[1], want[1], rtol=rtol, atol=0.0,
+                                   err_msg=f"{format_expression(expr)} at {point}")
+    jet = _outcome(jet2, expr, point)
+    if jet is not None:
+        np.testing.assert_allclose(jet.hessian, want[2], rtol=rtol, atol=0.0,
+                                   err_msg=f"{format_expression(expr)} at {point}")
 
 
-def _same_gradient(expr, point):
-    want = _outcome(value_and_gradient, expr, point)
-    got = _outcome(_derived_gradient, expr, point)
-    assert (got is None) == (want is None), (format_expression(expr), point, want, got)
-    if want is not None:
-        assert got[0] == want[0]  # the value is the same tree's, bitwise
-        np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0.0)
+# sympy cannot build every tree of the full grammar: a constant near the
+# float range sends its evaluation of exp or sin after digits it cannot
+# reach.  The overflow paths are fuzzed above; here the literals stay small.
+_SYMPY_CONSTS = [c for c in _CONSTS if c != "1e308"]
 
 
-@FUZZ
-@given(_case(rows=3))
-def test_derived_gradients_raise_iff_forward_mode_does_and_agree_otherwise(case):
+@settings(FUZZ, max_examples=100)  # sympy differentiates each example: about 10 ms
+@given(_case(rows=3, consts=_SYMPY_CONSTS))
+def test_gradients_and_hessians_match_sympy(case):
+    """sympy's formulas are not the trees', so the two round differently,
+    and far apart where a formula cancels: the Hessian of x0/(0.5 + x0) at
+    800 is 1 - q over a denominator, q near 1, and the two differ there by
+    1.1e-13.  Over 9,000 grammar points none differed by more than 1.4e-13."""
     expr, points = case
+    reference = jet_reference(expr)
     for point in points:
-        _same_gradient(expr, point)
+        _same_as_sympy(expr, point, reference, rtol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "text,arity,point",
-    [
-        ("x0^1", 1, [0.0]),  # the derivative's power x0^0 exists at 0
-        ("x0^(x1-x1)", 2, [-1.0, 2.0]),  # a variable exponent asks for log(x0)
-        ("x0^(x1-x1)", 2, [2.0, 2.0]),
-        ("sqrt(x0)", 1, [0.0]),
-        ("x0^0.5", 1, [0.0]),
-        ("x0^-0.5", 1, [0.0]),
-        ("sqrt(x0)^0", 1, [0.0]),  # the power drops sqrt's derivative, after taking it
-        ("sqrt(x1 - x1) + x0", 2, [1.0, 1.0]),
-        ("(-2)^x0", 1, [2.0]),
-        ("x0^x1", 2, [0.0, 2.0]),
-        ("x0^x1", 2, [-1.0, 2.0]),
-        ("0*sqrt(x0)", 1, [0.0]),
-        ("x0*1e308*10", 1, [1.0]),
-        ("1 + x0*1e308*10 - x0*1e308*10", 1, [0.0]),
-        ("exp(x0)*exp(x0)", 1, [400.0]),
-        ("x0^-2", 1, [1e-200]),  # the value exists, x0^-3 overflows
-        ("tan(x0)/x1 + log(x1)*cosh(x0)", 2, [0.3, 2.0]),
-    ],
-)
-def test_derived_gradients_at_the_domain_edges(text, arity, point):
-    _same_gradient(parse_expression(text, arity), point)
+# (text, arity, point, whether the gradient exists, whether the Hessian does)
+EDGES = [
+    ("x0^1", 1, [0.0], True, True),  # the derivative's power x0^0 exists at 0
+    ("x0^(x1-x1)", 2, [-1.0, 2.0], False, False),  # a variable exponent asks for log(x0)
+    ("x0^(x1-x1)", 2, [2.0, 2.0], True, True),
+    ("sqrt(x0)", 1, [0.0], False, False),
+    ("x0^0.5", 1, [0.0], False, False),
+    ("x0^-0.5", 1, [0.0], False, False),
+    ("x0^1.5", 1, [0.0], True, False),
+    ("sqrt(x0)^0", 1, [0.0], False, False),  # the power drops sqrt's derivative, after taking it
+    ("sqrt(x1 - x1) + x0", 2, [1.0, 1.0], False, False),
+    ("(-2)^x0", 1, [2.0], False, False),
+    ("x0^x1", 2, [0.0, 2.0], False, False),
+    ("x0^x1", 2, [-1.0, 2.0], False, False),
+    ("0*sqrt(x0)", 1, [0.0], False, False),
+    ("x0*1e308*10", 1, [1.0], False, False),
+    ("1 + x0*1e308*10 - x0*1e308*10", 1, [0.0], False, False),
+    ("exp(x0)*exp(x0)", 1, [400.0], False, False),
+    ("x0^-2", 1, [1e-200], False, False),  # the value exists, x0^-3 overflows
+    ("tan(x0)/x1 + log(x1)*cosh(x0)", 2, [0.3, 2.0], True, True),
+]
+
+
+@pytest.mark.parametrize("text,arity,point,gradient,hessian", EDGES)
+def test_derivatives_at_the_domain_edges(text, arity, point, gradient, hessian):
+    expr = parse_expression(text, arity)
+    scalar = _outcome(value_and_gradient, expr, point)
+    jet = _outcome(jet2, expr, point)
+    assert (scalar is not None, jet is not None) == (gradient, hessian)
+    if scalar is not None:
+        assert scalar[0] == evaluate(expr, point)  # the value is the same tree's, bitwise
+    _same_as_sympy(expr, point, jet_reference(expr), rtol=1e-14)

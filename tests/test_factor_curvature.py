@@ -89,13 +89,13 @@ def _refuse(*args, **kwargs):
 
 def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
     """Every binding of the oracle's bundle and stencil helpers, and of the
-    batched evaluators, raises; bundle_closed still returns, and its
+    runner over columns, raises; bundle_closed still returns, and its
     Christoffels are bitwise those of the geodesic path."""
     targets = {
         oracle.bundle_fd,
         oracle._dgamma,
         geometry._christoffels_stacked,
-        expr._batches,
+        expr._columns,
     }
     modules = [getattr(warpcurv, name) for name in dir(warpcurv)]
     patched = set()
@@ -108,7 +108,7 @@ def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
         "warpcurv.closed_form.bundle_fd",
         "warpcurv.oracle._dgamma",
         "warpcurv.geometry._christoffels_stacked",
-        "warpcurv.geometry._batches",
+        "warpcurv.geometry._columns",
     } <= patched
     for mf in MANIFESTS:
         for pp in _points(mf, 3, 19):

@@ -187,6 +187,9 @@ def test_integrate_validates_arguments():
         integrate(SPHERE, st, s_end=1.0, step=-1e-2)
     with pytest.raises(ValueError):
         integrate(SPHERE, st, s_end=-1.0, step=1e-2)
+    for s_end, step in ((1.0, math.inf), (1.0, math.nan), (math.inf, 1e-2), (math.nan, 1e-2)):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate(SPHERE, st, s_end=s_end, step=step)
     for abort_drift in (-1e-3, float("nan")):
         with pytest.raises(ValueError):
             integrate(SPHERE, st, s_end=1.0, step=1e-2, abort_drift=abort_drift)
@@ -416,9 +419,9 @@ def test_a_warp_whose_square_overflows_raises_a_warpcurv_error():
 
 
 def test_the_full_program_is_the_closed_form_contraction():
-    """rhs_full runs a program over derivative trees, christoffels_closed
-    contracts forward mode's gradients: at seeded points of every catalog
-    entry, valid fixture and dense manifest they agree to 1e-13."""
+    """rhs_full runs one program over derivative trees, christoffels_closed
+    assembles point data's blocks with numpy: at seeded points of every
+    catalog entry, valid fixture and dense manifest they agree to 1e-13."""
     fixtures = Path(__file__).parent / "fixtures"
     manifests = [load_catalog(name) for name in catalog_names()]
     manifests += [load_manifest(fixtures / f"{n}.json")

@@ -104,6 +104,10 @@ def test_validation_paths_are_reported():
         (minimal(extra_field=1), r"\$\.extra_field"),
         (minimal(box=[[0, 1]]), r"\$\.box"),
         (minimal(box=[[0, 1], [3, 2]]), r"\$\.box\[1\]"),
+        # JSON reads 1e309 as inf; a finite box may still have an infinite width
+        (minimal(box=json.loads("[[0, 1], [0, 1e309]]")), r"\$\.box\[1\]: needs a finite width"),
+        (minimal(box=[[-1e308, 1e308], [0, 1]]), r"\$\.box\[0\]: needs a finite width"),
+        (minimal(diff_policy=json.loads('{"base_step": 1e309}')), r"\$\.diff_policy: base_step"),
         (minimal(diff_policy={"richardson_levels": "two"}), r"richardson_levels"),
         (minimal(diff_policy={"step": 1e-4}), r"\$\.diff_policy\.step"),
         ([1, 2, 3], r"\$"),

@@ -22,6 +22,7 @@ from warpcurv.expr import (
     _OP_VAR,
     _compile,
     _postfix,
+    _program_of,
     evaluate,
     format_expression,
     jet2,
@@ -157,15 +158,17 @@ def test_first_failing_component_raises_what_the_loop_raises():
 
 def test_a_lone_expression_compiles_to_its_postfix_and_one_out():
     alone = parse_expression("x0*sin(x1) - 2^x0 + sin(x0)", 2)
-    ops = [(code, arg) for code, arg, *_ in _compile([alone]).ops]
+    ops = [(code, arg) for code, arg, *_ in _compile([(alone.root, "check")]).ops]
     # leaves and constants are registers filled before the run, so the ops
     # are the postfix's operations alone
     assert ops[:-1] == [(code, arg) for code, arg, _ in _postfix(alone.root)
                         if code not in (_OP_CONST, _OP_VAR)]
-    assert ops[-1] == (_OP_OUT, alone)
+    assert ops[-1] == (_OP_OUT, "check")
+    # the order-0 program is that one, its output checked as a value
+    assert _program_of(alone, 0)[0].ops[-1][1] == (alone, 1, "value")
     # a repeated subtree is computed by one op, and both reads name its register
     twice = parse_expression("sin(x0 + 1)*sin(x0 + 1)", 1)
-    ops = _compile([twice]).ops
+    ops = _compile([(twice.root, None)]).ops
     assert [op[0] for op in ops] == [_OP_BIN, _OP_CALL, _OP_BIN, _OP_OUT]
     (_, _, _, sine, _, _), (_, _, _, product, left, right) = ops[1:3]
     assert left == right == sine
@@ -178,37 +181,40 @@ def _dense_3x3():
 
 
 def _outputs(program):
-    return [arg for code, arg, *_ in program.ops if code is _OP_OUT]
+    """The expressions whose outputs the program checks, in order."""
+    return [arg[0] for code, arg, *_ in program.ops if code is _OP_OUT and arg is not None]
 
 
 def test_plain_chart_program_shares_the_warps():
     mf = _dense_3x3()
     plain = as_plain_metric(mf.spec)
-    program = geometry._grid(plain)[0]
     live = [plain.components[i][j] for i, j in _upper(plain)
             if geometry._constant_value(plain.components[i][j]) is None]
     assert len(live) == 12  # 6 + 6 block components; the 9 cross zeros fold
-    assert _outputs(program) == live
     # each warp is exp(...) and no factor component calls exp
     factors = [e for f in (mf.spec.base, mf.spec.fiber) for row in f.components for e in row]
     assert not any("exp" in format_expression(e) for e in factors)
-    exps = [op for op in program.ops if op[0] is _OP_CALL and op[2].name == "exp"]
-    assert len(exps) == 2
-    separate = sum(len(_compile([e])) for e in live)
-    assert len(program) < separate / 2
+    for order in (0, 1):  # metric_at's order, and the oracle's
+        program = geometry._grid(plain, order)[0]
+        assert _outputs(program) == live
+        # exp is its own derivative, so both orders call it once per warp
+        exps = [op for op in program.ops if op[0] is _OP_CALL and op[2].name == "exp"]
+        assert len(exps) == 2
+        separate = sum(len(_program_of(e, order)[0]) for e in live)
+        assert len(program) < separate / 2
 
 
 def test_folded_components_stay_out_of_the_batched_pass(monkeypatch):
     mf = _dense_3x3()
     plain = as_plain_metric(mf.spec)
     runs = []
-    batches = geometry._batches
+    columns = geometry._columns
 
     def spy(program, xs):
         runs.append(_outputs(program))
-        return batches(program, xs)
+        return columns(program, xs)
 
-    monkeypatch.setattr(geometry, "_batches", spy)
+    monkeypatch.setattr(geometry, "_columns", spy)
     x = np.zeros(plain.dim)
     _christoffels_stacked(plain, np.stack([x, x + 0.1]))
     folded = {plain.components[i][j] for i, j in _upper(plain)
@@ -223,7 +229,7 @@ def test_setup_compiles_nothing():
     plain = as_plain_metric(mf.spec)
     for spec in (mf.spec.base, mf.spec.fiber, plain):
         assert spec._compiled is None
-        assert all(e._program is None for row in spec.components for e in row)
-    assert mf.spec.f._program is None and mf.spec.h._program is None
+        assert all(e._programs == [None] * 3 for row in spec.components for e in row)
+    assert mf.spec.f._programs == [None] * 3 and mf.spec.h._programs == [None] * 3
     metric_at(plain, np.zeros(plain.dim))
     assert plain._compiled is not None and mf.spec.base._compiled is None

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,9 @@ def test_diff_policy_validation():
         DiffPolicy(richardson_levels=0)
     with pytest.raises(ValueError):
         DiffPolicy(richardson_levels=4)
-    with pytest.raises(ValueError):
-        DiffPolicy(base_step=0.0)
+    for base_step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DiffPolicy(base_step=base_step)
 
 
 def test_step_scaling():

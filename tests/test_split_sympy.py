@@ -17,50 +17,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sympy = pytest.importorskip("sympy")
-
-from warpcurv.expr import BinOp, Call, Const, Neg, Var, _postfix  # noqa: E402
-from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split  # noqa: E402
-from warpcurv.manifest import (  # noqa: E402
+from sympy_reference import sympy, to_sympy
+from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split
+from warpcurv.manifest import (
     catalog_names,
     load_catalog,
     load_manifest,
     parse_manifest,
 )
-from warpcurv.warped import ProductPoint  # noqa: E402
+from warpcurv.warped import ProductPoint
 
 ROOT = Path(__file__).parents[1]
-
-_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
-        "/": lambda a, b: a / b, "^": lambda a, b: a**b}
-
-
-def _sympy(expr, symbols):
-    """The expression tree as a sympy expression in the given symbols."""
-    stack = []
-    for _, _, node in _postfix(expr.root):
-        kind = type(node)
-        if kind is Const:
-            stack.append(sympy.Float(node.value, 20))
-        elif kind is Var:
-            stack.append(symbols[node.index])
-        elif kind is Neg:
-            stack.append(-stack.pop())
-        elif kind is Call:
-            stack.append(getattr(sympy, node.name)(stack.pop()))
-        else:
-            assert kind is BinOp
-            right = stack.pop()
-            stack.append(_OPS[node.op](stack.pop(), right))
-    return stack.pop()
 
 
 def _factor(metric, warp, symbols):
     """(metric entries, their gradients, warp, its gradient) as one list of
     sympy expressions."""
     k = metric.dim
-    g = [_sympy(metric.components[i][j], symbols) for i in range(k) for j in range(k)]
-    w = _sympy(warp, symbols)
+    g = [to_sympy(metric.components[i][j], symbols) for i in range(k) for j in range(k)]
+    w = to_sympy(warp, symbols)
     dg = [sympy.diff(e, x) for e in g for x in symbols]
     dw = [sympy.diff(w, x) for x in symbols]
     return g + dg + [w] + dw
