@@ -11,9 +11,10 @@ geodesics numerically at points, three independent ways:
 - two algebraically identical geodesic right-hand sides (geodesics).
 
 Expressions are plain strings over x0, x1, ..., compiled once into a register
-program whose one interpreter gives values and exact gradients and Hessians
-(expr); manifolds load from JSON manifests and a small built-in catalog
-(manifest); the `warpcurv` CLI wraps the rest.
+program that runs as one generated Python function, its kernel, and gives
+values and exact gradients and Hessians (expr, kernel); manifolds load from
+JSON manifests and a small built-in catalog (manifest); the `warpcurv` CLI
+wraps the rest.
 """
 
 __version__ = "0.1.0"

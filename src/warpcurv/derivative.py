@@ -7,8 +7,8 @@ expr._DERIVATIVES.  jet_nodes applies it twice for second derivatives:
 Hessian entry (i, j), i <= j, is the derivative tree of the i-th
 first-derivative tree, and entry (j, i) is the same tree, so a Hessian is
 bitwise symmetric.  derived compiles the trees of many expressions up to
-an order, 0, 1 or 2, into one program for expr's interpreter, which runs
-it on floats or on numpy columns.  Every evaluator runs such programs:
+an order, 0, 1 or 2, into one program, which expr runs as a generated
+kernel on floats or on numpy columns.  Every evaluator runs such programs:
 expr's evaluate, value_and_gradient and jet2, geometry's metric grids (at a
 point and over the oracle's stencil), the closed form's warps, and the
 geodesic programs of the split module.
@@ -17,10 +17,11 @@ A program raises where one of its operations leaves the domain, so the
 domain narrows with the order by itself.  A power u^0 is 1 whatever u is,
 and its derivatives are zero, but they exist only where u's do: u's
 derivatives up to the order are guards, outputs that are computed and
-dropped, so that the program raises there.  One gap: where an overflow
-would be multiplied by a derivative that is zero by structure, the tree
-has no such term, so it gives a finite number where the product inf * 0
-would be nan.
+dropped, so that the program raises there.  They run after the value, so
+where the value fails as well, the error is evaluate's.  One gap: where
+an overflow would be multiplied by a derivative that is zero by
+structure, the tree has no such term, so it gives a finite number where
+the product inf * 0 would be nan.
 """
 
 from __future__ import annotations
@@ -222,15 +223,20 @@ def derived(exprs, order: int):
     Each expression's outputs are its guards, then its live entries; the
     last of them carries the check (expr, n, what) that expr's finishing
     steps read: the expression's n live entries must be finite, else
-    "<what> is not finite".  So a program over many expressions raises at
-    the first one that fails, as they would one by one.
+    "<what> is not finite".  An expression with guards outputs its value
+    once more before them, so that its value runs first: where both the
+    value and a guard fail, the error is evaluate's.  So a program over
+    many expressions raises at the first one that fails, as they would one
+    by one.
     """
     outputs, refs, tail = [], [], [0.0]
     for expr in exprs:
         guards = []
         entries = jet_nodes(expr.root, range(expr.arity), order, guards)
-        outputs += [(g, None) for g in guards]
         group = live_entries(entries)
+        if guards:  # the value runs first, as evaluate runs it
+            outputs.append((group[0], None))
+        outputs += [(g, None) for g in guards]
         where = {}
         for node in group:
             where[id(node)] = len(outputs)

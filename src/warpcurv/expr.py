@@ -1,26 +1,35 @@
-"""Expression parsing, evaluation, and the interpreter that runs every
+"""Expression parsing, evaluation, and the kernels that run every
 derivative.
 
 Expressions are closed-form formulas in variables x0..x{arity-1} built from
 the binary operators + - * / ^, unary minus, the functions sin cos tan exp
 log sqrt sinh cosh tanh, and the constants pi and e.  Parsing is a small
-recursive-descent pass, nested at most MAX_NESTING levels deep; no Python
-eval is involved anywhere.
+recursive-descent pass, nested at most MAX_NESTING levels deep; no text of
+an expression is ever handed to Python's eval, exec or compile.
 
-Every evaluation runs one interpreter over a compiled register program of
-values alone.  Derivatives are trees too: the derivative module writes
-them from _DERIVATIVES, the one statement of each function's derivative,
-and compiles an expression's trees up to an order, 0, 1 or 2, into one
+Every evaluation runs a compiled register program of values alone.
+Derivatives are trees too: the derivative module writes them from
+_DERIVATIVES, the one statement of each function's derivative, and
+compiles an expression's trees up to an order, 0, 1 or 2, into one
 program (derivative.derived).  An expression keeps one such program per
 order, compiled on first use: evaluate runs order 0, value_and_gradient
 order 1 and jet2 order 2.  A program may also cover many expressions of a
 chart, each repeated subtree computed once (a metric's live components,
-see geometry; a geodesic acceleration, see split).  The same loop runs one
-point on floats with math and N points on numpy columns (_columns, for the
-oracle's stencil).  Nothing walks a tree by recursion, so a sum of
-thousands of terms evaluates, differentiates, prints and reindexes like a
-short one.  The tests hold the derivatives to sympy and to finite
-differences, two references that share nothing with this code.
+see geometry; a geodesic acceleration, see split).
+
+A program runs as one generated Python function, its kernel: one line per
+op, written and compiled at the program's first run and kept on it (the
+kernel module).  The kernel's text is made of register names, the inline
++ - *, rule names and check indices, each taken from a fixed table by the
+op's rules; constants stay in registers and are passed in with the point,
+so nothing a user wrote reaches compile.  One code object runs one point
+on floats with math's rules and N points on numpy columns with numpy's
+(_columns, for the oracle's stencil), under a set of names for each.
+Where a run raises, the kernel's line names the op, and the error names
+its node.  Nothing walks a tree by recursion, so a sum of thousands of terms evaluates,
+differentiates, prints and reindexes like a short one.  The tests hold the
+derivatives to sympy and to finite differences, two references that share
+nothing with this code.
 
 The domain narrows with the derivative order and never widens.  evaluate
 rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
@@ -239,7 +248,7 @@ _BINARY = {
 
 
 # ---------------------------------------------------------------------------
-# The compiled program and its interpreter
+# The compiled program and its kernel
 
 # _postfix's opcodes; a compiled program keeps NEG, CALL and BIN, and adds OUT
 _OP_CONST, _OP_VAR, _OP_NEG, _OP_CALL, _OP_BIN, _OP_OUT = range(6)
@@ -281,11 +290,13 @@ class _Code:
     in value-number order: each constant's value, and None for a computed
     one; the leaves follow it.  An op is (opcode, rules, node, target,
     operand, operand or None); OUT has its check for the rules.  width
-    counts the outputs."""
+    counts the outputs.  kernels is None until the first run builds the
+    program's kernel (the kernel module)."""
 
     def __init__(self, ops: tuple, registers: list):
         self.ops, self.registers = ops, registers
         self.width = sum(op[0] is _OP_OUT for op in ops)
+        self.kernels = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -358,32 +369,34 @@ def _reads_variables(expr: Expression) -> bool:
     return any(code is _OP_VAR for code, _, _ in _postfix(expr.root))
 
 
+# A kernel's line _FIRST_OP_LINE + i states op i (the kernel module).
+_FIRST_OP_LINE = 3
+
+
 def _run(program: _Code, leaves: list, finish, columns: int = 0) -> list:
     """The outputs of a program, in order.  Variable i reads leaves[i]:
     floats, run with math's rules, or with columns=1 numpy columns of one
     length, run with numpy's.  At an output with a check, finish(check,
     outputs so far) runs, so an output it rejects stops the run before the
-    next output's ops."""
-    regs = program.registers + leaves
-    outs, node = [], None
+    next output's ops.  An op that raises is named by EvalDomainError; an
+    error of finish passes through as it is."""
+    kernels = program.kernels
+    if kernels is None:
+        from .kernel import build  # imported with the first kernel it builds
+
+        kernels = build(program)
     try:
-        for code, arg, node, target, a, b in program.ops:
-            if code is _OP_BIN:
-                regs[target] = arg[columns](regs[a], regs[b])
-            # the rest by how often they come
-            elif code is _OP_CALL:
-                regs[target] = arg[columns](regs[a])
-            elif code is _OP_OUT:
-                outs.append(regs[a])
-                if arg is not None:
-                    finish(arg, outs)
-            else:
-                regs[target] = -regs[a]
+        return kernels[columns](leaves, finish)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # the traceback runs from this frame into the kernel's, at the line
+        # of the op that raised
+        line = exc.__traceback__.tb_next.tb_lineno
+        code, _, node, *_ = program.ops[line - _FIRST_OP_LINE]
+        if code is _OP_OUT:  # raised by finish
+            raise
         node = getattr(node, "origin", node)
         what = node.name if type(node) is Call else repr(node.op)
         raise EvalDomainError(f"{what}: {exc}", node) from None
-    return outs
 
 
 # Finishing steps for derivative.derived's programs: the check (expr, n,

@@ -7,10 +7,10 @@ on A (f on the base, h on the fiber), the paper's factor form is
           - 2 (d ln w_O / ds) v_A,
 
 an explicit function of the 2d numbers (x, v).  build writes it as one
-program for expr's interpreter.  Both routes share the factor part
-(_factor): the factor metrics' entries, their adjugate determinants and
-the warps, each followed by its derivative trees (the derivative module)
-and checked as _point_data checks it.  They differ only in the
+program, which expr runs as a generated kernel.  Both routes share the
+factor part (_factor): the factor metrics' entries, their adjugate
+determinants and the warps, each followed by its derivative trees (the
+derivative module) and checked as _point_data checks it.  They differ only in the
 acceleration, with the inverse metric as the adjugate over the
 determinant in both:
 
@@ -142,7 +142,8 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
     """One factor's part of either route's program: its metric entries,
     then their determinant, then the warp that lives on it.  A live entry
     or warp is an output, followed by its derivatives and preceded by its
-    guards (derivative.jet_nodes).  A constant one goes to tail instead,
+    guards (derivative.jet_nodes), and by its value once more where it has
+    guards, so that its value runs first.  A constant one goes to tail instead,
     and a check on constants that passes is not repeated at every run.
     outs holds (tree, check) pairs, the check a tuple for _check or
     None."""
@@ -160,6 +161,8 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
         guards = []
         entries = jet_nodes(node, own, 1, guards)
         trees = live_entries(entries)
+        if guards:  # the value runs before its guards, as in derivative.derived
+            outs.append((trees[0], None))
         outs.extend((t, None) for t in guards + trees[:-1])
         outs.append((trees[-1], (kind, expr, len(trees), arg)))
         return node, len(outs) - len(trees), entries[1:]

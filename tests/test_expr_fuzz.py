@@ -83,6 +83,13 @@ def _outcome(fn, *args):
         return None
 
 
+def _raised(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError as exc:
+        return exc
+
+
 def _all_finite(*arrays) -> bool:
     return all(np.all(np.isfinite(a)) for a in arrays)
 
@@ -110,10 +117,14 @@ def test_parse_returns_an_expression_or_a_package_error(text, arity):
 @FUZZ
 @given(_case())
 def test_evaluators_give_finite_numbers_and_the_domain_shrinks_with_order(case):
+    """Where evaluate raises, so does every order, with its error where an
+    op of the value failed (_raised_alike)."""
     expr, (point,) = case
-    value = _outcome(evaluate, expr, point)
-    scalar = _outcome(value_and_gradient, expr, point)
-    jet = _outcome(jet2, expr, point)
+    value, scalar, jet = (_raised(fn, expr, point) for fn in (evaluate, value_and_gradient, jet2))
+    if isinstance(value, EvalDomainError):
+        _raised_alike(value, [scalar, jet], (format_expression(expr), point))
+    value, scalar, jet = (None if isinstance(r, EvalDomainError) else r
+                          for r in (value, scalar, jet))
     if value is not None:
         assert isinstance(value, float) and math.isfinite(value)
     if scalar is not None:
@@ -125,6 +136,27 @@ def test_evaluators_give_finite_numbers_and_the_domain_shrinks_with_order(case):
         assert np.array_equal(jet.hessian, jet.hessian.T)
         assert scalar is not None
         assert jet.value == scalar[0] and np.array_equal(jet.gradient, scalar[1])
+
+
+def _raised_alike(want, errors, case):
+    """Each order runs an expression's value before its guards and its
+    derivatives, so where an op of the value fails, every order raises that
+    error, even where a guard fails too.  A value that is not finite is
+    rejected only once the derivatives' ops have run, and one of them may
+    raise first: the class is the same, the message may differ."""
+    for got in errors:
+        assert type(got) is type(want), case
+        if not str(want).endswith("is not finite"):
+            assert str(got) == str(want), case
+
+
+def test_a_failing_value_is_named_before_a_failing_guard():
+    # the guard of the power u^0 is u's gradient, whose 1/x0 fails at 0
+    # too, by division rather than by log's domain
+    expr = parse_expression("(-log(x0)*x1)^0", 2)
+    errors = [_raised(fn, expr, [0.0, 2.0]) for fn in (evaluate, value_and_gradient, jet2)]
+    assert str(errors[0]) == "log: math domain error"
+    _raised_alike(errors[0], errors[1:], "(-log(x0)*x1)^0")
 
 
 @FUZZ
@@ -161,13 +193,6 @@ def _grid_case(draw):
     texts = rnd.sample(texts, rnd.randint(2, len(texts)))
     exprs = [parse_expression(t, arity) for t in texts]
     return exprs, [[rnd.choice(_COORDS) for _ in range(arity)] for _ in range(3)]
-
-
-def _raised(fn, *args):
-    try:
-        return fn(*args)
-    except EvalDomainError as exc:
-        return exc
 
 
 def _bits(*parts) -> bytes:

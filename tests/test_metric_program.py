@@ -12,6 +12,7 @@ import pytest
 from test_bench_bindings import _load
 from test_factor_curvature import IDS, MANIFESTS
 
+from warpcurv import kernel
 from warpcurv import geometry
 from warpcurv.errors import EvalDomainError
 from warpcurv.expr import (
@@ -224,12 +225,22 @@ def test_folded_components_stay_out_of_the_batched_pass(monkeypatch):
     assert not folded & set(runs[0])
 
 
-def test_setup_compiles_nothing():
+def test_setup_compiles_nothing(monkeypatch):
+    kernels = []
+    code = kernel._code
+    monkeypatch.setattr(kernel, "_code", lambda text: kernels.append(text) or code(text))
     mf = _dense_3x3()
     plain = as_plain_metric(mf.spec)
     for spec in (mf.spec.base, mf.spec.fiber, plain):
         assert spec._compiled is None
         assert all(e._programs == [None] * 3 for row in spec.components for e in row)
     assert mf.spec.f._programs == [None] * 3 and mf.spec.h._programs == [None] * 3
+    assert not kernels
     metric_at(plain, np.zeros(plain.dim))
     assert plain._compiled is not None and mf.spec.base._compiled is None
+    # a kernel is built by a program's first run: the metric's order-0
+    # program, and the one that folded the constant cross blocks
+    (program, _, _), *rest = plain._compiled
+    assert program.kernels is not None and rest == [None, None]
+    folded = plain.components[0][-1]
+    assert folded._programs[0][0].kernels is not None and len(kernels) == 2
