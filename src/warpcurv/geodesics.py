@@ -25,11 +25,12 @@ with its gradient; a factor's determinant meets geometry._inverse_of's
 cutoff after the factor's entries, and a warp's sign is checked last.  So
 a point that fails raises what _point_data raises there: both run the
 same derivative trees, output by output in the same order.  A program
-leaves
-out a term that is zero by structure, where point data may multiply an
-inf by 0.  A factor of dim > 3, or a metric entry beyond _ADJUGATE_PEAK,
-where _inverse_of turns to LAPACK, takes the route's formula over point
-data instead (_accel_full, _accel_split).
+leaves out a term that is zero by structure, and so does point data for
+the terms a constant warp's zero gradient scales, so that neither
+multiplies an inf by 0 where the other warp's square underflows.  A
+factor of dim > 3, or a metric entry beyond _ADJUGATE_PEAK, where
+_inverse_of turns to LAPACK, takes the route's formula over point data
+instead (_accel_full, _accel_split).
 
 The squared velocity norm <v, v> is monitored at every accepted sample;
 geodesics preserve it exactly in the continuum, so its drift measures
@@ -124,11 +125,12 @@ def _accel_split(d, v: np.ndarray) -> np.ndarray:
     accel = []
     for A, O in (d, d[::-1]):
         vA, vO = v[A.own], v[O.own]
-        accel.append(
-            -((A.gamma @ vA) @ vA)
-            + _over(A.w, O.w * O.w) * float(vO @ O.g @ vO) * A.dwU
-            - 2.0 * float(O.lw @ vO) * vA
-        )
+        a = -((A.gamma @ vA) @ vA)
+        # a constant w_A has no force term, as in the programs: its
+        # coefficient is inf where w_O^2 underflows
+        if not A.constant:
+            a = a + _over(A.w, O.w * O.w) * float(vO @ O.g @ vO) * A.dwU
+        accel.append(a - 2.0 * float(O.lw @ vO) * vA)
     return np.concatenate(accel)
 
 

@@ -71,7 +71,9 @@ class WarpedProductSpec:
     h: Expression  # on the fiber, scales the base block
     name: str = ""
     # route -> its geodesic acceleration's program (split.Program), built on
-    # the route's first right-hand side; False when a factor has dim > 3
+    # the route's first right-hand side, False when a factor has dim > 3;
+    # "curvature" -> the curvature programs (blocks.Blocks), built at the
+    # first bundle_closed
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -4,9 +4,8 @@ import pytest
 from warpcurv.closed_form import (
     bundle_closed,
     christoffels_closed,
+    _blocks,
     _point_data,
-    _ricci_from_data,
-    _scalar_paths_from_data,
 )
 from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split
 from warpcurv.geometry import MetricSpec
@@ -55,9 +54,10 @@ def sample_pp(rng, spec):
 
 def scalar_paths(spec, point):
     """(Ricci contraction, direct warp formula) for the scalar curvature,
-    from the pieces bundle_closed builds; the first is its .scalar."""
+    from the curvature programs bundle_closed runs; the first is its
+    .scalar."""
     d = _point_data(spec, point)
-    return _scalar_paths_from_data(d, _ricci_from_data(d))
+    return _blocks(spec, d).curvature(d)[2:]
 
 
 def rel_dev(a, b):

@@ -16,7 +16,7 @@ from warpcurv.closed_form import _point_data, bundle_closed, christoffels_closed
 from warpcurv.geometry import _metric_and_first_derivs, _metric_jets
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
 from warpcurv.oracle import DiffPolicy, bundle_fd
-from warpcurv.warped import ProductPoint
+from warpcurv.warped import ProductPoint, WarpedProductSpec
 
 
 def _manifests():
@@ -44,16 +44,31 @@ def _points(mf, count, seed):
         yield ProductPoint.from_full(x, mf.spec.base.dim)
 
 
+def _unit_warps(spec):
+    """The product of spec's factors with f = h = 1: its curvature programs
+    place each factor's own Riemann and Ricci tensors, as the programs of
+    spec compute them, on its diagonal blocks, and nothing else."""
+    return WarpedProductSpec.build(spec.base, spec.fiber, "1", "1")
+
+
+def _factor_curvature(unit, pp):
+    """[(Riemann 'common', Ricci) of the base, and of the fiber] at pp."""
+    b = bundle_closed(unit, pp, convention="common")
+    m = unit.base.dim
+    return [(b.riemann[s, s, s, s], b.ricci[s, s]) for s in (slice(0, m), slice(m, None))]
+
+
 @pytest.mark.parametrize("mf", MANIFESTS, ids=IDS)
 def test_factor_curvature_matches_oracle(mf):
+    unit = _unit_warps(mf.spec)
     for pp in _points(mf, 20, 2027):
-        base, fiber = _point_data(mf.spec, pp)
-        for rec, factor, coords in (
-            (base, mf.spec.base, pp.base_coords),
-            (fiber, mf.spec.fiber, pp.fiber_coords),
+        for (riem, ric), factor, coords in zip(
+            _factor_curvature(unit, pp),
+            (mf.spec.base, mf.spec.fiber),
+            (pp.base_coords, pp.fiber_coords),
         ):
             ref = bundle_fd(factor, coords, convention="common")
-            for got, want in ((rec.riem, ref.riemann), (rec.ric, ref.ricci)):
+            for got, want in ((riem, ref.riemann), (ric, ref.ricci)):
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-9 * scale, (factor.name, coords)
 
@@ -61,9 +76,11 @@ def test_factor_curvature_matches_oracle(mf):
 def test_round_sphere_fiber_ricci_is_its_metric():
     # the unit 2-sphere has Ric = (n - 1) g = g
     mf = load_catalog("schwarzschild-exterior-slice")
+    unit = _unit_warps(mf.spec)
     for pp in _points(mf, 25, 11):
         fiber = _point_data(mf.spec, pp)[1]
-        assert np.abs(fiber.ric - fiber.g).max() <= 1e-12
+        _, (_, ric) = _factor_curvature(unit, pp)
+        assert np.abs(ric - fiber.g).max() <= 1e-12
 
 
 def test_metric_jets_extend_the_first_derivative_pass():

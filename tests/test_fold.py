@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 
 from warpcurv import bundle_closed, christoffels_closed, rhs_full, rhs_split
-from warpcurv.closed_form import (
-    _christoffels_from_data,
-    _point_data,
-    _ricci_from_data,
-    _riemann_and_ricci,
-    _riemann_from_data,
-    _scalar_paths_from_data,
-    _zero_jet,
-)
+from warpcurv.closed_form import _blocks, _christoffels_from_data, _point_data, _zero_jet
 from warpcurv.errors import DegenerateMetricError, NonpositiveWarpError
 from warpcurv.expr import jet2, value_and_gradient
 from warpcurv.geodesics import GeodesicState, _accel_full
@@ -72,26 +64,17 @@ def _unfolded_factor(factor, coords, warp, which, own, hessians):
         g, D = _metric_and_first_derivs(factor, coords)
     ginv = _inverse_of(g)
     gamma = _christoffels_from_parts(ginv, D)
+    hess = None
     if hessians:
         jet = jet2(warp, coords)
-        w, dw = jet.value, jet.gradient
+        w, dw, hess = jet.value, jet.gradient, jet.hessian
     else:
         w, dw = value_and_gradient(warp, coords)
     if not w > 0.0:
         raise NonpositiveWarpError(which, w)
-    dwU = ginv @ dw
-    H = lap = nw2 = riem = ric = None
-    if hessians:
-        H = jet.hessian - (dw @ gamma.reshape(k, k * k)).reshape(k, k)
-        lap = float(np.vdot(ginv, H))
-        nw2 = float(dw @ dwU)
-        if DD is None:
-            riem, ric = np.zeros((k, k, k, k)), np.zeros((k, k))
-        else:
-            riem, ric = _riemann_and_ricci(g, ginv, gamma, DD)
     return SimpleNamespace(
-        own=own, dim=k, w=w, g=g, ginv=ginv, gamma=gamma,
-        dwU=dwU, lw=dw / w, H=H, lap=lap, nw2=nw2, riem=riem, ric=ric,
+        own=own, dim=k, w=w, constant=False, g=g, ginv=ginv, gamma=gamma,
+        dw=dw, dwU=ginv @ dw, lw=dw / w, DD=DD, hess=hess,
     )
 
 
@@ -110,7 +93,7 @@ def _bits(value) -> bytes:
 def _same_records(got, want):
     for A, B in zip(got, want):
         assert A.own == B.own and A.dim == B.dim
-        for key in ("w", "g", "ginv", "gamma", "dwU", "lw", "H", "lap", "nw2", "riem", "ric"):
+        for key in ("w", "g", "ginv", "gamma", "dw", "dwU", "lw", "DD", "hess"):
             a, b = getattr(A, key), getattr(B, key)
             assert (a is None) == (b is None), key
             if a is not None:
@@ -153,12 +136,14 @@ def test_folded_point_data_is_bitwise_the_unfolded(label, load):
         assert np.abs(rhs_full(spec, state) - want).max() <= 1e-13 * np.abs(want).max()
         want = _split_reference(lean, v)
         assert np.abs(rhs_split(spec, state) - want).max() <= 1e-13 * np.abs(want).max()
+        # the curvature programs read the records alone: on the unfolded
+        # ones they give bitwise bundle_closed's numbers
         b = bundle_closed(spec, x, None, "common")
-        ric = _ricci_from_data(full)
+        riem, ric, scal, _ = _blocks(spec, full).curvature(full)
         assert _bits(b.christoffel) == _bits(_christoffels_from_data(full))
-        assert _bits(b.riemann) == _bits(_riemann_from_data(full))
+        assert _bits(b.riemann) == _bits(riem)
         assert _bits(b.ricci) == _bits(ric)
-        assert _bits(b.scalar) == _bits(_scalar_paths_from_data(full, ric)[0])
+        assert _bits(b.scalar) == _bits(scal)
 
 
 def _folds(spec):
@@ -196,7 +181,8 @@ def test_building_folds_nothing_and_the_cache_is_read_only(label, load):
             cached += factor._fold
             assert record.g is factor._fold[0] and record.gamma is factor._fold[2]
         zeros = _zero_jet(warp.arity)
-        assert (record.lw is zeros[0]) == (warp._constant is not None)
+        assert record.constant == (warp._constant is not None)
+        assert (record.lw is zeros[0]) == record.constant
         if warp._constant is not None:
             assert _bits(record.w) == _bits(warp._constant)
             assert not any(z.any() for z in zeros)

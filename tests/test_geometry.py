@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from warpcurv import blocks
 from warpcurv.closed_form import _point_data
 from warpcurv.errors import DegenerateMetricError, EvalDomainError
-from warpcurv.expr import evaluate
+from warpcurv.expr import Const, _compile, _run, evaluate
 from warpcurv.geometry import (
     MetricSpec,
     Point,
@@ -324,11 +325,11 @@ def test_metric_compatibility():
 
 
 # ---------------------------------------------------------------------------
-# Covariant Hessian and Laplacian: the closed form's per-factor warp
+# Covariant Hessian and Laplacian: the curvature programs' per-factor warp
 # Hessian H and its Laplacian lap are the package's only covariant-Hessian
-# code, so the field is taken as the base warp of a product with a line.
-# Warps must be positive; an added constant leaves Hessian and Laplacian
-# unchanged.
+# code, so the field is taken as the base warp of a product with a line,
+# and those two nodes are run on its point data.  Warps must be positive;
+# an added constant leaves Hessian and Laplacian unchanged.
 
 LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 
@@ -336,8 +337,13 @@ LINE = MetricSpec.from_strings(1, [["1"]], name="line")
 def warp_hessian(spec, field, point):
     """(covariant Hessian, Laplacian) of `field` on `spec` at `point`."""
     product = WarpedProductSpec.build(spec, LINE, field, "1")
-    base, _ = _point_data(product, ProductPoint(point, [0.0]))
-    return base.H, base.lap
+    d = _point_data(product, ProductPoint(point, [0.0]))
+    (base, _), fields = blocks._factors(product, d)
+    k = spec.dim
+    nodes = [base.H[i][j] for i in range(k) for j in range(k)] + [base.lap]
+    program = _compile([(Const(0.0) if n is None else n, None) for n in nodes])
+    out = _run(program, blocks._leaves(fields, d), None)
+    return np.array(out[:-1]).reshape(k, k), out[-1]
 
 
 def test_polar_hessian_and_laplacian_anchors():

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_bench_bindings import _load
 from test_expr_fuzz import _text
 
 from warpcurv import kernel
@@ -41,7 +42,7 @@ from warpcurv.expr import (
 )
 from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split
 from warpcurv.geometry import MetricSpec
-from warpcurv.manifest import catalog_names, load_catalog, load_manifest
+from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
 from warpcurv.oracle import bundle_fd
 from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
 
@@ -123,6 +124,28 @@ def test_kernel_text_holds_registers_rules_and_check_indices_alone(kernel_texts)
     every = "".join(kernel_texts)
     assert len(kernel_texts) > 500 and "finish(checks[" in every and "= constants" in every
     assert all(f" {name}(" in every for name in _RULE[1:-1].split("|"))
+
+
+# Compiling one straight-line function costs about 3 kB of memory per
+# line, so the curvature programs, one per side, keep below this many
+# lines on the benchmark's densest manifests (each side of a 3 x 3 product
+# has about 1,040).
+CURVATURE_LINES = 1200
+
+
+def test_curvature_kernels_stay_below_their_line_bound_and_hold_fixed_names():
+    dense = _load("workloads").dense_manifests
+    largest = 0
+    for seed in (1, 2, 3):
+        for doc in dense(seed):
+            mf = parse_manifest(doc, source=doc["name"])
+            bundle_closed(mf.spec, np.asarray(mf.box, dtype=float).mean(axis=1))
+            for program in mf.spec._programs["curvature"].programs:
+                text = kernel._text(program)
+                _check_text(text)
+                assert "finish(" not in text  # nothing is checked on the way
+                largest = max(largest, text.count("\n"))
+    assert 900 < largest < CURVATURE_LINES
 
 
 def _run_at(program, point, columns):

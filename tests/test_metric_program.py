@@ -6,12 +6,18 @@ replaces, built here from the public evaluators: the same numbers bitwise,
 the same first error, shared subtrees evaluated once, and nothing compiled
 before the first evaluation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from test_bench_bindings import _load
 from test_factor_curvature import IDS, MANIFESTS
 
+import warpcurv
 from warpcurv import kernel
 from warpcurv import geometry
 from warpcurv.errors import EvalDomainError
@@ -244,3 +250,23 @@ def test_setup_compiles_nothing(monkeypatch):
     assert program.kernels is not None and rest == [None, None]
     folded = plain.components[0][-1]
     assert folded._programs[0][0].kernels is not None and len(kernels) == 2
+    # set-up compiles every module the package imports, so the modules that
+    # build programs are imported with the first program they build: a
+    # fresh interpreter shows that importing the package and loading a
+    # manifest leaves them out, and that one bundle_closed imports them
+    env = dict(os.environ, PYTHONPATH=str(Path(warpcurv.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", repr(sorted(_LAZY))]
+
+
+_LAZY = ("warpcurv.blocks", "warpcurv.split", "warpcurv.derivative", "warpcurv.kernel")
+_PROBE = f"""
+import sys
+import numpy as np
+import warpcurv
+mf = warpcurv.load_catalog("robertson-walker")
+print(sorted(m for m in {_LAZY!r} if m in sys.modules))
+warpcurv.bundle_closed(mf.spec, np.zeros(mf.dim))
+print(sorted(m for m in {_LAZY!r} if m in sys.modules))
+"""
