@@ -24,7 +24,11 @@ kernel module).  The kernel's text is made of register names, the inline
 op's rules; constants stay in registers and are passed in with the point,
 so nothing a user wrote reaches compile.  One code object runs one point
 on floats with math's rules and N points on numpy columns with numpy's
-(_columns, for the oracle's stencil), under a set of names for each.
+(_columns, for the oracle's stencil), under a set of names for each.  On
+floats each check is an inline test, and its finishing step runs only
+where the test fails.  Columns run bare numpy first and test the results
+for finiteness once; only where that fails do they run again with the
+rules' marks and the finishing steps, which raise as they always have.
 Where a run raises, the kernel's line names the op, and the error names
 its node.  Nothing walks a tree by recursion, so a sum of thousands of terms evaluates,
 differentiates, prints and reindexes like a short one.  The tests hold the
@@ -154,7 +158,9 @@ class Jet2:
 # and Python raises on division by zero.  numpy only returns inf or nan, so
 # on columns each rule marks the rows where math would have raised, and a
 # marked row raises too.  Whatever turns inf or nan without raising is left
-# to the finiteness check of the caller.
+# to the finiteness check of the caller.  A mark flags only rows where
+# numpy's bare result is not finite, so each rule also has its bare form,
+# which marks nothing (the kernel module runs it first).
 #
 # No rule takes a derivative.  The derivative module writes derivatives as
 # trees from _DERIVATIVES, and a tree runs on these same rules, so the
@@ -203,9 +209,9 @@ _DOMAINS = {
     "tanh": None,
 }
 
-# name: (f on floats, f on columns)
+# name: (f on floats, f on columns, f on columns bare)
 _CALLS = {
-    name: (getattr(math, name), _on_columns(getattr(np, name), bad))
+    name: (getattr(math, name), _on_columns(getattr(np, name), bad), getattr(np, name))
     for name, bad in _DOMAINS.items()
 }
 
@@ -237,13 +243,13 @@ def _power(x, y):
     return r
 
 
-# op: (the rule on floats, the rule on columns)
+# op: (the rule on floats, on columns, on columns bare)
 _BINARY = {
-    "+": (operator.add, operator.add),
-    "-": (operator.sub, operator.sub),
-    "*": (operator.mul, operator.mul),
-    "/": (operator.truediv, _divide),
-    "^": (math.pow, _power),
+    "+": (operator.add,) * 3,
+    "-": (operator.sub,) * 3,
+    "*": (operator.mul,) * 3,
+    "/": (operator.truediv, _divide, operator.truediv),
+    "^": (math.pow, _power, np.power),
 }
 
 
@@ -373,13 +379,17 @@ def _reads_variables(expr: Expression) -> bool:
 _FIRST_OP_LINE = 3
 
 
-def _run(program: _Code, leaves: list, finish, columns: int = 0) -> list:
+def _run(program: _Code, leaves: list, finish, columns: int = 0):
     """The outputs of a program, in order.  Variable i reads leaves[i]:
-    floats, run with math's rules, or with columns=1 numpy columns of one
-    length, run with numpy's.  At an output with a check, finish(check,
-    outputs so far) runs, so an output it rejects stops the run before the
-    next output's ops.  An op that raises is named by EvalDomainError; an
-    error of finish passes through as it is."""
+    floats, run with math's rules, or numpy columns of one length, run with
+    numpy's, with columns=1 marking the rows math rejects and with
+    columns=2 bare (the kernel module).  On floats, an output with a check
+    is tested, and where the test fails finish(check, outputs so far)
+    runs; on columns finish runs at every check.  So an output it rejects
+    stops the run before the next output's ops.  On columns the run
+    returns (outputs, the results of its marked ops).  An op that raises
+    is named by EvalDomainError; an error of finish passes through as it
+    is."""
     kernels = program.kernels
     if kernels is None:
         from .kernel import build  # imported with the first kernel it builds
@@ -421,11 +431,16 @@ def _finite_rows(check, outs: list):
         raise EvalDomainError(f"{what} at batch row {bad} is not finite", expr.root)
 
 
-def _columns(program: _Code, x: np.ndarray) -> list:
+def _columns(program: _Code, x: np.ndarray, tail=None):
     """A program's outputs at the rows of an (N, arity) array, N >= 1: a
-    column each, or one number where an output reads no variable."""
-    with np.errstate(all="ignore"):
-        return _run(program, [x[:, i] for i in range(x.shape[1])], _finite_rows, 1)
+    column each, or one number where an output reads no variable; or, with
+    a tail of numbers, the outputs and then the tail as the columns of one
+    (N, width + len(tail)) array.  It runs bare numpy first and tests the
+    results once; only where that test fails does it run with marks and
+    _finite_rows (kernel.columns)."""
+    from .kernel import columns
+
+    return columns(program, x, tail)
 
 
 def _gather(places):

@@ -310,16 +310,14 @@ def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
     """christoffels_of at every row of an (N, dim) array, [n, k, i, j].
 
     One run of the metric's order-1 program over the columns of every row
-    gives the stacked metric and its first derivatives; folded components
-    are not evaluated.  Raises EvalDomainError or DegenerateMetricError
-    when christoffels_of would raise at some row; which row is left to the
-    caller.
+    gives the stacked metric and its first derivatives, flat, tested finite
+    once; folded components are not evaluated.  Raises EvalDomainError or
+    DegenerateMetricError when christoffels_of would raise at some row;
+    which row is left to the caller.
     """
     rows, dim = len(xs), spec.dim
     program, tail, gathers = _grid(spec, 1)
-    flat = np.empty((rows, program.width + len(tail)))
-    for i, column in enumerate(_columns(program, xs) + tail):
-        flat[:, i] = column
+    flat = _columns(program, xs, tail)
     (_, gi, _), (_, di, _) = gathers
     # take, not flat[:, index], which would lay the result out in Fortran
     # order; einsum and LAPACK may round differently on another layout

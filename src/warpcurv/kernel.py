@@ -4,21 +4,47 @@ function, written and compiled at the program's first run and kept on it.
 A kernel, as _text writes it:
 
     def kernel(leaves, finish, constants, checks):
-        r0, r1, = constants; r4 = leaves[0]; outs = []
-        r2 = r0 * r4
-        r3 = sin(r2)
-        outs.append(r3); finish(checks[0], outs)
-        return outs
+        r0, = constants; r5 = leaves[0]; outs = []
+        r1 = r0 * r5
+        r2 = sin(r1)
+        outs.append(r2)
+        r3 = cos(r1)
+        r4 = r3 * r0
+        outs.append(r4); floats and isfinite(r2 + r4) or finish(checks[0], outs)
+        return outs if floats else (outs, (r2, r3, ))
+
+(sin(2*x0) and its derivative, checked together.)
 
 Line expr._FIRST_OP_LINE + i states op i, so the line where a run raises
 names the op.  Each name in the text is looked up in the tables below by
-the op's rules, never taken from a node, and constants and checks are
-bound as the defaults of the last two arguments.  So the text holds
-register names, the inline + - *, rule names and check indices alone: no
-text of an expression or a manifest reaches compile.  Programs of one
-shape have one text, and a cache of the recent code objects lets them
-share one.  Floats and columns run a program's code object under their
-own names.
+the op's rules or the check's kind, never taken from a node, and constants
+and checks are bound as the defaults of the last two arguments.  So the
+text holds register names, the inline + - *, the names of fixed tables,
+a few fixed literals and check indices alone: no text of an expression or
+a manifest reaches compile.  Programs of one shape have one text, and a
+cache of the recent code objects lets them share one.
+
+Each check is written as one test (_test), and on floats its finishing
+step runs only where the test fails, so it raises with its own class,
+message and node, as it did when it ran at every check.  A test passes
+only where the finishing step would not raise; it may fail where the step
+then raises nothing, as when a finite group's sum overflows.  The name
+floats gates the tests: on columns, where it is False, no test is
+evaluated and the finishing step runs at every check.
+
+Three functions run a program's one code object, each under its own
+names (_MODES):
+
+- floats: math's rules and the tests;
+- columns: numpy's rules, marking the rows math would reject, and the
+  finishing step at every check (expr._finite_rows);
+- bare columns: numpy's functions, marking nothing, and a finishing step
+  that does nothing.
+
+On columns a kernel also returns the results of its marked ops.  columns
+runs the bare kernel first and tests those results and the outputs for
+finiteness at once; only where that fails does it run the marking kernel,
+so every error over columns is the one it always was.
 
 expr imports this module with the first kernel it builds, so importing the
 package compiles none of it.
@@ -27,9 +53,13 @@ package compiles none of it.
 from __future__ import annotations
 
 import functools
+import math
 from types import CodeType, FunctionType
 
-from .expr import _BINARY, _CALLS, _OP_BIN, _OP_CALL, _OP_OUT, _Code
+import numpy as np
+
+from .errors import EvalDomainError
+from .expr import _BINARY, _CALLS, _OP_BIN, _OP_CALL, _OP_OUT, _Code, _finite_rows, _run
 
 _INLINE = {_BINARY[op]: op for op in "+-*"}  # bitwise operator.add, sub and mul
 
@@ -38,9 +68,40 @@ _NAMES = {rules: name for name, rules in _CALLS.items()}
 _NAMES[_BINARY["/"]] = "divide"
 _NAMES[_BINARY["^"]] = "power"
 
-# a kernel's globals on floats and on columns: each name's rule
-_MODES = tuple({"__builtins__": {}, **{name: rules[mode] for rules, name in _NAMES.items()}}
-               for mode in (0, 1))
+# a kernel's globals on floats, on columns and on bare columns: each name's
+# rule, the names of the tests, and floats, which gates them
+_TESTS = {"isfinite": math.isfinite, "abs": abs, "max": max}
+_MODES = tuple(
+    {"__builtins__": {}, "floats": mode == 0, **(_TESTS if mode == 0 else {}),
+     **{name: rules[mode] for rules, name in _NAMES.items()}}
+    for mode in (0, 1, 2)
+)
+
+
+# Terms per sum in a group's test: compile nests a sum one level per term,
+# and raises RecursionError at a few thousand.
+_SUM = 100
+
+
+def _test(check, group: list, k: int, spare: str) -> str:
+    """The test of check k on floats, from the registers of the outputs so
+    far (group): where it holds, the check's finishing step would not raise.
+
+    derivative.derived's (expr, n, what) and split's ("entry", expr, n, _)
+    need the last n outputs finite: the sum of each _SUM of them; split's
+    ("warp", expr, n, _) the first of them > 0 too; and split's ("det",
+    dim, live, peak) geometry._inverse_of's cutoff, with split._check's
+    operands in its order, spare holding the peak."""
+    kind, a, b, _ = ("entry", *check) if len(check) == 3 else check
+    if kind == "det":
+        peak = ", ".join([f"checks[{k}][3]"] + [f"abs(r{group[i]})" for i in b])
+        top = f"max({peak})" if b else f"checks[{k}][3]"
+        scale = " * ".join([f"({spare} := max(1.0, {spare}))"] + [spare] * (a - 1))
+        return f"({spare} := {top}) <= 1e100 and abs(r{group[-1]}) >= 1e-12 * ({scale})"
+    terms = [f"r{r}" for r in group[-b:]]
+    test = " and ".join(f"isfinite({' + '.join(terms[i:i + _SUM])})"
+                        for i in range(0, b, _SUM))
+    return test + f" and r{group[-b]} > 0.0" if kind == "warp" else test
 
 
 def _text(program: _Code) -> str:
@@ -51,7 +112,8 @@ def _text(program: _Code) -> str:
     read = {r for *_, a, b in program.ops for r in (a, b) if r is not None and r >= fixed}
     head += [f"r{r} = leaves[{r - fixed}]" for r in sorted(read)]
     lines = ["def kernel(leaves, finish, constants, checks):", "; ".join(head + ["outs = []"])]
-    checks = 0
+    spare = f"r{max([fixed, *read]) + 1}"  # a register no op writes
+    outs, checks = [], 0
     for code, arg, _, target, a, b in program.ops:
         if code is _OP_BIN:
             op = _INLINE.get(arg)
@@ -59,14 +121,19 @@ def _text(program: _Code) -> str:
         elif code is _OP_CALL:
             line = f"r{target} = {_NAMES[arg]}(r{a})"
         elif code is _OP_OUT:
+            outs.append(a)
             line = f"outs.append(r{a})"
             if arg is not None:
-                line += f"; finish(checks[{checks}], outs)"
+                test = _test(arg, outs, checks, spare)
+                line += f"; floats and {test} or finish(checks[{checks}], outs)"
                 checks += 1
         else:
             line = f"r{target} = -r{a}"
         lines.append(line)
-    lines.append("return outs")
+    # the results of the ops whose rule marks rows on columns
+    marked = "".join(f"r{target}, " for code, rules, _, target, *_ in program.ops
+                     if (code is _OP_BIN or code is _OP_CALL) and rules[1] is not rules[2])
+    lines.append(f"return outs if floats else (outs, ({marked}))")
     return "\n    ".join(lines) + "\n"
 
 
@@ -81,10 +148,73 @@ def _code(text: str) -> CodeType:
 
 
 def build(program: _Code) -> tuple:
-    """The program's kernel on floats and on columns, kept on it: two
-    functions over one code object."""
+    """The program's kernel on floats, on columns and on bare columns, kept
+    on it: three functions over one code object."""
     code = _code(_text(program))
     bound = (tuple(v for v in program.registers if v is not None),
              tuple(op[1] for op in program.ops if op[0] is _OP_OUT and op[1] is not None))
     program.kernels = tuple(FunctionType(code, names, "kernel", bound) for names in _MODES)
     return program.kernels
+
+
+def _skip(check, outs):
+    """The bare kernel's finishing step: columns tests once, at the end."""
+
+
+def _all_finite(values) -> bool:
+    """Whether every entry of values, columns and numbers, is finite: one
+    numpy test over all of them."""
+    if not values:
+        return True
+    try:
+        joined = np.concatenate(values)
+    except ValueError:  # a number among the columns
+        joined = np.hstack(values)
+    return bool(np.isfinite(joined).all())
+
+
+def _stacked(outs: list, tail, rows: int) -> np.ndarray:
+    """The outputs and then the tail's numbers as the columns of one array."""
+    flat = np.empty((rows, len(outs) + len(tail)))
+    for i, column in enumerate(outs + tail):
+        flat[:, i] = column
+    return flat
+
+
+def _bare(program: _Code, leaves: list, tail, rows: int):
+    """columns' result from the bare kernel, or None where a marked op's
+    result or an output is not finite at some row, or the run raised (a
+    number divided by the number 0)."""
+    try:
+        outs, marked = _run(program, leaves, _skip, 2)
+    except EvalDomainError:
+        return None
+    if not _all_finite(marked):
+        return None
+    if tail is None:
+        return outs if _all_finite(outs) else None
+    flat = _stacked(outs, tail, rows)
+    return flat if np.isfinite(flat).all() else None
+
+
+def columns(program: _Code, x: np.ndarray, tail=None):
+    """expr._columns: the program's outputs at the rows of x, or with a tail
+    the outputs and the tail as the columns of one array.
+
+    Every mark flags only rows where numpy's bare result is not finite:
+    sin, cos and tan of +-inf give nan, exp, sinh and cosh overflow to inf,
+    log of a value <= 0 gives -inf or nan, sqrt of a negative nan, x / 0
+    +-inf or nan, and power marks a result that is not finite.  And
+    _finite_rows rejects only rows where an output is not finite.  So where
+    the bare kernel's marked results and outputs are all finite, the
+    marking kernel would raise nowhere, and it would compute the same
+    numbers with the same functions.  Elsewhere it runs, and raises as it
+    always has or returns its outputs."""
+    leaves = [x[:, i] for i in range(x.shape[1])]
+    with np.errstate(all="ignore"):
+        out = _bare(program, leaves, tail, len(x))
+        if out is None:
+            out, _ = _run(program, leaves, _finite_rows, 1)
+            if tail is not None:
+                out = _stacked(out, tail, len(x))
+    return out

@@ -200,17 +200,25 @@ class ComparisonReport:
         return self.max_rel <= tol
 
 
-def _compare_arrays(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> TensorComparison:
+def _peak(a: np.ndarray) -> float:
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _comparison(max_abs: float, scale: float, worst: tuple) -> TensorComparison:
+    return TensorComparison(max_abs, (max_abs / scale) if scale > 0.0 else 0.0, worst)
+
+
+def _compare_arrays(a: np.ndarray, b: np.ndarray, peaks: tuple) -> TensorComparison:
+    """peaks: _peak of a and of b."""
     diff = np.abs(a - b)
-    max_abs = float(diff.max()) if diff.size else 0.0
-    scale = max(
-        float(np.abs(a).max()) if a.size else 0.0,
-        float(np.abs(b).max()) if b.size else 0.0,
-        floor,
-    )
-    max_rel = (max_abs / scale) if scale > 0.0 else 0.0
-    worst = np.unravel_index(int(diff.argmax()), diff.shape) if diff.size else ()
-    return TensorComparison(max_abs, max_rel, tuple(int(i) for i in worst))
+    if not diff.size:
+        return _comparison(0.0, max(*peaks, 0.0), ())
+    worst = int(diff.argmax())  # the first NaN where there is one, as max takes it
+    index, rest = [], worst
+    for n in reversed(diff.shape):
+        rest, i = divmod(rest, n)
+        index.append(i)
+    return _comparison(float(diff.flat[worst]), max(*peaks, 0.0), tuple(index[::-1]))
 
 
 def compare_bundles(a: CurvatureBundle, b: CurvatureBundle) -> ComparisonReport:
@@ -228,13 +236,14 @@ def compare_bundles(a: CurvatureBundle, b: CurvatureBundle) -> ComparisonReport:
         )
     if a.dim != b.dim:
         raise ValueError("bundles have different dimensions")
-    ricci_scale = max(float(np.abs(a.ricci).max()), float(np.abs(b.ricci).max()))
     tensors = {
-        "christoffel": _compare_arrays(a.christoffel, b.christoffel),
-        "riemann": _compare_arrays(a.riemann, b.riemann),
-        "ricci": _compare_arrays(a.ricci, b.ricci),
-        "scalar": _compare_arrays(
-            np.asarray([a.scalar]), np.asarray([b.scalar]), floor=ricci_scale
-        ),
+        name: _compare_arrays(x, y, (_peak(x), _peak(y)))
+        for name, x, y in (("christoffel", a.christoffel, b.christoffel),
+                           ("riemann", a.riemann, b.riemann))
     }
+    ricci = _peak(a.ricci), _peak(b.ricci)
+    tensors["ricci"] = _compare_arrays(a.ricci, b.ricci, ricci)
+    # the scalar on Python floats
+    x, y = float(a.scalar), float(b.scalar)
+    tensors["scalar"] = _comparison(abs(x - y), max(abs(x), abs(y), max(ricci)), (0,))
     return ComparisonReport(tensors, max(t.max_rel for t in tensors.values()))

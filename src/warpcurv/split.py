@@ -65,7 +65,9 @@ class Program:
 
 def _check(check, values):
     """Raise where _point_data would raise at the same check, on the last
-    of the values so far.
+    of the values so far.  The failure path: a kernel runs it only where
+    the check's inline test fails (kernel._test), so its class, message and
+    node are the errors a run raises.
 
     ("det", k, live, peak) is _inverse_of's verdict on a determinant, from
     the positions of the factor's live entries in values and the largest

@@ -2,30 +2,40 @@
 Python function, its kernel (the kernel module, run by expr._run).
 
 These tests hold what the kernel keeps: its text is made of register
-names, the inline + - *, rule names and check indices alone, so no text of
-an expression or a manifest reaches compile; the line where a run raises
-names the node of the first failing op, on floats and on columns; an error
-of a finishing step passes through as it is; and a program's kernel is
-built at its first run, as one code object that its float and column runs
-share."""
+names, the inline + - *, fixed names, a few fixed literals and check
+indices alone, so no text of an expression or a manifest reaches compile;
+the line where a run raises names the node of the first failing op, on
+floats and on columns; an error of a finishing step passes through as it
+is; and a program's kernel is built at its first run, as one code object
+that its float, column and bare column runs share.
 
+They also hold what makes the inline tests and the bare columns safe: a
+check's test passes only where its finishing step would not raise, a
+marking rule marks only rows whose bare result is not finite, and so
+every output and every error is the one the finishing step at every
+check, and the marking rules, give."""
+
+import itertools
+import math
 import random
 import re
 from pathlib import Path
+from types import FunctionType
 
 import numpy as np
 import pytest
 
 from test_bench_bindings import _load
-from test_expr_fuzz import _text
+from test_expr_fuzz import _COORDS, _text
 
-from warpcurv import kernel
+from warpcurv import geometry, kernel
 from warpcurv import split
 from warpcurv.closed_form import bundle_closed
 from warpcurv.derivative import derived
-from warpcurv.errors import EvalDomainError, NonpositiveWarpError
+from warpcurv.errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
 from warpcurv.expr import (
-    BinOp,
+    _BINARY,
+    _CALLS,
     Call,
     Const,
     Var,
@@ -40,7 +50,8 @@ from warpcurv.expr import (
     parse_expression,
     value_and_gradient,
 )
-from warpcurv.geodesics import GeodesicState, rhs_full, rhs_split
+from warpcurv.geodesics import GeodesicState, _Fallback, rhs_full, rhs_split
+from warpcurv.geodesics import _program_of as _route_program
 from warpcurv.geometry import MetricSpec
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
 from warpcurv.oracle import bundle_fd
@@ -54,11 +65,21 @@ _REG = r"r\d+"
 _RULE = r"(sin|cos|tan|exp|log|sqrt|sinh|cosh|tanh|divide|power)"
 _HEAD = re.compile(r"def kernel\(leaves, finish, constants, checks\):")
 _SETUP = re.compile(rf"    (({_REG}, )+= constants; )?({_REG} = leaves\[\d+\]; )*outs = \[\]")
+# A check's test, which floats gates to the run on floats: a group's sum
+# finite, and a warp's value positive; or a determinant's cutoff, from the
+# check's constant peak (checks[k][3]) and the entries' magnitudes, held in
+# a spare register t.  The finishing step runs where the test fails.
+_SUM = rf"isfinite\({_REG}( \+ {_REG})*\)"
+_GROUP = rf"{_SUM}( and {_SUM})*( and {_REG} > 0\.0)?"
+_PEAK = r"checks\[\d+\]\[3\]"
+_DET = (rf"\((?P<t>{_REG}) := (max\({_PEAK}(, abs\({_REG}\))+\)|{_PEAK})\) <= 1e100"
+        rf" and abs\({_REG}\) >= 1e-12 \* \(\((?P=t) := max\(1\.0, (?P=t)\)\)( \* (?P=t)){{0,2}}\)")
 _OP = re.compile(
     rf"    ({_REG} = ({_REG} [-+*] {_REG}|-{_REG}|{_RULE}\({_REG}(, {_REG})?\))"
-    rf"|outs\.append\({_REG}\)(; finish\(checks\[\d+\], outs\))?)"
+    rf"|outs\.append\({_REG}\)(; floats and ({_GROUP}|{_DET}) or finish\(checks\[\d+\], outs\))?)"
 )
-_TAIL = "    return outs"
+# the results of the ops whose rule marks rows, for the run on columns
+_TAIL = re.compile(rf"    return outs if floats else \(outs, \(({_REG}, )*\)\)")
 
 
 @pytest.fixture
@@ -78,10 +99,16 @@ def kernel_texts(monkeypatch):
 
 def _check_text(text):
     lines = text.split("\n")
-    assert lines[-1] == "" and lines[-2] == _TAIL
+    assert lines[-1] == "" and _TAIL.fullmatch(lines[-2]), lines[-2]
     assert _HEAD.fullmatch(lines[0]) and _SETUP.fullmatch(lines[1]), lines[:2]
+    checks = 0
     for line in lines[2:-2]:
         assert _OP.fullmatch(line), line
+        # a check's test and its finishing step read one check, in order
+        read = set(re.findall(r"checks\[(\d+)\]", line))
+        if read:
+            assert read == {str(checks)}, line
+            checks += 1
 
 
 def _fuzz_texts(count, seed):
@@ -118,12 +145,16 @@ def test_kernel_text_holds_registers_rules_and_check_indices_alone(kernel_texts)
         except EvalDomainError:
             pass
     # the grammar's literals, 1e308 among them, stay in registers, and so no
-    # line holds a number but a register's or a check's index
+    # line holds a number but a register's or a check's index and the
+    # tests' fixed literals
     for text in kernel_texts:
         _check_text(text)
     every = "".join(kernel_texts)
     assert len(kernel_texts) > 500 and "finish(checks[" in every and "= constants" in every
     assert all(f" {name}(" in every for name in _RULE[1:-1].split("|"))
+    # each kind of test: a group's, a warp's and a determinant's
+    assert "floats and isfinite(" in every and " > 0.0 or finish(" in every
+    assert "][3], abs(" in every
 
 
 # Compiling one straight-line function costs about 3 kB of memory per
@@ -223,20 +254,23 @@ def _passes_through(program, leaves, finish, columns=0):
 
 
 def test_an_error_of_a_finishing_step_passes_through_as_it_is():
+    # each input fails its check's test, so the finishing step is reached
     e = parse_expression("x0*1e308*10", 1)
     exc = _passes_through(_program_of(e, 1)[0], [1.0], _finite)
     assert type(exc) is EvalDomainError and str(exc) == "value or gradient is not finite"
     exc = _passes_through(_program_of(e, 1)[0], [np.array([0.0, 1.0])], _finite_rows, 1)
     assert str(exc) == "value or gradient at batch row 0 is not finite"  # the gradient is inf
     # the class the kernel's handler catches is not re-wrapped either
-    program = _compile([(BinOp("*", Var(0), Var(0)), "check")])
+    square = parse_expression("x0*x0", 1)
+    program = _compile([(square.root, (square, 1, "value"))])
 
     def rejects(check, outs):
         raise ValueError("rejected by the finishing step")
 
-    exc = _passes_through(program, [2.0], rejects)
+    assert _run(program, [2.0], rejects) == [4.0]  # the test holds: no finishing step
+    exc = _passes_through(program, [1e200], rejects)  # the square overflows
     assert type(exc) is ValueError
-    # a geodesic program's check
+    # a geodesic program's check: the warp x0 is not positive at -1
     one = MetricSpec.from_strings(1, [["1"]])
     spec = WarpedProductSpec.build(one, one, "x0", "1")
     program = split.build(spec, "split").program
@@ -245,6 +279,10 @@ def test_an_error_of_a_finishing_step_passes_through_as_it_is():
 
 
 def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
+    """One kernel text per program, and one code object, run under three
+    tables of names: floats (math's rules, the inline tests), columns
+    (numpy's rules with their marks, the finishing step at every check) and
+    bare columns (numpy's functions, no finishing step)."""
     built = []
     code = kernel._code
 
@@ -258,8 +296,220 @@ def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
     assert program.kernels is None and not built  # compiling the program builds no kernel
     first = _run(program, [0.5, 2.0], _finite)
     assert len(built) == 1
-    floats, columns = program.kernels
-    assert floats.__code__ is columns.__code__ and floats.__globals__ is not columns.__globals__
-    _columns(program, np.array([[0.5, 2.0], [1.0, 3.0]]))
+    floats, columns, bare = kernels = program.kernels
+    assert floats.__code__ is columns.__code__ is bare.__code__
+    assert len({id(k.__globals__) for k in kernels}) == 3
+    assert [k.__globals__["floats"] for k in kernels] == [True, False, False]
+    assert columns.__globals__["sin"] is _CALLS["sin"][1] and bare.__globals__["sin"] is np.sin
+    _columns(program, np.array([[0.5, 2.0], [1.0, 3.0]]))  # the bare run
+    with pytest.raises(EvalDomainError):  # (-2)^0.5: the bare run fails, and columns raises
+        _columns(program, np.array([[0.5, -2.0]]))
     assert _run(program, [0.5, 2.0], _finite) == first
-    assert len(built) == 1 and program.kernels == (floats, columns)
+    assert len(built) == 1 and program.kernels == kernels
+
+
+# ---------------------------------------------------------------------------
+# Inline tests and bare columns: what makes them safe
+
+_INF, _NAN = math.inf, math.nan
+# zeros, infinities, nan, the edges of exp's and the float range, negatives
+# and subnormals
+_SPECIAL = [0.0, -0.0, _INF, -_INF, _NAN, 1e308, -1e308, 710.0, -1000.0, -1.0, -2.5,
+            5e-324, -5e-324, 2.5e-310, 0.5, 3.0]
+
+
+def test_a_marking_rule_marks_only_rows_whose_bare_result_is_not_finite():
+    rules = dict(_CALLS)
+    rules["divide"], rules["power"] = _BINARY["/"], _BINARY["^"]
+    marks = set()
+    with np.errstate(all="ignore"):
+        for name, (_, marking, bare) in rules.items():
+            arity = 2 if name in ("divide", "power") else 1
+            for args in itertools.product(_SPECIAL, repeat=arity):
+                # a column, and a number, as a constant's register holds it
+                for values in ([np.array([a]) for a in args], list(args)):
+                    try:
+                        marking(*values)
+                    except ValueError:
+                        marks.add(name)
+                    else:
+                        continue
+                    try:
+                        result = bare(*values)
+                    except ZeroDivisionError:  # a number divided by 0.0
+                        continue
+                    assert not np.isfinite(result).any(), (name, args)
+    assert marks == set(rules) - {"tanh"}  # tanh marks nothing
+
+
+def _closing(check, n: int):
+    """A program whose outputs are its n leaves, the last closing check."""
+    return _compile([(Var(i), None) for i in range(n - 1)] + [(Var(n - 1), check)])
+
+
+def _verdicts(program, finish, values):
+    """(whether the run at the values reaches the finishing step, whether
+    finish raises there)."""
+    check = program.ops[-1][1]
+    reached = []
+    _run(program, list(values), lambda check, outs: reached.append(outs))
+    try:
+        finish(check, list(values))
+    except (DegenerateMetricError, EvalDomainError, NonpositiveWarpError, _Fallback):
+        return bool(reached), True
+    return bool(reached), False
+
+
+def test_the_inline_determinant_test_passes_exactly_where_split_check_does():
+    assert geometry._ADJUGATE_PEAK == 1e100  # the test's literal
+    seen = set()
+    for dim in (1, 2, 3):
+        live = dim * (dim + 1) // 2
+        for peak in (0.0, 2.0, 1e100):
+            program = _closing(("det", dim, list(range(live)), peak), live + 1)
+            for entries in ([0.5] * live, [3.0] + [-7.0] * (live - 1), [1e100] * live,
+                            [1.0] * (live - 1) + [math.nextafter(1e100, _INF)],
+                            [_NAN] + [2.0] * (live - 1), [2.0] * (live - 1) + [_NAN]):
+                top = max([peak, *map(abs, entries)])
+                cutoff = 1e-12 * math.prod([max(1.0, top)] * dim)
+                below = math.nextafter(cutoff, 0.0)
+                for det in (cutoff, -cutoff, below, -below, 0.0, _NAN, _INF, 1e300):
+                    reached, raises = _verdicts(program, split._check, [*entries, det])
+                    assert reached == raises, (dim, peak, entries, det)
+                    seen.add(raises)
+    assert seen == {True, False}
+
+
+def test_a_group_test_passes_only_where_its_finishing_step_does():
+    x = parse_expression("x0", 1)
+    alarms = 0
+    for n in (1, 2, 3):
+        # split's entry and warp checks, and derivative.derived's
+        for check, finish in ((("entry", x, n, None), split._check),
+                              (("warp", x, n, "f"), split._check), ((x, n, "value"), _finite)):
+            program = _closing(check, n)
+            for values in itertools.product(_SPECIAL, repeat=n):
+                reached, raises = _verdicts(program, finish, values)
+                assert reached or not raises, (check, values)
+                alarms += reached and not raises
+    # a finite group whose sum overflows reaches the finishing step, which
+    # then raises nothing
+    program = _closing(("entry", x, 2, None), 2)
+    assert alarms and _verdicts(program, split._check, [1e308, 1e308]) == (True, False)
+    # a group of thousands, as a jet2 of arity 70 has, is tested in sums of
+    # a bounded length, which compile takes
+    n = 5000
+    program = _closing((x, n, "value"), n)
+    _check_text(kernel._text(program))
+    for bad in (0, 2345, n - 1):
+        values = [1.0] * n
+        values[bad] = _NAN
+        assert _verdicts(program, _finite, values) == (True, True)
+    assert _verdicts(program, _finite, [1.0] * n) == (False, False)
+
+
+def _bytes(values) -> list:
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _outcome(run, *args):
+    """A run's outputs as bytes, or its error's class and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bytes(run(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _at_every_check(program, leaves, finish):
+    """The run on floats with the finishing step at every check, as kernels
+    ran before they tested their checks inline: the float kernel, with the
+    name floats, which gates the tests, set False."""
+    kernels = program.kernels
+    floats = kernels[0]
+    names = {**floats.__globals__, "floats": False}
+    program.kernels = (FunctionType(floats.__code__, names, "kernel", floats.__defaults__),
+                       *kernels[1:])
+    try:
+        return _run(program, leaves, finish)[0]
+    finally:
+        program.kernels = kernels
+
+
+def _marking(program, x):
+    """The run over columns with the marking rules and _finite_rows alone."""
+    return _run(program, [x[:, i] for i in range(x.shape[1])], _finite_rows, 1)[0]
+
+
+def _same(program, leaves, finish):
+    """The run on floats gives what the finishing step at every check gives."""
+    if program.kernels is None:
+        kernel.build(program)
+    expect = _outcome(_at_every_check, program, leaves, finish)
+    assert _outcome(_run, program, leaves, finish) == expect, leaves
+    return expect
+
+
+def _same_columns(program, x):
+    expect = _outcome(_marking, program, x)
+    assert _outcome(_columns, program, x) == expect, x
+    return expect
+
+
+def test_inline_tests_and_bare_columns_keep_every_output_and_error():
+    """Floats against the finishing step at every check, and columns against
+    the marking rules, bitwise and error for error: geodesic programs and
+    metric programs on the catalog, both valid fixtures and
+    dense_manifests(1), at seeded points in and far outside their boxes, and
+    fuzz-grammar expressions at the fuzz grid's coordinates.  A product
+    whose base degenerates at (0, 1) and passes _ADJUGATE_PEAK at x0 = 240,
+    where a geodesic program falls back, adds the determinant's verdicts,
+    and at x1 = 1e200 an entry that is not finite where no rule marks."""
+    manifests = [load_catalog(name) for name in catalog_names()]
+    manifests += [load_manifest(Path(__file__).parent / "fixtures" / f"{name}.json")
+                  for name in ("doubly-exp-2x2", "shifted-warp")]
+    manifests += [parse_manifest(doc, source=doc["name"])
+                  for doc in _load("workloads").dense_manifests(1)]
+    cases = [(mf.spec, np.asarray(mf.box, dtype=float)) for mf in manifests]
+    base = MetricSpec.from_strings(2, [["exp(x0)", "x1"], ["x1", "1 + x1*x1 - x1*x1"]])
+    one = MetricSpec.from_strings(1, [["1"]])
+    cases.append((WarpedProductSpec.build(base, one, "1", "2 + sin(x0)"),
+                  np.array([[-1.0, 1.0], [-0.5, 0.5], [0.0, 1.0]])))
+    rng = np.random.default_rng(17)
+    outcomes = []
+    for spec, box in cases:
+        d = spec.dim
+        inside = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((6, d))
+        outside = rng.choice([-1.0, 1.0], (6, d)) * 10.0 ** rng.uniform(-3, 3, (6, d))
+        special = np.zeros((3, d))
+        special[0, 1], special[1, 0], special[2, 1] = 1.0, 240.0, 1e200
+        points = np.concatenate([inside, outside, special])
+        for route in ("split", "full"):
+            program = _route_program(spec, route).program
+            for x in points:
+                y = [*map(float, x), *map(float, rng.standard_normal(d))]
+                outcomes.append(_same(program, y, split._check))
+        plain = as_plain_metric(spec)
+        for order in (0, 1, 2):
+            program = geometry._grid(plain, order)[0]
+            for x in points:
+                outcomes.append(_same(program, list(map(float, x)), _finite))
+        program, tail, _ = geometry._grid(plain, 1)
+        for rows in (inside, outside, points):
+            outcomes.append(_same_columns(program, rows))
+            # and as the stacked Christoffels take them, tested once
+            stacked = _outcome(lambda: [kernel._stacked(_marking(program, rows), tail, len(rows))])
+            assert _outcome(lambda: [_columns(program, rows, tail)]) == stacked
+    grid = np.array(list(itertools.product(_COORDS, repeat=3)))
+    for text, arity in _fuzz_texts(150, seed=17):
+        e = parse_expression(text, arity)
+        points = grid[rng.choice(len(grid), 4), :arity]
+        for order in (0, 1, 2):
+            program = _program_of(e, order)[0]
+            for x in points:
+                outcomes.append(_same(program, list(map(float, x)), _finite))
+            outcomes.append(_same_columns(program, points))
+            outcomes.append(_same_columns(program, points[:1]))
+    errors = [o[0] for o in outcomes if type(o) is tuple]
+    assert len(outcomes) > 2000 and 100 < len(errors) < len(outcomes) - 1000
+    assert set(errors) == {EvalDomainError, NonpositiveWarpError, DegenerateMetricError, _Fallback}

@@ -217,9 +217,9 @@ def test_folded_components_stay_out_of_the_batched_pass(monkeypatch):
     runs = []
     columns = geometry._columns
 
-    def spy(program, xs):
+    def spy(program, xs, tail=None):
         runs.append(_outputs(program))
-        return columns(program, xs)
+        return columns(program, xs, tail)
 
     monkeypatch.setattr(geometry, "_columns", spy)
     x = np.zeros(plain.dim)

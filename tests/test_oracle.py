@@ -322,3 +322,57 @@ def test_compare_zero_tensors_have_zero_relative_dev():
     # flat-space bundle against exact zeros: tiny abs dev, rel dev defined
     rep2 = compare_bundles(b, z)
     assert rep2.tensors["riemann"].max_abs <= 1e-12
+
+
+def _report_as_before(a: CurvatureBundle, b: CurvatureBundle) -> dict:
+    """compare_bundles' report as it was written with numpy alone, nine
+    calls a tensor, the scalar as an array of one: the reference for the
+    cheaper one."""
+
+    def compare(x, y, floor=0.0):
+        diff = np.abs(x - y)
+        max_abs = float(diff.max()) if diff.size else 0.0
+        scale = max(
+            float(np.abs(x).max()) if x.size else 0.0,
+            float(np.abs(y).max()) if y.size else 0.0,
+            floor,
+        )
+        max_rel = (max_abs / scale) if scale > 0.0 else 0.0
+        worst = np.unravel_index(int(diff.argmax()), diff.shape) if diff.size else ()
+        return {"max_abs": max_abs, "max_rel": max_rel, "worst_index": [int(i) for i in worst]}
+
+    ricci_scale = max(float(np.abs(a.ricci).max()), float(np.abs(b.ricci).max()))
+    tensors = {
+        "christoffel": compare(a.christoffel, b.christoffel),
+        "riemann": compare(a.riemann, b.riemann),
+        "ricci": compare(a.ricci, b.ricci),
+        "scalar": compare(np.asarray([a.scalar]), np.asarray([b.scalar]), floor=ricci_scale),
+    }
+    return {"tensors": tensors, "max_rel": max(t["max_rel"] for t in tensors.values())}
+
+
+@np.errstate(all="ignore")
+def test_compare_bundles_reports_what_the_numpy_comparison_reported():
+    rng = np.random.default_rng(23)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]
+    cases = 0
+    for d in (2, 3, 4):
+        for _ in range(60):
+            pair = []
+            for _ in range(2):
+                arrays = [rng.standard_normal((d,) * rank) * 10.0 ** rng.integers(-3, 4)
+                          for rank in (3, 4, 2)]
+                for x in arrays:  # all-zero tensors, and NaN and inf in seeded slots
+                    if rng.random() < 0.2:
+                        x[...] = 0.0
+                    for _ in range(rng.integers(0, 3)):
+                        x.flat[rng.integers(x.size)] = rng.choice(specials)
+                scalar = rng.choice([*specials, *rng.standard_normal(4)])
+                pair.append(CurvatureBundle(*arrays, scalar, "common"))
+            # a bundle against itself, and against the other
+            for a, b in ((pair[0], pair[0]), tuple(pair), tuple(pair[::-1])):
+                report = compare_bundles(a, b)
+                assert repr(report.as_dict()) == repr(_report_as_before(a, b))
+                assert type(report.max_rel) is float
+                cases += 1
+    assert cases == 540
