@@ -38,20 +38,29 @@ integration error and aborts the run when it passes a threshold.
 
 The integrator carries one state y = (position, velocity) as a list of
 floats and does numpy's RK4 arithmetic elementwise, in its order, so a run
-is bitwise the numpy loop over the public right-hand sides.  Each stage
-checks y's entries for finiteness once and is one run of the route's
-program, or one pass of point data where there is none.  A step's first
-stage starts at the sample the previous step ended on, so the run that
-gives the sample its norm also gives that stage its acceleration: the
-norm is assemble_metric's arithmetic on the factor metrics and warps of
-that run, bitwise metric_at's values.  A stage or sample that is no
-longer finite ends the run with DomainExitError at the last healthy
-sample: the last one whose norm could be evaluated.
+is bitwise the numpy loop over the public right-hand sides.  Where the
+route has a program, each step is one call of its step kernel
+(kernel.step), built at the first step and kept on the program: the three
+later stages' states, each tested for finiteness, the program's ops at
+each, and its ops once more at the new sample.  A step the kernel does not
+finish, because an inline test fails or an op raises, is redone from the
+same state by the per-stage loop, which also serves a route without a
+program: each stage checks its state's entries once and is one run of the
+program, or one pass of point data.  So every number and every error is
+the loop's.  A step's first stage starts at the sample the previous step
+ended on, so the run that gives the sample its norm also gives that stage
+its acceleration: the norm is assemble_metric's arithmetic on the factor
+metrics and warps of that run (_norm), bitwise metric_at's values.  A
+stage or sample that is no longer finite ends the run with
+DomainExitError at the last healthy sample: the last one whose norm could
+be evaluated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +152,6 @@ class _Fallback(Exception):
     LAPACK's determinant and inverse: the point takes point data instead."""
 
 
-def _finite(accel: list) -> list:
-    if not all(map(math.isfinite, accel)):
-        raise EvalDomainError("acceleration is not finite at this point")
-    return accel
-
-
 def _program_of(spec: WarpedProductSpec, route: str):
     """The route's program of spec, built on first use and kept on it."""
     program = spec._programs.get(route)
@@ -176,49 +179,71 @@ def _accel(spec: WarpedProductSpec, route: str, program, y: list):
     floats whose position the caller has found finite: one run of the
     route's program and its values, or, where the route has no program
     (False) or it falls back at y, the route's formula and its point data.
-    The integrator's stages and the public right-hand sides all come here."""
-    m, n = spec.base.dim, spec.fiber.dim
+    The integrator's per-stage loop and the public right-hand sides come
+    here."""
     if program:
         try:
             values = _RHS[route](program, y)
-            return values[-(m + n):], values
+            return values[-(program.m + program.n):], values
         except _Fallback:
             pass
+    m, n = spec.base.dim, spec.fiber.dim
     pp = ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m : m + n]))
-    d = _point_data(spec, pp, with_hessians=False)
-    return _FORMULAS[route](d, np.array(y[m + n :])).tolist(), d
+    with np.errstate(all="ignore"):
+        d = _point_data(spec, pp, with_hessians=False)
+        return _FORMULAS[route](d, np.array(y[m + n :])).tolist(), d
 
 
 def _rhs(spec: WarpedProductSpec, state: GeodesicState, route: str) -> np.ndarray:
-    y = _as_product_point(spec, state.position).full.tolist() + state.velocity.tolist()
-    return np.array(_finite(_accel(spec, route, _program_of(spec, route), y)[0]))
+    pp = _as_product_point(spec, state.position)
+    y = [*pp.base_coords.tolist(), *pp.fiber_coords.tolist(), *state.velocity.tolist()]
+    accel = _accel(spec, route, _program_of(spec, route), y)[0]
+    if not all(map(math.isfinite, accel)):
+        raise EvalDomainError("acceleration is not finite at this point")
+    return np.array(accel)
 
 
-@np.errstate(all="ignore")
 def rhs_full(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     """Acceleration -Gamma^k_ij v^i v^j from the assembled Christoffels."""
     return _rhs(spec, state, "full")
 
 
-@np.errstate(all="ignore")
 def rhs_split(spec: WarpedProductSpec, state: GeodesicState) -> np.ndarray:
     """Acceleration in factor form."""
     return _rhs(spec, state, "split")
 
 
-def _norm(gb: np.ndarray, gf: np.ndarray, f: float, h: float, v: np.ndarray) -> float:
-    """<v, v> in the product metric of factor metrics gb, gf and warps f, h,
-    by assemble_metric's arithmetic: the same block-diagonal array, the
-    same products."""
-    m, dim = len(gb), len(gb) + len(gf)
-    g = np.zeros((dim, dim))
-    g[:m, :m] = (h * h) * gb
-    g[m:, m:] = (f * f) * gf
+@functools.lru_cache(maxsize=None)
+def _layout(m: int, n: int):
+    """The (m+n) x (m+n) product metric's entries, row-major, from the m*m
+    scaled entries of g_B, the n*n of g_F and a 0 after them."""
+
+    def place(i: int, j: int) -> int:
+        if i < m and j < m:
+            return i * m + j
+        if i >= m and j >= m:
+            return m * m + (i - m) * n + j - m
+        return m * m + n * n
+
+    return operator.itemgetter(*[place(i, j) for i in range(m + n) for j in range(m + n)])
+
+
+def _norm(parts, m: int, v: np.ndarray) -> float:
+    """<v, v> in the product metric, where parts holds g_B's m*m entries,
+    g_F's, f and h, row-major: assemble_metric's arithmetic, with (h*h) g_B
+    and (f*f) g_F the diagonal blocks of one array and zeros elsewhere."""
+    dim, mm = len(v), m * m
+    hh, ff = parts[-1] * parts[-1], parts[-2] * parts[-2]
+    scaled = [hh * e for e in parts[:mm]] + [ff * e for e in parts[mm:-2]]
+    scaled.append(0.0)
+    g = np.array(_layout(m, dim - m)(scaled)).reshape(dim, dim)
     return float(v @ g @ v)
 
 
 # what leaving the chart raises on the way
 _EXITS = (EvalDomainError, NonpositiveWarpError, DegenerateMetricError)
+# what a run of an op's rule raises, which expr._run names
+_RAISES = (ValueError, ZeroDivisionError, OverflowError)
 
 
 @np.errstate(all="ignore")
@@ -273,6 +298,12 @@ def integrate(
         check(y)
         return y[dim:] + _accel(spec, rhs, program, y)[0]
 
+    def sample_at(s: float, y: list) -> GeodesicState:
+        return GeodesicState(
+            s, ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim])),
+            np.array(y[dim:]),
+        )
+
     def reach(sample: GeodesicState, y: list):
         """(acceleration, norm) at a sample.  The norm needs values alone,
         which may exist where a derivative does not: where the acceleration
@@ -284,9 +315,26 @@ def integrate(
         except _EXITS as exc:
             return exc, float(v @ assemble_metric(spec, sample.position) @ v)
         if type(data) is list:
-            return a, _norm(*program.parts(data), v)
+            return a, _norm(program.gather((*data, *program.tail)), m, v)
         B, F = data
-        return a, _norm(B.g, F.g, B.w, F.w, v)
+        return a, _norm([*B.g.ravel().tolist(), *F.g.ravel().tolist(), B.w, F.w], m, v)
+
+    def rk4(y: list, a: list, h: float, s: float):
+        """One step stage by stage, numpy's RK4 arithmetic elementwise and in
+        its order: the first stage reads the acceleration of the sample it
+        starts at.  (new state, sample, acceleration, norm)."""
+        if isinstance(a, Exception):
+            raise a
+        k1 = y[dim:] + a
+        k2 = deriv(y, 0.5 * h, k1)
+        k3 = deriv(y, 0.5 * h, k2)
+        k4 = deriv(y, h, k3)
+        c = h / 6.0
+        y = [p + c * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
+             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+        check(y)
+        sample = sample_at(s, y)
+        return (y, sample, *reach(sample, y))
 
     y = initial.position.full.tolist() + initial.velocity.tolist()
     samples = [GeodesicState(initial.s, initial.position, initial.velocity.copy())]
@@ -294,29 +342,33 @@ def integrate(
     norms = [n0]
     if total_steps:
         check(y)  # a non-finite initial velocity ends the run here
+    # the step kernel, where the route has a program: a step whose inline
+    # test fails, or whose op raises, is redone stage by stage
+    if program and total_steps and program.step is None:
+        from . import kernel  # built at the route's first step
+
+        kernel.step(program)
+    fused = program and program.step
+    half, sixth = 0.5 * step, step / 6.0
 
     for k in range(total_steps):
         h = step if k < whole else remainder
         s = initial.s + (k + 1) * step if k < whole else s_end
+        if k == whole:
+            half, sixth = 0.5 * h, h / 6.0
         try:
-            if isinstance(a, Exception):
-                raise a
-            # numpy's RK4 arithmetic, elementwise and in its order: the
-            # first stage reads the acceleration of the sample it starts at
-            k1 = y[dim:] + a
-            k2 = deriv(y, 0.5 * h, k1)
-            k3 = deriv(y, 0.5 * h, k2)
-            k4 = deriv(y, h, k3)
-            c = h / 6.0
-            y = [p + c * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
-                 for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
-            check(y)
-            sample = GeodesicState(
-                s,
-                ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim])),
-                np.array(y[dim:]),
-            )
-            a, norm = reach(sample, y)
+            out = None
+            if fused and type(a) is list:
+                try:
+                    out = fused(y, a, half, h, sixth)
+                except _RAISES:
+                    pass
+            if out is None:
+                y, sample, a, norm = rk4(y, a, h, s)
+            else:
+                y, a, parts = out
+                sample = sample_at(s, y)
+                norm = _norm(parts, m, sample.velocity)
         except _EXITS as exc:
             last = samples[-1]
             raise DomainExitError(last.s, last.position, str(exc)) from exc

@@ -46,6 +46,15 @@ runs the bare kernel first and tests those results and the outputs for
 finiteness at once; only where that fails does it run the marking kernel,
 so every error over columns is the one it always was.
 
+A geodesic program also gets a step kernel (step, _step_text): one RK4
+step of geodesics.integrate as one function on floats.  It writes the
+program's op lines (_lines) once for each of the three later stages and
+once more for the new sample, each under its own register prefix, with
+integrate's stage arithmetic between them and each check as its test.  It
+returns None where a test fails, and integrate redoes that step stage by
+stage; so a step kernel needs no finishing step.  Its text holds the same
+kinds of names as a kernel's.
+
 expr imports this module with the first kernel it builds, so importing the
 package compiles none of it.
 """
@@ -84,8 +93,9 @@ _SUM = 100
 
 
 def _test(check, group: list, k: int, spare: str) -> str:
-    """The test of check k on floats, from the registers of the outputs so
-    far (group): where it holds, the check's finishing step would not raise.
+    """The test of check k on floats, from the names of the registers of
+    the outputs so far (group): where it holds, the check's finishing step
+    would not raise.
 
     derivative.derived's (expr, n, what) and split's ("entry", expr, n, _)
     need the last n outputs finite: the sum of each _SUM of them; split's
@@ -94,14 +104,36 @@ def _test(check, group: list, k: int, spare: str) -> str:
     operands in its order, spare holding the peak."""
     kind, a, b, _ = ("entry", *check) if len(check) == 3 else check
     if kind == "det":
-        peak = ", ".join([f"checks[{k}][3]"] + [f"abs(r{group[i]})" for i in b])
+        peak = ", ".join([f"checks[{k}][3]"] + [f"abs({group[i]})" for i in b])
         top = f"max({peak})" if b else f"checks[{k}][3]"
         scale = " * ".join([f"({spare} := max(1.0, {spare}))"] + [spare] * (a - 1))
-        return f"({spare} := {top}) <= 1e100 and abs(r{group[-1]}) >= 1e-12 * ({scale})"
-    terms = [f"r{r}" for r in group[-b:]]
-    test = " and ".join(f"isfinite({' + '.join(terms[i:i + _SUM])})"
-                        for i in range(0, b, _SUM))
-    return test + f" and r{group[-b]} > 0.0" if kind == "warp" else test
+        return f"({spare} := {top}) <= 1e100 and abs({group[-1]}) >= 1e-12 * ({scale})"
+    test = _finite_test(group[-b:])
+    return test + f" and {group[-b]} > 0.0" if kind == "warp" else test
+
+
+def _finite_test(names: list) -> str:
+    """Whether the registers of names are all finite, within the sums they
+    may overflow: the sum of each _SUM of them finite."""
+    return " and ".join(f"isfinite({' + '.join(names[i:i + _SUM])})"
+                        for i in range(0, len(names), _SUM))
+
+
+def _lines(program: _Code, name):
+    """(line, output, check) per op of the program, each register written
+    by name(register): an op's line, or an output's register and check."""
+    for code, arg, _, target, a, b in program.ops:
+        if code is _OP_BIN:
+            op = _INLINE.get(arg)
+            yield (f"{name(target)} = " + (f"{name(a)} {op} {name(b)}" if op
+                                          else f"{_NAMES[arg]}({name(a)}, {name(b)})"),
+                   None, None)
+        elif code is _OP_CALL:
+            yield f"{name(target)} = {_NAMES[arg]}({name(a)})", None, None
+        elif code is _OP_OUT:
+            yield None, name(a), arg
+        else:
+            yield f"{name(target)} = -{name(a)}", None, None
 
 
 def _text(program: _Code) -> str:
@@ -114,21 +146,14 @@ def _text(program: _Code) -> str:
     lines = ["def kernel(leaves, finish, constants, checks):", "; ".join(head + ["outs = []"])]
     spare = f"r{max([fixed, *read]) + 1}"  # a register no op writes
     outs, checks = [], 0
-    for code, arg, _, target, a, b in program.ops:
-        if code is _OP_BIN:
-            op = _INLINE.get(arg)
-            line = f"r{target} = " + (f"r{a} {op} r{b}" if op else f"{_NAMES[arg]}(r{a}, r{b})")
-        elif code is _OP_CALL:
-            line = f"r{target} = {_NAMES[arg]}(r{a})"
-        elif code is _OP_OUT:
-            outs.append(a)
-            line = f"outs.append(r{a})"
-            if arg is not None:
-                test = _test(arg, outs, checks, spare)
+    for line, out, check in _lines(program, "r{}".format):
+        if out is not None:
+            outs.append(out)
+            line = f"outs.append({out})"
+            if check is not None:
+                test = _test(check, outs, checks, spare)
                 line += f"; floats and {test} or finish(checks[{checks}], outs)"
                 checks += 1
-        else:
-            line = f"r{target} = -r{a}"
         lines.append(line)
     # the results of the ops whose rule marks rows on columns
     marked = "".join(f"r{target}, " for code, rules, _, target, *_ in program.ops
@@ -147,14 +172,80 @@ def _code(text: str) -> CodeType:
     return code
 
 
+def _bound(program: _Code, tail: tuple = ()) -> tuple:
+    """A kernel's last two arguments: its constants (the registers' and then
+    tail's) and its checks."""
+    return (tuple(v for v in program.registers if v is not None) + tail,
+            tuple(op[1] for op in program.ops if op[0] is _OP_OUT and op[1] is not None))
+
+
 def build(program: _Code) -> tuple:
     """The program's kernel on floats, on columns and on bare columns, kept
     on it: three functions over one code object."""
-    code = _code(_text(program))
-    bound = (tuple(v for v in program.registers if v is not None),
-             tuple(op[1] for op in program.ops if op[0] is _OP_OUT and op[1] is not None))
+    code, bound = _code(_text(program)), _bound(program)
     program.kernels = tuple(FunctionType(code, names, "kernel", bound) for names in _MODES)
     return program.kernels
+
+
+# The registers of the program's runs in one RK4 step: stages 2, 3 and 4,
+# then the new sample.  Stage 1 reads the acceleration the last step's
+# sample ran.
+_STAGES = "bcde"
+
+
+def _step_text(code: _Code, dim: int, places, tail: int) -> str:
+    """The RK4 step kernel of a geodesic program as Python source.
+
+    It takes the state y = [*x, *v], the acceleration a at y, and half, h
+    and sixth, h's multiples that integrate uses.  Each stage's state is
+    integrate's arithmetic on floats, in numpy's order, and is tested for
+    finiteness; then the program's ops run on it under the stage's register
+    prefix, each check written as its test (_test).  Where a test fails the
+    kernel returns None, and integrate redoes the step stage by stage.
+    Otherwise it returns the new state, its acceleration and the entries of
+    g_B, g_F, f and h there (places, into the outputs and then the tail,
+    named t0, t1, ...)."""
+    fixed = len(code.registers)
+    constant = {i for i, value in enumerate(code.registers) if value is not None}
+    head = [f"r{i}" for i in sorted(constant)] + [f"t{i}" for i in range(tail)]
+    y = [f"y{i}" for i in range(2 * dim)]
+    k = y[dim:] + [f"a{i}" for i in range(dim)]  # stage 1
+    lines = ["def step(y, a, half, h, sixth, constants, checks):",
+             "; ".join(([", ".join(head) + ", = constants"] if head else [])
+                       + [", ".join(y) + ", = y", ", ".join(k[dim:]) + ", = a"])]
+    ks = [k]
+    for p in _STAGES:
+        state = [f"{p}{fixed + i}" for i in range(2 * dim)]  # the program's leaves
+        if p == "e":
+            c = "sixth"
+            k = [f"((({q1} + 2.0 * {q2}) + 2.0 * {q3}) + {q4})" for q1, q2, q3, q4 in zip(*ks)]
+        else:
+            c = "h" if p == "d" else "half"
+        lines.append("; ".join(f"{s} = {q} + {c} * {d}" for s, q, d in zip(state, y, k)))
+        lines.append(f"if not ({_finite_test(state)}): return")
+        outs, checks, spare = [], 0, f"{p}{fixed + 2 * dim}"
+        for line, out, check in _lines(code, lambda r: f"r{r}" if r in constant else f"{p}{r}"):
+            if out is None:
+                lines.append(line)
+                continue
+            outs.append(out)
+            if check is not None:
+                lines.append(f"if not ({_test(check, outs, checks, spare)}): return")
+                checks += 1
+        k = state[dim:] + outs[-dim:]
+        ks.append(k)
+    parts = [outs[i] if i < len(outs) else f"t{i - len(outs)}" for i in places]
+    lines.append(f"return [{', '.join(state)}], [{', '.join(outs[-dim:])}], [{', '.join(parts)}]")
+    return "\n    ".join(lines) + "\n"
+
+
+def step(program):
+    """The RK4 step kernel of a geodesic program (split.Program), kept on it
+    as program.step: one function on floats, with math's rules."""
+    code = program.program
+    text = _step_text(code, program.m + program.n, program.places, len(program.tail))
+    program.step = FunctionType(_code(text), _MODES[0], "step", _bound(code, program.tail))
+    return program.step
 
 
 def _skip(check, outs):

@@ -21,7 +21,8 @@ determinant in both:
 
 Each repeated subtree is computed once.  geodesics imports this module
 with the first program it builds, on a route's first right-hand side for
-a spec; Program.values is then one run per point.
+a spec; Program.values is then one run per point, and Program.step, once
+integrate has built it, one RK4 step.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from types import SimpleNamespace
-
-import numpy as np
 
 from .errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
 from .derivative import jet_nodes, live_entries
@@ -42,25 +41,21 @@ from .warped import WarpedProductSpec
 
 class Program:
     """A route's program for a spec, with what its values place: tail
-    holds the constant entries and warps, gathers the flat positions of
-    g_B, g_F and (f, h) in values + tail."""
+    holds the constant entries and warps, places the flat positions of
+    g_B's entries, g_F's, f and h in values + tail, and gather takes them
+    from there.  step is its RK4 step kernel (kernel.step), built at the
+    first step of integrate over it."""
 
-    __slots__ = ("program", "tail", "gathers", "m", "n")
+    __slots__ = ("program", "tail", "places", "gather", "m", "n", "step")
 
-    def __init__(self, program, tail, gathers, m, n):
-        self.program, self.tail, self.gathers, self.m, self.n = program, tail, gathers, m, n
+    def __init__(self, program, tail, places, m, n):
+        self.program, self.tail, self.places, self.m, self.n = program, tail, places, m, n
+        self.gather = operator.itemgetter(*places)
+        self.step = None
 
     def values(self, y: list) -> list:
         """The checked outputs at the state y = [*x, *v]."""
         return _run(self.program, y, _check)
-
-    def parts(self, values: list):
-        """(g_B, g_F, f, h) from the values at a sample, for geodesics._norm."""
-        flat = tuple(values) + self.tail
-        get_b, get_f, get_w = self.gathers
-        m, n = self.m, self.n
-        return (np.array(get_b(flat)).reshape(m, m), np.array(get_f(flat)).reshape(n, n),
-                *get_w(flat))
 
 
 def _check(check, values):
@@ -325,8 +320,8 @@ def build(spec: WarpedProductSpec, route: str):
     come in _point_data's check order: the base metric's live entries and
     its determinant, f, the fiber's, h, each live one followed by its
     derivatives, then the d entries of the acceleration.  values + tail
-    hold every entry of both factor metrics and both warps, and gathers
-    places them for _norm.
+    hold every entry of both factor metrics and both warps, and places
+    finds them for geodesics._norm.
     """
     m, n = spec.base.dim, spec.fiber.dim
     if max(m, n) > 3:
@@ -344,7 +339,6 @@ def build(spec: WarpedProductSpec, route: str):
     def index(ref):
         return ref if ref >= 0 else len(outs) - 1 - ref
 
-    gathers = tuple(
-        operator.itemgetter(*[index(r) for row in X.refs for r in row]) for X in (B, F)
-    ) + (operator.itemgetter(index(B.wref), index(F.wref)),)
-    return Program(_compile(outs), tuple(tail), gathers, m, n)
+    places = [index(r) for X in (B, F) for row in X.refs for r in row]
+    places += [index(B.wref), index(F.wref)]
+    return Program(_compile(outs), tuple(tail), places, m, n)

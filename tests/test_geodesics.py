@@ -13,7 +13,9 @@ from warpcurv.errors import (
     NonpositiveWarpError,
     StepTooLargeError,
 )
+from warpcurv import kernel
 from warpcurv.geodesics import GeodesicState, Trajectory, integrate, rhs_full, rhs_split
+from warpcurv.geodesics import _program_of
 from warpcurv.closed_form import christoffels_closed
 from warpcurv.geometry import MetricSpec, christoffels_of
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
@@ -470,3 +472,140 @@ def test_products_without_a_split_program_take_the_factor_form_from_point_data()
                       _reference_integrate(spec, start, 0.2, 0.01, rhs=rhs))
     assert wide._programs == {"full": False, "split": False}
     assert huge._programs["full"] and huge._programs["split"]
+
+
+# ---------------------------------------------------------------------------
+# The step kernel and the per-stage loop that redoes a step it does not take
+
+
+def _spied_steps(spec, rhs):
+    """A list that records what each call of the route's step kernel gave:
+    "ok", "none" where an inline test failed, or the class an op raised."""
+    program = _program_of(spec, rhs)
+    fused = program.step or kernel.step(program)
+    outcomes = []
+
+    def spy(*args):
+        try:
+            out = fused(*args)
+        except Exception as exc:
+            outcomes.append(type(exc).__name__)
+            raise
+        outcomes.append("none" if out is None else "ok")
+        return out
+
+    program.step = spy
+    return outcomes
+
+
+def _same_outcome(spec, start, s_end, step, rhs):
+    """integrate and the reference loop give the same run, or raise the same
+    class with the same message, s and position."""
+    try:
+        got = integrate(spec, start, s_end, step, rhs=rhs)
+    except (DomainExitError, StepTooLargeError) as exc:
+        want = _raised(_reference_integrate, spec, start, s_end, step, rhs=rhs)
+        assert type(exc) is type(want) and str(exc) == str(want), (spec.name, str(exc))
+        assert exc.s == want.s
+        if isinstance(want, DomainExitError):
+            assert exc.position.full.tobytes() == want.position.full.tobytes()
+        return exc
+    _same_run(got, _reference_integrate(spec, start, s_end, step, rhs=rhs))
+    return got
+
+
+FLAT2 = MetricSpec.from_strings(2, [["1", "0"], ["0", "1"]], name="flat2")
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_stage_whose_entries_are_finite_and_whose_sum_overflows_is_redone(rhs):
+    # the fiber coordinates, which nothing reads, are near the float limit:
+    # each stage's test sums 2e308, so every step is redone stage by stage
+    spec = WarpedProductSpec.build(LINE, FLAT2, "2 + sin(x0)", "1", name="far-fiber")
+    start = state(spec, [0.3, 1e308, 1e308], [0.2, 0.5, -0.4])
+    outcomes = _spied_steps(spec, rhs)
+    run = _same_outcome(spec, start, 0.5, 0.1, rhs)
+    assert len(run.samples) == 6 and outcomes == ["none"] * 5
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_warp_that_reaches_zero_mid_step_is_redone(rhs):
+    # sin(theta) is positive at the sample and at stages 2 and 3, and
+    # negative at stage 4
+    start = state(SPHERE, [0.05, 0.0], [-1.0, 0.0])
+    outcomes = _spied_steps(SPHERE, rhs)
+    exc = _same_outcome(SPHERE, start, 1.0, 0.08, rhs)
+    assert isinstance(exc, DomainExitError) and "must be positive" in str(exc)
+    assert exc.s == 0.0 and outcomes == ["none"]
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_an_entry_that_crosses_the_adjugate_peak_mid_trajectory_is_redone(rhs):
+    # 1e99 exp(x0) passes 1e100 at x0 = ln 10 = 2.30: from there on the
+    # point takes point data, so the step kernel hands each step back
+    big = MetricSpec.from_strings(1, [["1e99*exp(x0)"]], name="big")
+    spec = WarpedProductSpec.build(big, LINE, "1 + 0.1*sin(x0)", "1", name="peak")
+    start = state(spec, [2.2, 0.0], [0.5, 0.3])
+    outcomes = _spied_steps(spec, rhs)
+    run = _same_outcome(spec, start, 1.0, 0.05, rhs)
+    assert run.positions[0, 0] < math.log(10.0) < run.positions[-1, 0]
+    assert "ok" in outcomes and outcomes[-1] == "none" and len(outcomes) == 20
+    assert outcomes == sorted(outcomes, reverse=True)  # every "ok" before every "none"
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_sample_whose_derivative_fails_where_its_value_exists_is_redone(rhs):
+    # x0 moves at constant speed -1 and lands on 0.0 exactly at the first
+    # sample, where f = 1 + sqrt(x0) has a value but no derivative; every
+    # stage before it stays at x0 > 0
+    spec = WarpedProductSpec.build(LINE, LINE, "1 + sqrt(x0)", "1", name="root")
+    step = 0.053
+    x0 = (step / 6.0) * 6.0
+    assert x0 + (step / 6.0) * -6.0 == 0.0 < x0 - step
+    outcomes = _spied_steps(spec, rhs)
+    exc = _same_outcome(spec, state(spec, [x0, 0.0], [-1.0, 0.0]), 3 * step, step, rhs)
+    assert isinstance(exc, DomainExitError) and exc.s == step
+    assert exc.position.full.tolist() == [0.0, 0.0]
+    assert outcomes == ["ZeroDivisionError"]  # the sample's run divides by sqrt(0)
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_stage_that_turns_nan_is_redone(rhs):
+    # v0^2 overflows, and the two terms of each acceleration are infinities
+    # of opposite sign: the acceleration at the start is nan, and so is the
+    # second stage's state
+    spec = WarpedProductSpec.build(LINE, LINE, "2 + sin(x0)", "2 + cos(x0)", name="nan")
+    start = state(spec, [0.3, 4.0], [1e200, 1e200])
+    outcomes = _spied_steps(spec, rhs)
+    accel = spec._programs[rhs].values(start.position.full.tolist() + start.velocity.tolist())
+    assert all(map(math.isnan, accel[-2:]))
+    exc = _raised(integrate, spec, start, 1.0, 0.1, rhs=rhs)
+    want = _raised(_reference_integrate, spec, start, 1.0, 0.1, rhs=rhs)
+    assert type(exc) is type(want) is DomainExitError and exc.s == want.s == 0.0
+    assert exc.position.full.tobytes() == want.position.full.tobytes()
+    # the reference checks each acceleration, integrate the state it makes
+    assert str(want) == "acceleration is not finite at this point"
+    assert str(exc) == "trajectory state is no longer finite after s=0.0"
+    assert outcomes == ["none"]
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_integrate_is_the_reference_loop_from_seeded_states(rhs):
+    """20-step runs from states in the box of every catalog entry, valid
+    fixture and dense manifest: the same run, or the same error, and here
+    the step kernel takes every step."""
+    fixtures = Path(__file__).parent / "fixtures"
+    manifests = [load_catalog(name) for name in catalog_names()]
+    manifests += [load_manifest(fixtures / f"{n}.json")
+                  for n in ("shifted-warp", "doubly-exp-2x2")]
+    manifests += [parse_manifest(doc, source=doc["name"])
+                  for doc in _bench_workloads().dense_manifests(1)]
+    rng = np.random.default_rng(18)
+    for mf in manifests:
+        spec, box = mf.spec, np.asarray(mf.box)
+        outcomes = _spied_steps(spec, rhs)
+        for _ in range(3):
+            x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(spec.dim)
+            v = 0.5 * rng.standard_normal(spec.dim)
+            assert isinstance(_same_outcome(spec, state(spec, x, v), 0.2, 0.01, rhs), Trajectory)
+        assert outcomes == ["ok"] * 60, mf.name

@@ -13,7 +13,11 @@ They also hold what makes the inline tests and the bare columns safe: a
 check's test passes only where its finishing step would not raise, a
 marking rule marks only rows whose bare result is not finite, and so
 every output and every error is the one the finishing step at every
-check, and the marking rules, give."""
+check, and the marking rules, give.
+
+A geodesic program's step kernel keeps the same kinds of names, and is
+built once per spec and route, at the first step integrate takes; what it
+gives is held against the per-stage loop in test_geodesics."""
 
 import itertools
 import math
@@ -50,7 +54,7 @@ from warpcurv.expr import (
     parse_expression,
     value_and_gradient,
 )
-from warpcurv.geodesics import GeodesicState, _Fallback, rhs_full, rhs_split
+from warpcurv.geodesics import GeodesicState, _Fallback, integrate, rhs_full, rhs_split
 from warpcurv.geodesics import _program_of as _route_program
 from warpcurv.geometry import MetricSpec
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
@@ -513,3 +517,119 @@ def test_inline_tests_and_bare_columns_keep_every_output_and_error():
     errors = [o[0] for o in outcomes if type(o) is tuple]
     assert len(outcomes) > 2000 and 100 < len(errors) < len(outcomes) - 1000
     assert set(errors) == {EvalDomainError, NonpositiveWarpError, DegenerateMetricError, _Fallback}
+
+
+# ---------------------------------------------------------------------------
+# Step kernels: one RK4 step of a geodesic program (kernel.step)
+
+# Besides the program's registers r (constants) and t (the tail), a step
+# kernel names the state y, the acceleration a at it, and the registers of
+# each run under its stage's letter: b, c and d for stages 2-4, e for the
+# new sample.
+_SREG = r"[rtyabcde]\d+"
+_STEP_HEAD = re.compile(r"def step\(y, a, half, h, sixth, constants, checks\):")
+_STEP_SETUP = re.compile(rf"    (([rt]\d+, )+= constants; )?(y\d+, )+= y; (a\d+, )+= a")
+_STAGE = rf"{_SREG} = {_SREG} \+ (half|h) \* {_SREG}"
+_SAMPLE = (rf"{_SREG} = {_SREG} \+ sixth \* \(\(\({_SREG} \+ 2\.0 \* {_SREG}\)"
+           rf" \+ 2\.0 \* {_SREG}\) \+ {_SREG}\)")
+_STATE = re.compile(rf"    (({_STAGE}; )*{_STAGE}|({_SAMPLE}; )*{_SAMPLE})")
+_STEP_OP = re.compile(
+    rf"    {_SREG} = ({_SREG} [-+*] {_SREG}|-{_SREG}|{_RULE}\({_SREG}(, {_SREG})?\))"
+)
+_STEP_TEST = re.compile(
+    rf"    if not \(({_GROUP.replace(_REG, _SREG)}|{_DET.replace(_REG, _SREG)})\): return"
+)
+_LIST = rf"\[{_SREG}(, {_SREG})*\]"
+_STEP_RETURN = re.compile(rf"    return {_LIST}, {_LIST}, {_LIST}")
+
+
+def _check_step_text(text):
+    lines = text.split("\n")
+    assert lines[-1] == "" and _STEP_RETURN.fullmatch(lines[-2]), lines[-2]
+    assert _STEP_HEAD.fullmatch(lines[0]) and _STEP_SETUP.fullmatch(lines[1]), lines[:2]
+    stages, state = 0, None
+    for line in lines[2:-2]:
+        if _STATE.fullmatch(line):
+            stages, state, checks = stages + 1, line, -1
+            continue
+        if _STEP_OP.fullmatch(line):
+            continue
+        assert _STEP_TEST.fullmatch(line), line
+        if checks < 0:  # the stage's state, tested first
+            names = re.findall(rf"    ({_SREG}) =|; ({_SREG}) =", state)
+            assert line == f"    if not (isfinite({' + '.join(a or b for a, b in names)})): return"
+        # then each run's checks in order; a determinant's test reads its check
+        read = set(re.findall(r"checks\[(\d+)\]", line))
+        assert read <= {str(checks)}, line
+        checks += 1
+    assert stages == 4  # stages 2, 3 and 4, and the new sample
+    return text
+
+
+def _manifests():
+    manifests = [load_catalog(name) for name in catalog_names()]
+    manifests += [load_manifest(Path(__file__).parent / "fixtures" / f"{name}.json")
+                  for name in ("doubly-exp-2x2", "shifted-warp")]
+    return manifests
+
+
+def test_step_kernel_text_holds_registers_fixed_names_and_literals_alone(kernel_texts):
+    specs = 0
+    for mf in _manifests():
+        centre = np.asarray(mf.box, dtype=float).mean(axis=1)
+        state = GeodesicState(0.0, ProductPoint.from_full(centre, mf.spec.base.dim),
+                              np.linspace(0.3, 0.7, mf.dim))
+        for rhs in ("full", "split"):
+            integrate(mf.spec, state, 0.02, 0.01, rhs=rhs)
+            specs += 1
+    steps = [_check_step_text(t) for t in kernel_texts if t.startswith("def step(")]
+    for text in kernel_texts:
+        if not text.startswith("def step("):
+            _check_text(text)
+    assert len(steps) == specs
+    every = "".join(steps)
+    # each kind of test, and the tail's constants
+    assert "if not (isfinite(" in every and " > 0.0): return" in every
+    assert "][3], abs(" in every and "t0" in every
+
+
+def test_a_step_kernel_is_built_once_per_spec_and_route(monkeypatch):
+    built = []
+    step = kernel.step
+
+    def spy(program):
+        built.append(program)
+        return step(program)
+
+    monkeypatch.setattr(kernel, "step", spy)
+    mf = load_catalog("schwarzschild-exterior-slice")
+    spec = mf.spec
+    centre = np.asarray(mf.box, dtype=float).mean(axis=1)
+    state = GeodesicState(0.0, ProductPoint.from_full(centre, spec.base.dim),
+                          np.array([0.1, 0.02, 0.05]))
+    for rhs in ("full", "split", "full", "split"):
+        for s_end in (0.01, 0.05):
+            integrate(spec, state, s_end, 0.01, rhs=rhs)
+        rhs_full(spec, state)
+        rhs_split(spec, state)
+    assert built == [spec._programs["full"], spec._programs["split"]]
+    assert all(type(p.step) is FunctionType for p in built)
+    # a spec of the same shape builds its own, which finds the same code
+    again = load_catalog("schwarzschild-exterior-slice").spec
+    integrate(again, state, 0.01, 0.01, rhs="full")
+    assert len(built) == 3 and again._programs["full"].step is not spec._programs["full"].step
+    assert again._programs["full"].step.__code__ is spec._programs["full"].step.__code__
+
+
+def test_a_zero_step_integrate_builds_no_step_kernel(monkeypatch):
+    built = []
+    monkeypatch.setattr(kernel, "step", built.append)
+    spec = load_catalog("unit-sphere").spec
+    state = GeodesicState(0.3, ProductPoint.from_full(np.array([1.0, 0.0]), 1),
+                          np.array([0.2, 0.7]))
+    for rhs in ("full", "split"):
+        traj = integrate(spec, state, 0.3, 0.01, rhs=rhs)
+        assert len(traj.samples) == 1
+        assert spec._programs[rhs].program.kernels is not None  # the sample ran its program
+        assert spec._programs[rhs].step is None
+    assert built == []
