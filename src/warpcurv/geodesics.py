@@ -45,8 +45,9 @@ later stages' states, each tested for finiteness, the program's ops at
 each, and its ops once more at the new sample.  A step the kernel does not
 finish, because an inline test fails or an op raises, is redone from the
 same state by the per-stage loop, which also serves a route without a
-program: each stage checks its state's entries once and is one run of the
-program, or one pass of point data.  So every number and every error is
+program and a route whose run was replaced in _RHS: each stage checks its
+state's entries once and is one call of _RHS's run, or one pass of point
+data.  So every number and every error is
 the loop's.  A step's first stage starts at the sample the previous step
 ended on, so the run that gives the sample its norm also gives that stage
 its acceleration: the norm is assemble_metric's arithmetic on the factor
@@ -169,7 +170,8 @@ def _values(program, y: list) -> list:
 
 
 # per route, one run of its program, and its formula where it has none or
-# falls back; _accel looks both up at call time
+# falls back; _accel looks both up at call time, and integrate's step
+# kernel stands in for _values only while it is the route's entry
 _RHS = {"full": _values, "split": _values}
 _FORMULAS = {"full": _accel_full, "split": _accel_split}
 
@@ -322,7 +324,9 @@ def integrate(
     def rk4(y: list, a: list, h: float, s: float):
         """One step stage by stage, numpy's RK4 arithmetic elementwise and in
         its order: the first stage reads the acceleration of the sample it
-        starts at.  (new state, sample, acceleration, norm)."""
+        starts at.  (new state, sample, acceleration, norm).  The step
+        kernel (kernel._step_text) writes the same arithmetic; the two must
+        stay bitwise equal."""
         if isinstance(a, Exception):
             raise a
         k1 = y[dim:] + a
@@ -343,12 +347,15 @@ def integrate(
     if total_steps:
         check(y)  # a non-finite initial velocity ends the run here
     # the step kernel, where the route has a program: a step whose inline
-    # test fails, or whose op raises, is redone stage by stage
-    if program and total_steps and program.step is None:
+    # test fails, or whose op raises, is redone stage by stage.  It runs
+    # the program in place of _values, so a run replaced in _RHS (a spy, a
+    # tracer) takes the per-stage loop and is called at every stage.
+    own = _RHS[rhs] is _values
+    if program and own and total_steps and program.step is None:
         from . import kernel  # built at the route's first step
 
         kernel.step(program)
-    fused = program and program.step
+    fused = program and own and program.step
     half, sixth = 0.5 * step, step / 6.0
 
     for k in range(total_steps):

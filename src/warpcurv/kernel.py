@@ -204,7 +204,9 @@ def _step_text(code: _Code, dim: int, places, tail: int) -> str:
     kernel returns None, and integrate redoes the step stage by stage.
     Otherwise it returns the new state, its acceleration and the entries of
     g_B, g_F, f and h there (places, into the outputs and then the tail,
-    named t0, t1, ...)."""
+    named t0, t1, ...).  The stage arithmetic is that of integrate's
+    per-stage loop (geodesics.integrate's rk4); the two must stay bitwise
+    equal."""
     fixed = len(code.registers)
     constant = {i for i, value in enumerate(code.registers) if value is not None}
     head = [f"r{i}" for i in sorted(constant)] + [f"t{i}" for i in range(tail)]

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -609,3 +610,29 @@ def test_integrate_is_the_reference_loop_from_seeded_states(rhs):
             v = 0.5 * rng.standard_normal(spec.dim)
             assert isinstance(_same_outcome(spec, state(spec, x, v), 0.2, 0.01, rhs), Trajectory)
         assert outcomes == ["ok"] * 60, mf.name
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_run_replaced_in_the_rhs_table_is_called_at_every_stage(monkeypatch, rhs):
+    """The step kernel stands in for the route's own run alone: a run that
+    something else put in geodesics._RHS (a spy, a tracer) is called four
+    times a step and once at the start, and the run is the same."""
+    from warpcurv import geodesics
+
+    spec = WarpedProductSpec.build(LINE, LINE, "sin(x0)", "1", name="sphere-again")
+    start = state(spec, [1.0, 0.0], [0.2, 0.7])
+    own = geodesics._RHS[rhs]
+    calls = []
+
+    def spy(program, y):
+        calls.append(len(y))
+        return own(program, y)
+
+    monkeypatch.setitem(geodesics._RHS, rhs, spy)
+    spied = integrate(spec, start, 0.25, 0.1, rhs=rhs)  # two steps and a half step
+    assert calls == [4] * (1 + 4 * 3) and spec._programs[rhs].step is None
+    monkeypatch.setitem(geodesics._RHS, rhs, own)
+    fused = integrate(spec, start, 0.25, 0.1, rhs=rhs)
+    assert type(spec._programs[rhs].step) is FunctionType and len(calls) == 13
+    _same_run(spied, fused)
+    _same_run(spied, _reference_integrate(spec, start, 0.25, 0.1, rhs=rhs))

@@ -2,14 +2,13 @@
 """Alternating A/B pairs of the benchmark between two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --out BENCH_18.json \
-        [--workloads catalog-sweep dense-sweep geodesic-long] [--pairs 10] \
-        [--seed 1] [--seconds 30] [--description TEXT]
+        [--workloads catalog-sweep dense-sweep geodesic-long] [--description TEXT]
 
 PARENT and CHANGE are the roots of two warpcurv checkouts.  Each run is
-`python3 bench/run.py --workload W --seed S --seconds T --trace 0` started
+`python3 bench/run.py --workload W --seed 1 --seconds 30 --trace 0` started
 from one checkout's root, so each side runs its own bench/ against its own
-src/; nothing under bench/ is changed or copied.  Runs go one at a time.
-Pair k of a workload runs the parent first when k is even and the change
+src/; nothing under bench/ is changed or copied.  Runs go one at a time,
+ten pairs per workload.  Pair k of a workload runs the parent first when k is even and the change
 first when k is odd.
 
 The output file is rewritten after every pair, so an interrupted run
@@ -39,12 +38,15 @@ import numpy as np
 
 WORKLOADS = ("catalog-sweep", "dense-sweep", "geodesic-long")
 METRICS = ("setup_s", "op_ms_tail", "peak_rss_mb")
+PAIRS = 10  # the fewest pairs a claim rests on
+SEED = 1
+SECONDS = 30  # BENCHMARK.json's run_seconds
 
 
-def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run(root: Path, workload: str) -> dict:
     """One benchmark run in a checkout: its end-to-end metrics and counts."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -84,20 +86,17 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--description", default="")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"description": args.description, "workloads": {}}
     for workload in args.workloads:
         pairs = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": args.seed, "first": order[0]}
+            pair = {"seed": SEED, "first": order[0]}
             for side in order:
-                pair[side] = run(roots[side], workload, args.seed, args.seconds)
+                pair[side] = run(roots[side], workload)
             pairs.append(pair)
             doc["workloads"][workload] = {"summary": summary(pairs), "pairs": pairs}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
