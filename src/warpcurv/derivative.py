@@ -10,7 +10,7 @@ bitwise symmetric.  derived compiles the trees of many expressions up to
 an order, 0, 1 or 2, into one program, which expr runs as a generated
 kernel on floats or on numpy columns.  Every evaluator runs such programs:
 expr's evaluate, value_and_gradient and jet2, geometry's metric grids (at a
-point and over the oracle's stencil), the closed form's warps, and the
+point and in the oracle's stencil kernels), the closed form's warps, and the
 geodesic programs of the split module.
 
 A program raises where one of its operations leaves the domain, so the

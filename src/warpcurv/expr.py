@@ -24,9 +24,9 @@ kernel module).  The kernel's text is made of register names, the inline
 op's rules; constants stay in registers and are passed in with the point,
 so nothing a user wrote reaches compile.  One code object runs one point
 on floats with math's rules and N points on numpy columns with numpy's
-(_columns, for the oracle's stencil), under a set of names for each.  On
-floats each check is an inline test, and its finishing step runs only
-where the test fails.  Columns run bare numpy first and test the results
+(_columns; the oracle's stencil has kernels of its own, on floats), under
+a set of names for each.  On floats each check is an inline test, and its
+finishing step runs only where the test fails.  Columns run bare numpy first and test the results
 for finiteness once; only where that fails do they run again with the
 rules' marks and the finishing steps, which raise as they always have.
 Where a run raises, the kernel's line names the op, and the error names
@@ -297,12 +297,13 @@ class _Code:
     one; the leaves follow it.  An op is (opcode, rules, node, target,
     operand, operand or None); OUT has its check for the rules.  width
     counts the outputs.  kernels is None until the first run builds the
-    program's kernel (the kernel module)."""
+    program's kernel, and stencil until the oracle builds a metric's
+    stencil kernels (the kernel module)."""
 
     def __init__(self, ops: tuple, registers: list):
         self.ops, self.registers = ops, registers
         self.width = sum(op[0] is _OP_OUT for op in ops)
-        self.kernels = None
+        self.kernels = self.stencil = None
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -16,9 +16,9 @@ A metric's live components and their derivatives up to an order are
 compiled into one program per order (_grid), each repeated subtree once,
 on first use, and cached on the MetricSpec.  metric_at runs the order-0
 program, _metric_and_first_derivs the order-1 and _metric_jets the order-2
-program at one point, and _christoffels_stacked the order-1 program over
-the columns of a stack of points; the first component that fails raises
-what it would raise alone.
+program at one point; the first component that fails raises what it would
+raise alone.  _christoffels_stacked takes the order-1 program's rows at
+many points, as the oracle's stencil kernels give them.
 
 The one-point path is built for many calls on tiny arrays, where numpy's
 per-call cost outweighs the arithmetic:
@@ -48,7 +48,6 @@ import numpy as np
 from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
     Expression,
-    _columns,
     _finite,
     _reads_variables,
     _run,
@@ -306,19 +305,14 @@ def christoffels_of(spec: MetricSpec, point) -> np.ndarray:
     return _christoffels_from_parts(_inverse_of(g), D)
 
 
-def _christoffels_stacked(spec: MetricSpec, xs: np.ndarray) -> np.ndarray:
-    """christoffels_of at every row of an (N, dim) array, [n, k, i, j].
-
-    One run of the metric's order-1 program over the columns of every row
-    gives the stacked metric and its first derivatives, flat, tested finite
-    once; folded components are not evaluated.  Raises EvalDomainError or
-    DegenerateMetricError when christoffels_of would raise at some row;
-    which row is left to the caller.
+def _christoffels_stacked(spec: MetricSpec, flat: np.ndarray) -> np.ndarray:
+    """christoffels_of at the rows of flat, [n, k, i, j], each row the
+    outputs and tail of the metric's order-1 program at one point, finite.
+    Raises DegenerateMetricError when christoffels_of would raise at some
+    row; which row is left to the caller.
     """
-    rows, dim = len(xs), spec.dim
-    program, tail, gathers = _grid(spec, 1)
-    flat = _columns(program, xs, tail)
-    (_, gi, _), (_, di, _) = gathers
+    rows, dim = len(flat), spec.dim
+    (_, gi, _), (_, di, _) = _grid(spec, 1)[2]
     # take, not flat[:, index], which would lay the result out in Fortran
     # order; einsum and LAPACK may round differently on another layout
     g = flat.take(gi, axis=1).reshape(rows, dim, dim)

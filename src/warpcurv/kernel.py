@@ -55,6 +55,19 @@ returns None where a test fails, and integrate redoes that step stage by
 stage; so a step kernel needs no finishing step.  Its text holds the same
 kinds of names as a kernel's.
 
+A metric's order-1 program gets stencil kernels for the oracle (stencil,
+_stencil_text, stencil_rows), on floats as well.  One pass over the ops
+records which chart variables each register reads (_reads).  The centre
+kernel runs every op line once at the centre.  Each axis that some output
+reads gets an axis kernel, which loops over that axis's 2*L shifted
+coordinates and runs only the ops whose register reads the axis; every
+other register holds the centre's value, handed over from the centre
+kernel.  Each check whose test reads a register that ran is written as
+its test, and a kernel returns None where one fails.  No stencil text
+states an op twice, so none is much longer than the program's own kernel,
+and the loop stays one loop rather than a line per stencil point: a
+compile's transient memory grows with its text.
+
 expr imports this module with the first kernel it builds, so importing the
 package compiles none of it.
 """
@@ -248,6 +261,118 @@ def step(program):
     text = _step_text(code, program.m + program.n, program.places, len(program.tail))
     program.step = FunctionType(_code(text), _MODES[0], "step", _bound(code, program.tail))
     return program.step
+
+
+def _reads(program: _Code, dim: int) -> dict:
+    """register -> the chart variables it reads, as a bit mask: leaf i reads
+    variable i, an op's result what its operands read, a constant nothing."""
+    fixed = len(program.registers)
+    reads = {fixed + i: 1 << i for i in range(dim)}
+    for code, _, _, target, a, b in program.ops:
+        if code is not _OP_OUT:
+            reads[target] = reads.get(a, 0) | reads.get(b, 0)
+    return reads
+
+
+def _tested(check, group: list) -> list:
+    """The entries of group that the check's test (_test) reads."""
+    kind, _, b, _ = ("entry", *check) if len(check) == 3 else check
+    return [group[i] for i in b] + group[-1:] if kind == "det" else group[-b:]
+
+
+def _stencil_text(code: _Code, dim: int, tail: int, keep: list, axis: int = -1) -> str:
+    """A metric program's stencil kernel as Python source: with axis -1 the
+    centre kernel, else the kernel of that axis.
+
+    The centre kernel takes the centre's coordinates and runs every op on
+    them.  It returns the outputs, the tail (t0, t1, ...) and the registers
+    of keep, which the axis kernels read.  An axis kernel takes the centre's
+    coordinate x on its axis, the signed steps hs and that list; for each
+    step it sets the axis's leaf to x + h and runs only the ops whose
+    register reads the axis, every other register holding the centre's
+    value, and adds the outputs and the tail to one flat list of rows.
+    Each check whose test reads a register that was run is written as its
+    test (_test); where one fails, the kernel returns None."""
+    fixed = len(code.registers)
+    reads = _reads(code, dim)
+    head = [f"r{i}" for i, value in enumerate(code.registers) if value is not None]
+    head += [f"t{i}" for i in range(tail)]
+    head = [", ".join(head) + ", = constants"] if head else []
+    outs = [f"r{op[4]}" for op in code.ops if op[0] is _OP_OUT] + [f"t{i}" for i in range(tail)]
+    centre = outs + [f"r{r}" for r in keep]
+    if axis < 0:
+        lines = ["def centre(x, constants, checks):",
+                 "; ".join(head + [", ".join(f"r{fixed + i}" for i in range(dim)) + ", = x"])]
+        indent, run = "", lambda target: True
+    else:
+        lines = ["def axis(x, hs, centre, constants, checks):",
+                 "; ".join(head + [", ".join(centre) + ", = centre", "rows = []"]),
+                 "for h in hs:", f"    r{fixed + axis} = x + h"]
+        indent, run = "    ", lambda target: reads.get(target, 0) >> axis & 1
+    group, names, checks, spare = [], [], 0, f"r{fixed + dim}"
+    for op, (line, out, check) in zip(code.ops, _lines(code, "r{}".format)):
+        if line is not None:
+            if run(op[3]):
+                lines.append(indent + line)
+            continue
+        group.append(op[4])
+        names.append(out)
+        if check is not None:
+            if any(run(r) for r in _tested(check, group)):
+                lines.append(f"{indent}if not ({_test(check, names, checks, spare)}): return")
+            checks += 1
+    if axis < 0:
+        lines.append(f"return [{', '.join(centre)}]")
+    else:
+        lines += [f"    rows += [{', '.join(outs)}]", "return rows"]
+    return "\n    ".join(lines) + "\n"
+
+
+def stencil(program: _Code, tail: list, dim: int) -> tuple:
+    """The stencil kernels of a metric's order-1 program with its tail
+    (geometry._grid) on a chart of dim variables, kept on it as
+    program.stencil: the centre kernel, and an (axis, kernel) pair for each
+    axis that some output reads, in order.  Functions on floats, with
+    math's rules."""
+    reads = _reads(program, dim)
+    outs = [op[4] for op in program.ops if op[0] is _OP_OUT]
+    axes = [a for a in range(dim) if any(reads.get(r, 0) >> a & 1 for r in outs)]
+    # the centre's registers an axis kernel reads and does not run
+    keep = {r for a in axes for code, _, _, target, *operands in program.ops
+            if code is not _OP_OUT and reads[target] >> a & 1
+            for r in operands if r in reads and not reads[r] >> a & 1}
+    keep = sorted(keep - set(outs))
+    bound = _bound(program, tuple(tail))
+    text = functools.partial(_stencil_text, program, dim, len(tail), keep)
+    program.stencil = (FunctionType(_code(text()), _MODES[0], "centre", bound),
+                       tuple((a, FunctionType(_code(text(a)), _MODES[0], "axis", bound))
+                             for a in axes))
+    return program.stencil
+
+
+def stencil_rows(program: _Code, tail: list, x: list, h: list):
+    """The metric's order-1 program at a point x and its stencil: (the
+    centre kernel's list, whose first entries are the outputs and the tail;
+    the rows of the stencil, flat, each the outputs and the tail; the axes
+    some output reads).  The rows run axis by axis, and each axis level by
+    level, at x[axis] + h and then x[axis] + (-h), h from h[axis].  The
+    kernels are built at the first call (stencil).  None where a test fails
+    or an op raises: the run on floats would raise at the centre or at some
+    row there, or the test's finishing step would have passed."""
+    centre, axes = program.stencil or stencil(program, tail, len(x))
+    rows = []
+    try:
+        values = centre(x)
+        if values is None:
+            return None
+        for axis, run in axes:
+            out = run(x[axis], [s for step in h[axis] for s in (step, -step)], values)
+            if out is None:
+                return None
+            rows += out
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return values, rows, [axis for axis, _ in axes]
 
 
 def _skip(check, outs):

@@ -6,20 +6,16 @@ themselves are exact (derivative trees, the derivative module); only their
 derivatives are numerical, so a single layer of central differences with
 Richardson extrapolation is the entire error budget.
 
-bundle_fd is the curvature entry point.  It evaluates the centre point
-alone, in one pass through the steps of christoffels_of (metric and first
-derivatives, inverse, Christoffels), so a bundle's Christoffels and the
-errors raised at the centre are those of the geometry module, and the
-inverse metric that raises the Ricci index is the one that built them.
-The 2*d*L stencil points around the centre are stacked and evaluated in
-one batched pass (one run of the metric's order-1 program over the columns
-of every point, stacked inverse, one einsum).  That program holds each
-live component of the chart, its first derivatives and each repeated
-subtree once: on a plain chart h^2 g_B + f^2 g_F, the warps are
-evaluated once per point, not once per component, and the constant zeros
-of the cross blocks not at all.  When that pass fails, the stencil is
-walked again point by point in the order axis, level, +h before -h, so
-that StencilDomainError names the first failing point.
+bundle_fd is the curvature entry point.  One run of the metric's order-1
+program at the centre gives the Christoffels, bitwise christoffels_of,
+and the inverse metric that raises the Ricci index.  The 2*d*L stencil
+points run as generated kernels on floats (kernel.stencil): along an axis
+only the operations that read it run again, the rest keep the centre's
+values, and an axis no output reads gets no point and a derivative of
+exactly 0.  Where a kernel's test fails or an operation raises, the centre
+and then each stencil point, in the order axis, level, +h before -h, run
+with christoffels_of, so each error is geometry's and StencilDomainError
+names the first failing point.
 
 Deliberately imports nothing from the warped-product or closed-form
 modules: its value as a cross-check depends on that separation.
@@ -46,6 +42,7 @@ from .geometry import (
     _christoffels_from_parts,
     _christoffels_stacked,
     _coords,
+    _grid,
     _inverse_of,
     _metric_and_first_derivs,
 )
@@ -96,34 +93,40 @@ def _gamma_shifted(spec: MetricSpec, coords: np.ndarray, axis: int, delta: float
         ) from exc
 
 
-def _dgamma(spec: MetricSpec, coords: np.ndarray, policy: DiffPolicy) -> np.ndarray:
-    """out[l, k, i, j] = d_l Gamma^k_ij by extrapolated central differences."""
-    d = spec.dim
-    levels = policy.richardson_levels
+def _dgamma(spec: MetricSpec, coords: np.ndarray, policy: DiffPolicy) -> tuple:
+    """(g, D, out): the metric and its first derivatives at the centre, and
+    out[l, k, i, j] = d_l Gamma^k_ij by extrapolated central differences."""
+    from .kernel import stencil_rows  # imported with the first kernel
+
+    d, levels = spec.dim, policy.richardson_levels
     h = policy.steps_at(coords)[:, None] / 2.0 ** np.arange(levels)  # [axis, level]
-    deltas = np.stack([h, -h], axis=-1)  # [axis, level, sign]: +h, then -h
-    xs = np.tile(coords, (d, levels, 2, 1))
-    for axis in range(d):
-        xs[axis, :, :, axis] += deltas[axis]
+    steps = h.tolist()
+    program, tail, gathers = _grid(spec, 1)
+    run = stencil_rows(program, tail, coords.tolist(), steps)
+    out = np.zeros((d,) * 4)  # an axis no output reads: exactly +0.0
+    axes = run and run[2]
     try:
-        gammas = _christoffels_stacked(spec, xs.reshape(-1, d))
-    except (EvalDomainError, DegenerateMetricError):
-        # Redo the stencil point by point in the same order, so that the
-        # error names the first point that fails.
-        gammas = np.array(
-            [
-                _gamma_shifted(spec, coords, axis, deltas[axis, level, sign])
-                for axis in range(d)
-                for level in range(levels)
-                for sign in range(2)
-            ]
-        )
-    gammas = gammas.reshape(d, levels, 2, d, d, d)
-    tableau = (gammas[:, :, 0] - gammas[:, :, 1]) / (2.0 * h)[:, :, None, None, None]
-    for k in range(1, levels):
-        fac = 4.0**k
-        tableau = (fac * tableau[:, 1:] - tableau[:, :-1]) / (fac - 1.0)
-    return tableau[:, 0]
+        if axes:
+            rows = np.array(run[1]).reshape(len(axes) * levels * 2, -1)
+            gammas = _christoffels_stacked(spec, rows)
+    except DegenerateMetricError:
+        run = None
+    if run is None:
+        g, D = _metric_and_first_derivs(spec, coords)
+        _inverse_of(g)  # the centre's error first
+        axes = range(d)
+        gammas = [_gamma_shifted(spec, coords, a, s) for a in axes for step in steps[a]
+                  for s in (step, -step)]
+    else:
+        g, D = [np.array(get(run[0])).reshape(shape) for get, _, shape in gathers]
+    if axes:
+        gammas = np.reshape(gammas, (len(axes), levels, 2, d, d, d))
+        tableau = (gammas[:, :, 0] - gammas[:, :, 1]) / (2.0 * h[axes])[:, :, None, None, None]
+        for k in range(1, levels):
+            fac = 4.0**k
+            tableau = (fac * tableau[:, 1:] - tableau[:, :-1]) / (fac - 1.0)
+        out[axes] = tableau[:, 0]
+    return g, D, out
 
 
 def _riemann_common(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -151,16 +154,15 @@ def _ricci_from_common(riem_common: np.ndarray) -> np.ndarray:
 def bundle_fd(
     spec: MetricSpec, point, policy: DiffPolicy | None = None, convention: str = "paper"
 ) -> CurvatureBundle:
-    """All four tensors from one centre pass and one pass of stencil
-    evaluations.  The Ricci tensor is contracted so that the round sphere
-    comes out positive."""
+    """All four tensors from one run at the centre and one of its stencil.
+    The Ricci tensor is contracted so that the round sphere comes out
+    positive."""
     if policy is None:
         policy = DiffPolicy()
-    c = _coords(point, spec.dim)
-    g, D = _metric_and_first_derivs(spec, c)
+    g, D, dgamma = _dgamma(spec, _coords(point, spec.dim), policy)
     ginv = _inverse_of(g)
     gamma = _christoffels_from_parts(ginv, D)
-    riem_common = _riemann_common(gamma, _dgamma(spec, c, policy))
+    riem_common = _riemann_common(gamma, dgamma)
     ric = _ricci_from_common(riem_common)
     scal = float(np.einsum("ij,ij->", ginv, ric))
     riem = riem_common if convention == "common" else -riem_common

@@ -10,7 +10,7 @@ import pytest
 from test_bench_bindings import _load
 
 import warpcurv
-from warpcurv import errors, expr, geometry, oracle
+from warpcurv import errors, expr, geometry, kernel, oracle
 from warpcurv.cli import main
 from warpcurv.closed_form import _point_data, bundle_closed, christoffels_closed
 from warpcurv.geometry import _metric_and_first_derivs, _metric_jets
@@ -105,13 +105,16 @@ def _refuse(*args, **kwargs):
 
 
 def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
-    """Every binding of the oracle's bundle and stencil helpers, and of the
-    runner over columns, raises; bundle_closed still returns, and its
-    Christoffels are bitwise those of the geodesic path."""
+    """Every binding of the oracle's bundle and stencil helpers, of the
+    stencil kernels' builder and runner, and of the runner over columns,
+    raises; bundle_closed still returns, and its Christoffels are bitwise
+    those of the geodesic path."""
     targets = {
         oracle.bundle_fd,
         oracle._dgamma,
         geometry._christoffels_stacked,
+        kernel.stencil,
+        kernel.stencil_rows,
         expr._columns,
     }
     modules = [getattr(warpcurv, name) for name in dir(warpcurv)]
@@ -125,7 +128,8 @@ def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
         "warpcurv.closed_form.bundle_fd",
         "warpcurv.oracle._dgamma",
         "warpcurv.geometry._christoffels_stacked",
-        "warpcurv.geometry._columns",
+        "warpcurv.kernel.stencil",
+        "warpcurv.kernel.stencil_rows",
     } <= patched
     for mf in MANIFESTS:
         for pp in _points(mf, 3, 19):

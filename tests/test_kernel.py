@@ -17,7 +17,10 @@ check, and the marking rules, give.
 
 A geodesic program's step kernel keeps the same kinds of names, and is
 built once per spec and route, at the first step integrate takes; what it
-gives is held against the per-stage loop in test_geodesics."""
+gives is held against the per-stage loop in test_geodesics.  So do a
+metric program's stencil kernels, built once per program at its first
+bundle_fd, none longer than the program's own kernel; what they give is
+held against the metric at each stencil point in test_oracle."""
 
 import itertools
 import math
@@ -132,7 +135,7 @@ def test_kernel_text_holds_registers_rules_and_check_indices_alone(kernel_texts)
         centre = np.asarray(mf.box, dtype=float).mean(axis=1)
         point = ProductPoint.from_full(centre, mf.spec.base.dim)
         bundle_closed(mf.spec, point)
-        bundle_fd(as_plain_metric(mf.spec), centre)  # the oracle's stencil runs on columns
+        bundle_fd(as_plain_metric(mf.spec), centre)  # the oracle's centre and stencil kernels
         state = GeodesicState(0.0, point, np.linspace(0.3, 0.7, mf.dim))
         rhs_full(mf.spec, state)
         rhs_split(mf.spec, state)
@@ -152,13 +155,58 @@ def test_kernel_text_holds_registers_rules_and_check_indices_alone(kernel_texts)
     # line holds a number but a register's or a check's index and the
     # tests' fixed literals
     for text in kernel_texts:
-        _check_text(text)
+        (_check_stencil_text if text.startswith(_STENCIL_KERNELS) else _check_text)(text)
+    assert {text[:text.index("(")] for text in kernel_texts} == {"def kernel", "def centre",
+                                                                "def axis"}
     every = "".join(kernel_texts)
     assert len(kernel_texts) > 500 and "finish(checks[" in every and "= constants" in every
     assert all(f" {name}(" in every for name in _RULE[1:-1].split("|"))
     # each kind of test: a group's, a warp's and a determinant's
     assert "floats and isfinite(" in every and " > 0.0 or finish(" in every
     assert "][3], abs(" in every
+
+
+# A metric program's stencil kernels (kernel.stencil): the centre kernel
+# runs every op at the centre x; an axis kernel runs, for each signed step
+# h, the ops that read its axis, the axis's leaf set to x + h, each other
+# register unpacked from the centre's list, and adds the outputs and the
+# tail (t0, t1, ...) to its rows.  Each check is written as its test.
+_STENCIL_KERNELS = ("def centre(", "def axis(")
+_TREG = r"[rt]\d+"
+_NAMES = rf"\[{_TREG}(, {_TREG})*\]"
+_CENTRE_HEAD = re.compile(r"def centre\(x, constants, checks\):")
+_CENTRE_SETUP = re.compile(rf"    (({_TREG}, )+= constants; )?({_REG}, )+= x")
+_AXIS_HEAD = re.compile(r"def axis\(x, hs, centre, constants, checks\):")
+_AXIS_SETUP = re.compile(rf"    (({_TREG}, )+= constants; )?({_TREG}, )+= centre; rows = \[\]")
+_STENCIL_LINE = re.compile(
+    rf"{_REG} = ({_REG} [-+*] {_REG}|-{_REG}|{_RULE}\({_REG}(, {_REG})?\))"
+    rf"|if not \(({_GROUP}|{_DET})\): return"
+)
+
+
+def _check_stencil_text(text):
+    lines = text.split("\n")
+    assert lines[-1] == "", lines[-1]
+    if _CENTRE_HEAD.fullmatch(lines[0]):
+        assert _CENTRE_SETUP.fullmatch(lines[1]), lines[1]
+        assert re.fullmatch(rf"    return {_NAMES}", lines[-2]), lines[-2]
+        body, indent = lines[2:-2], "    "
+    else:
+        assert _AXIS_HEAD.fullmatch(lines[0]) and _AXIS_SETUP.fullmatch(lines[1]), lines[:2]
+        assert lines[2] == "    for h in hs:", lines[2]
+        assert re.fullmatch(rf"        {_REG} = x \+ h", lines[3]), lines[3]
+        assert re.fullmatch(rf"        rows \+= {_NAMES}", lines[-3]), lines[-3]
+        assert lines[-2] == "    return rows"
+        body, indent = lines[4:-3], "        "
+    # the tests read the checks in order; an axis kernel leaves out those
+    # whose outputs do not read its axis
+    last = -1
+    for line in body:
+        assert line[:len(indent)] == indent and _STENCIL_LINE.fullmatch(line[len(indent):]), line
+        for k in set(map(int, re.findall(r"checks\[(\d+)\]", line))):
+            assert k > last, line
+            last = k
+    return text
 
 
 # Compiling one straight-line function costs about 3 kB of memory per
@@ -181,6 +229,63 @@ def test_curvature_kernels_stay_below_their_line_bound_and_hold_fixed_names():
                 assert "finish(" not in text  # nothing is checked on the way
                 largest = max(largest, text.count("\n"))
     assert 900 < largest < CURVATURE_LINES
+
+
+# A stencil kernel states each op of its program at most once and each
+# check's test at most once, in place of its output's line, so it has at
+# most this many lines more than the program's own kernel (an axis
+# kernel's loop head, leaf and rows), and its compile costs about as much
+# memory.
+STENCIL_EXTRA_LINES = 3
+
+
+def test_no_stencil_text_is_longer_than_its_programs_kernel(kernel_texts):
+    """On the catalog, the fixtures and dense_manifests(1..3): a centre
+    kernel and one kernel per read axis, each within the bound."""
+    manifests = _manifests()
+    dense = _load("workloads").dense_manifests
+    manifests += [parse_manifest(doc, source=doc["name"]) for s in (1, 2, 3) for doc in dense(s)]
+    largest = 0
+    for mf in manifests:
+        plain = as_plain_metric(mf.spec)
+        program, tail, _ = geometry._grid(plain, 1)
+        start = len(kernel_texts)
+        _, axes = kernel.stencil(program, tail, plain.dim)
+        texts = kernel_texts[start:]
+        assert len(texts) == 1 + len(axes)
+        limit = kernel._text(program).count("\n") + STENCIL_EXTRA_LINES
+        for text in texts:
+            _check_stencil_text(text)
+            assert text.count("\n") <= limit, (mf.name, text.count("\n"), limit)
+            largest = max(largest, text.count("\n"))
+    assert 400 < largest < CURVATURE_LINES  # the dense 3 x 3 product's
+
+
+def test_stencil_kernels_are_built_once_per_program(monkeypatch):
+    built = []
+    stencil = kernel.stencil
+
+    def spy(program, tail, dim):
+        built.append(program)
+        return stencil(program, tail, dim)
+
+    monkeypatch.setattr(kernel, "stencil", spy)
+    mf = load_catalog("schwarzschild-exterior-slice")
+    plain = as_plain_metric(mf.spec)
+    assert plain._compiled is None  # loading a manifest compiles no program
+    centre = np.asarray(mf.box, dtype=float).mean(axis=1)
+    for x in (centre, centre + 0.01, centre):
+        bundle_fd(plain, x, mf.policy)
+        bundle_fd(plain, x)
+        bundle_closed(mf.spec, x)
+    program = geometry._grid(plain, 1)[0]
+    assert built == [program] and type(program.stencil[0]) is FunctionType
+    # a chart of the same shape builds its own, which finds the same code
+    again = as_plain_metric(load_catalog("schwarzschild-exterior-slice").spec)
+    bundle_fd(again, centre, mf.policy)
+    kernels = geometry._grid(again, 1)[0].stencil
+    assert len(built) == 2 and kernels[0] is not program.stencil[0]
+    assert kernels[0].__code__ is program.stencil[0].__code__
 
 
 def _run_at(program, point, columns):

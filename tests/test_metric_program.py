@@ -37,15 +37,15 @@ from warpcurv.expr import (
     value_and_gradient,
 )
 
-from batch_reference import value_and_gradient_batch
+from batch_reference import christoffels_batch, value_and_gradient_batch
 from warpcurv.geometry import (
     MetricSpec,
-    _christoffels_stacked,
     _metric_and_first_derivs,
     _metric_jets,
     metric_at,
 )
 from warpcurv.manifest import parse_manifest
+from warpcurv.oracle import bundle_fd
 from warpcurv.warped import as_plain_metric
 
 
@@ -131,7 +131,7 @@ def test_grid_run_matches_the_component_loop_bitwise(mf):
             assert all(map(_same_bits, _metric_and_first_derivs(spec, c), _loop_first(spec, c)))
             assert _same_bits(metric_at(spec, c), _loop_values(spec, c))
         if spec.dim > 1:  # the oracle stacks points only on charts of dim >= 2
-            assert _same_bits(_christoffels_stacked(spec, xs), _loop_stacked(spec, xs))
+            assert _same_bits(christoffels_batch(spec, xs), _loop_stacked(spec, xs))
 
 
 def _first_error(fn, *args):
@@ -149,7 +149,7 @@ def test_first_failing_component_raises_what_the_loop_raises():
         (metric_at, _loop_values, c),
         (_metric_and_first_derivs, _loop_first, c),
         (_metric_jets, _loop_jets, c),
-        (_christoffels_stacked, _loop_stacked, c[None]),
+        (christoffels_batch, _loop_stacked, c[None]),
     ]
     for grid_fn, loop_fn, x in cases:
         want = _first_error(loop_fn, spec, x)
@@ -215,15 +215,14 @@ def test_folded_components_stay_out_of_the_batched_pass(monkeypatch):
     mf = _dense_3x3()
     plain = as_plain_metric(mf.spec)
     runs = []
-    columns = geometry._columns
+    rows = kernel.stencil_rows
 
-    def spy(program, xs, tail=None):
+    def spy(program, tail, x, h):
         runs.append(_outputs(program))
-        return columns(program, xs, tail)
+        return rows(program, tail, x, h)
 
-    monkeypatch.setattr(geometry, "_columns", spy)
-    x = np.zeros(plain.dim)
-    _christoffels_stacked(plain, np.stack([x, x + 0.1]))
+    monkeypatch.setattr(kernel, "stencil_rows", spy)
+    bundle_fd(plain, np.zeros(plain.dim))
     folded = {plain.components[i][j] for i, j in _upper(plain)
               if geometry._constant_value(plain.components[i][j]) is not None}
     assert len(folded) == 1  # the one shared constant-0 expression of the cross blocks
@@ -253,11 +252,14 @@ def test_setup_compiles_nothing(monkeypatch):
     # set-up compiles every module the package imports, so the modules that
     # build programs are imported with the first program they build: a
     # fresh interpreter shows that importing the package and loading a
-    # manifest leaves them out, and that one bundle_closed imports them
+    # manifest leaves them out, and that one bundle_closed imports them.
+    # The plain chart's stencil kernels wait for its first bundle_fd: a
+    # centre kernel and one axis kernel, RW's metric reading x0 alone.
     env = dict(os.environ, PYTHONPATH=str(Path(warpcurv.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", repr(sorted(_LAZY))]
+    assert out.stdout.split("\n")[:4] == ["[]", repr(sorted(_LAZY)), "None",
+                                          "['centre', 'axis']"]
 
 
 _LAZY = ("warpcurv.blocks", "warpcurv.split", "warpcurv.derivative", "warpcurv.kernel")
@@ -266,7 +268,12 @@ import sys
 import numpy as np
 import warpcurv
 mf = warpcurv.load_catalog("robertson-walker")
+plain = warpcurv.as_plain_metric(mf.spec)
 print(sorted(m for m in {_LAZY!r} if m in sys.modules))
 warpcurv.bundle_closed(mf.spec, np.zeros(mf.dim))
 print(sorted(m for m in {_LAZY!r} if m in sys.modules))
+print(plain._compiled)
+warpcurv.bundle_fd(plain, np.zeros(mf.dim))
+centre, axes = plain._compiled[1][0].stencil
+print([f.__name__ for f in (centre, *(f for _, f in axes))])
 """

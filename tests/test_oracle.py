@@ -5,11 +5,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_factor_curvature import IDS, MANIFESTS
+
 import warpcurv.oracle as oracle_module
+from warpcurv import kernel
 from warpcurv.bundle import CurvatureBundle
-from warpcurv.errors import NumericalInstabilityError, StencilDomainError
-from warpcurv.geometry import MetricSpec, Point, christoffels_of, metric_at
+from warpcurv.errors import DegenerateMetricError, NumericalInstabilityError, StencilDomainError
+from warpcurv.expr import _OP_VAR, _postfix
+from warpcurv.geometry import (
+    MetricSpec,
+    Point,
+    _christoffels_stacked,
+    _grid,
+    _metric_and_first_derivs,
+    christoffels_of,
+    metric_at,
+)
 from warpcurv.oracle import DiffPolicy, bundle_fd, compare_bundles, _ricci_from_common
+from warpcurv.warped import as_plain_metric
 
 SPHERE = MetricSpec.from_strings(2, [["1", "0"], ["0", "sin(x0)^2"]], name="sphere")
 SPHERE_R2 = MetricSpec.from_strings(2, [["4", "0"], ["0", "4*sin(x0)^2"]], name="sphere-r2")
@@ -163,29 +176,143 @@ def test_bundle_christoffel_is_the_centre_value_bitwise():
             assert np.array_equal(bundle_fd(spec, x).christoffel, christoffels_of(spec, x))
 
 
+def _pointwise_dgamma(spec, x, policy):
+    """d Gamma from christoffels_of at each stencil point, level by level."""
+    steps = policy.steps_at(x)
+    ref = np.empty((spec.dim,) * 4)
+    for axis in range(spec.dim):
+        tableau = []
+        for level in range(policy.richardson_levels):
+            h = steps[axis] / (2.0**level)
+            xp, xm = x.copy(), x.copy()
+            xp[axis] += h
+            xm[axis] -= h
+            tableau.append((christoffels_of(spec, xp) - christoffels_of(spec, xm)) / (2.0 * h))
+        for k in range(1, len(tableau)):
+            tableau = [
+                (4.0**k * tableau[i + 1] - tableau[i]) / (4.0**k - 1.0)
+                for i in range(len(tableau) - 1)
+            ]
+        ref[axis] = tableau[0]
+    return ref
+
+
 def test_stacked_stencil_matches_pointwise_stencil():
+    # the stencil's rows run on math's rules, as christoffels_of's do, so
+    # only the stacked inverse and einsum round apart from it
     policy = DiffPolicy(richardson_levels=3)
     rng = np.random.default_rng(83)
-    for spec in (SPHERE, DESITTER):
-        x = rng.uniform(0.4, 1.2, size=spec.dim)
-        steps = policy.steps_at(x)
-        ref = np.empty((spec.dim,) * 4)
-        for axis in range(spec.dim):
-            tableau = []
+    cases = [(spec, rng.uniform(0.4, 1.2, size=spec.dim)) for spec in (SPHERE, DESITTER)]
+    for mf in MANIFESTS:
+        box = np.asarray(mf.box, dtype=float)
+        x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(mf.dim)
+        cases.append((as_plain_metric(mf.spec), x))
+    for spec, x in cases:
+        ref = _pointwise_dgamma(spec, x, policy)
+        got = oracle_module._dgamma(spec, x, policy)[2]
+        assert np.abs(got - ref).max() <= 1e-11 * (1.0 + np.abs(ref).max())
+
+
+def _stencil(spec, c, policy):
+    """The stencil kernels at c: (the centre's list, the rows as an array,
+    the axes they run, the steps [axis, level])."""
+    h = policy.steps_at(c)[:, None] / 2.0 ** np.arange(policy.richardson_levels)
+    program, tail, _ = _grid(spec, 1)
+    values, rows, axes = kernel.stencil_rows(program, tail, c.tolist(), h.tolist())
+    return values, np.array(rows).reshape(-1, program.width + len(tail)), axes, h
+
+
+@pytest.mark.parametrize("mf", MANIFESTS, ids=IDS)
+def test_stencil_rows_are_the_metric_at_each_stencil_point_bitwise(mf):
+    """The centre's g and D and each row's are _metric_and_first_derivs'
+    there, bitwise; an axis without rows leaves the metric bitwise the
+    centre's at each of its points."""
+    spec = as_plain_metric(mf.spec)
+    gathers = _grid(spec, 1)[2]
+    box = np.asarray(mf.box, dtype=float)
+    rng = np.random.default_rng(29)
+
+    def same(flat, x):
+        got = [np.array(get(flat)).reshape(shape) for get, _, shape in gathers]
+        want = _metric_and_first_derivs(spec, x)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], x
+
+    for _ in range(2):
+        c = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random(mf.dim)
+        for policy in (mf.policy, DiffPolicy(richardson_levels=3)):
+            values, rows, axes, h = _stencil(spec, c, policy)
+            same(values, c)
+            rows = iter(rows.tolist())
+            for axis in range(mf.dim):
+                for step in h[axis]:
+                    for delta in (step, -step):
+                        x = c.copy()
+                        x[axis] += delta
+                        same(next(rows) if axis in axes else values, x)
+            assert next(rows, None) is None
+
+
+# the axes the catalog's plain charts do not read
+UNREAD = {"flat-product": [0, 1, 2, 3], "robertson-walker": [1, 2, 3],
+          "unit-sphere": [1], "schwarzschild-exterior-slice": [2], "doubly-exp": []}
+
+
+@pytest.mark.parametrize("mf", MANIFESTS, ids=IDS)
+def test_an_axis_no_output_reads_gets_no_row_and_an_exact_zero(mf):
+    spec = as_plain_metric(mf.spec)
+    read = {node.index for row in spec.components for e in row
+            for code, _, node in _postfix(e.root) if code is _OP_VAR}
+    unread = [axis for axis in range(mf.dim) if axis not in read]
+    if mf.name in UNREAD:
+        assert unread == UNREAD[mf.name]
+    c = np.asarray(mf.box, dtype=float).mean(axis=1)
+    _, _, dgamma = oracle_module._dgamma(spec, c, mf.policy)
+    assert np.all(dgamma[unread] == 0.0) and not np.signbit(dgamma[unread]).any()
+    _, rows, axes, _ = _stencil(spec, c, mf.policy)
+    assert axes == sorted(read) and len(rows) == 2 * mf.policy.richardson_levels * len(read)
+    centre, kernels = _grid(spec, 1)[0].stencil
+    assert [axis for axis, _ in kernels] == axes
+    if mf.name == "flat-product":
+        assert kernels == ()  # no axis kernel is built
+
+
+def test_a_row_that_fails_in_the_kernels_raises_what_the_walk_raises():
+    """A domain error that only the -h row of one axis meets, and a row
+    that only the determinant rule rejects, raise the class and message
+    of the point-by-point walk."""
+    policy = DiffPolicy()
+    # axis 1's level-0 -h row leaves sqrt's domain, level 1's does not
+    spec = MetricSpec.from_strings(2, [["1", "0"], ["0", "1 + sqrt(x1)"]])
+    domain = spec, np.array([0.5, 7.5e-5])
+    # axis 0's level-0 +h row has a zero determinant and finite entries
+    spec = MetricSpec.from_strings(2, [["(x0 - 0.0001)^2", "0"], ["0", "1"]])
+    degenerate = spec, np.array([0.0, 0.5])
+    for spec, c in (domain, degenerate):
+        h = policy.steps_at(c)
+        failing = []
+        for axis in range(2):
             for level in range(policy.richardson_levels):
-                h = steps[axis] / (2.0**level)
-                xp, xm = x.copy(), x.copy()
-                xp[axis] += h
-                xm[axis] -= h
-                tableau.append((christoffels_of(spec, xp) - christoffels_of(spec, xm)) / (2.0 * h))
-            for k in range(1, len(tableau)):
-                tableau = [
-                    (4.0**k * tableau[i + 1] - tableau[i]) / (4.0**k - 1.0)
-                    for i in range(len(tableau) - 1)
-                ]
-            ref[axis] = tableau[0]
-        got = oracle_module._dgamma(spec, x, policy)
-        assert np.abs(got - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
+                for delta in (h[axis] / 2.0**level, -h[axis] / 2.0**level):
+                    x = c.copy()
+                    x[axis] += delta
+                    try:
+                        christoffels_of(spec, x)
+                    except Exception:  # noqa: BLE001 - any failure counts
+                        failing.append((axis, level, delta > 0))
+        program, tail, _ = _grid(spec, 1)
+        run = kernel.stencil_rows(program, tail, c.tolist(),
+                                  (h[:, None] / 2.0 ** np.arange(2)).tolist())
+        if spec is domain[0]:
+            assert failing == [(1, 0, False)] and run is None
+        else:
+            assert failing == [(0, 0, True)]
+            with pytest.raises(DegenerateMetricError):
+                _christoffels_stacked(spec, np.array(run[1]).reshape(len(run[2]) * 4, -1))
+        axis, delta, cause = _first_stencil_failure(spec, c, policy)
+        with pytest.raises(StencilDomainError) as exc:
+            bundle_fd(spec, c, policy)
+        assert str(exc.value) == f"stencil point at x{axis} {delta:+.3e} failed: {cause}"
+        assert type(exc.value.__cause__) is type(cause)
 
 
 def test_oracle_imports_neither_warped_nor_closed_form():
