@@ -24,13 +24,14 @@ kernel module).  The kernel's text is made of register names, the inline
 op's rules; constants stay in registers and are passed in with the point,
 so nothing a user wrote reaches compile.  One code object runs one point
 on floats with math's rules and N points on numpy columns with numpy's
-(_columns; the oracle's stencil has kernels of its own, on floats), under
-a set of names for each.  On floats each check is an inline test, and its
-finishing step runs only where the test fails.  Columns run bare numpy first and test the results
-for finiteness once; only where that fails do they run again with the
-rules' marks and the finishing steps, which raise as they always have.
-Where a run raises, the kernel's line names the op, and the error names
-its node.  Nothing walks a tree by recursion, so a sum of thousands of terms evaluates,
+bare functions (_columns; the oracle's stencil has kernels of its own, on
+floats), under a set of names for each.  On floats each check is an
+inline test, and its finishing step runs only where the test fails.
+Columns raise nothing: they come with a mask of the rows where a marked
+op's result or an output is not finite, and the caller redoes those rows
+on floats, which raise as they always have.  Where a run raises, the
+kernel's line names the op, and the error names its node.  Nothing walks
+a tree by recursion, so a sum of thousands of terms evaluates,
 differentiates, prints and reindexes like a short one.  The tests hold the
 derivatives to sympy and to finite differences, two references that share
 nothing with this code.
@@ -39,15 +40,17 @@ The domain narrows with the derivative order and never widens.  evaluate
 rejects exactly what math rejects, so sqrt(x0) at 0 is 0 and x0^x1 at
 (-1, 2) is 1.  A derivative also rejects sqrt and x^p (p < 1) at 0 and a
 variable exponent on a base <= 0.  Where a higher order succeeds, the lower
-ones give bitwise its value and gradient.  A run over columns raises
-EvalDomainError exactly when the run on floats would raise at one of its
-rows, and agrees with it per row to roundoff: numpy's elementwise functions
-may differ from math's in the last place.
+ones give bitwise its value and gradient.  A run over columns masks every
+row where the run on floats would raise, and a masked row redone on floats
+is that run.  An unmasked row agrees with it to roundoff, because numpy's
+elementwise functions may differ from math's in the last place, and
+cancellation may amplify that: the gradient of tanh(x1 - 10) at (3, 0.5)
+differs by 1e-8 relative.
 
 No function returns a number that is not finite.  evaluate raises
-EvalDomainError where the value is inf or NaN, value_and_gradient and its
-program over columns where the value or a gradient entry is, and jet2
-where any of the value, gradient or Hessian is.  So x0*1e308*10 at x0 = 1
+EvalDomainError where the value is inf or NaN, value_and_gradient where
+the value or a gradient entry is, and jet2 where any of the value,
+gradient or Hessian is.  So x0*1e308*10 at x0 = 1
 is rejected by all of them, and 1 + x0*1e308*10 - x0*1e308*10 at x0 = 0,
 whose value is 1 but whose gradient is inf - inf, by every function that
 returns the gradient.
@@ -153,67 +156,24 @@ class Jet2:
 # Rules
 #
 # A value is a float, computed with math, or a numpy column holding one
-# value per point of a stack, computed with numpy.  On floats, math raises
-# where a function leaves its domain or overflows from a finite argument,
-# and Python raises on division by zero.  numpy only returns inf or nan, so
-# on columns each rule marks the rows where math would have raised, and a
-# marked row raises too.  Whatever turns inf or nan without raising is left
-# to the finiteness check of the caller.  A mark flags only rows where
-# numpy's bare result is not finite, so each rule also has its bare form,
-# which marks nothing (the kernel module runs it first).
+# value per point of a stack, computed with numpy's bare functions.  On
+# floats, math raises where a function leaves its domain or overflows from
+# a finite argument, and Python raises on division by zero.  numpy only
+# returns inf or nan there, so a run over columns raises nothing: it
+# reports the rows where the result of a marked rule (_MARKED), or an
+# output, is not finite, and its caller redoes them on floats (_columns).
+# Whatever turns inf or nan without raising is left to the finiteness
+# check of the caller.
 #
 # No rule takes a derivative.  The derivative module writes derivatives as
 # trees from _DERIVATIVES, and a tree runs on these same rules, so the
-# domain narrows with the order by itself: sqrt is taken at 0, its
-# derivative 0.5 / sqrt(x) is not.
+# domain narrows with the derivative order by itself: sqrt is taken at 0,
+# its derivative 0.5 / sqrt(x) is not.
 
+_DOMAINS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh")
 
-def _reject(bad, what: str):
-    """Raise where any row is marked; bad is an array or one bool."""
-    if np.count_nonzero(bad):
-        raise ValueError(f"{what} at batch row {int(np.argmax(bad))}")
-
-
-def _on_columns(f, bad):
-    """f on numpy columns, raising at the rows bad(argument, result) marks;
-    f itself where bad is None."""
-    if bad is None:
-        return f
-
-    def rule(a):
-        r = f(a)
-        _reject(bad(a, r), "outside the domain")
-        return r
-
-    return rule
-
-
-def _inf_arg(a, r):
-    return np.isinf(a)
-
-
-def _overflow(a, r):
-    return np.isfinite(a) & np.isinf(r)
-
-
-# name: the rows math rejects, or None
-_DOMAINS = {
-    "sin": _inf_arg,
-    "cos": _inf_arg,
-    "tan": _inf_arg,
-    "exp": _overflow,
-    "log": lambda a, r: a <= 0.0,
-    "sqrt": lambda a, r: a < 0.0,
-    "sinh": _overflow,
-    "cosh": _overflow,
-    "tanh": None,
-}
-
-# name: (f on floats, f on columns, f on columns bare)
-_CALLS = {
-    name: (getattr(math, name), _on_columns(getattr(np, name), bad), getattr(np, name))
-    for name, bad in _DOMAINS.items()
-}
+# name: (f on floats, f on columns)
+_CALLS = {name: (getattr(math, name), getattr(np, name)) for name in _DOMAINS}
 
 # name: f' as a tree, from the argument u and the call c = f(u); the one
 # statement of each function's derivative
@@ -232,25 +192,21 @@ _DERIVATIVES = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def _divide(x, y):
-    _reject(y == 0.0, "division by zero")
-    return x / y
-
-
-def _power(x, y):
-    r = np.power(x, y)
-    _reject(np.isfinite(x) & np.isfinite(y) & ~np.isfinite(r), "power outside the domain")
-    return r
-
-
-# op: (the rule on floats, on columns, on columns bare)
+# op: (the rule on floats, on columns)
 _BINARY = {
-    "+": (operator.add,) * 3,
-    "-": (operator.sub,) * 3,
-    "*": (operator.mul,) * 3,
-    "/": (operator.truediv, _divide, operator.truediv),
-    "^": (math.pow, _power, np.power),
+    "+": (operator.add,) * 2,
+    "-": (operator.sub,) * 2,
+    "*": (operator.mul,) * 2,
+    "/": (operator.truediv,) * 2,
+    "^": (math.pow, np.power),
 }
+
+# The rules that may raise on floats: every call but tanh, which takes
+# every float, and / and ^.  Where one raises, numpy's result on columns is
+# not finite: sin, cos and tan of +-inf give nan, exp, sinh and cosh
+# overflow to inf, log of a value <= 0 gives -inf or nan, sqrt of a
+# negative nan, x / 0 +-inf or nan, and a power math rejects inf or nan.
+_MARKED = {_BINARY["/"], _BINARY["^"], *(_CALLS[name] for name in _DOMAINS if name != "tanh")}
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +336,16 @@ def _reads_variables(expr: Expression) -> bool:
 _FIRST_OP_LINE = 3
 
 
-def _run(program: _Code, leaves: list, finish, columns: int = 0):
+def _run(program: _Code, leaves: list, finish, columns: bool = False):
     """The outputs of a program, in order.  Variable i reads leaves[i]:
-    floats, run with math's rules, or numpy columns of one length, run with
-    numpy's, with columns=1 marking the rows math rejects and with
-    columns=2 bare (the kernel module).  On floats, an output with a check
-    is tested, and where the test fails finish(check, outputs so far)
-    runs; on columns finish runs at every check.  So an output it rejects
-    stops the run before the next output's ops.  On columns the run
-    returns (outputs, the results of its marked ops).  An op that raises
-    is named by EvalDomainError; an error of finish passes through as it
-    is."""
+    floats, run with math's rules, or, where columns is True, numpy columns
+    of one length, run with numpy's bare functions (the kernel module).  On
+    floats, an output with a check is tested, and where the test fails
+    finish(check, outputs so far) runs; on columns finish runs at every
+    check.  So an output it rejects stops the run before the next output's
+    ops.  On columns the run returns (outputs, the results of its marked
+    ops).  An op that raises is named by EvalDomainError; an error of finish
+    passes through as it is."""
     kernels = program.kernels
     if kernels is None:
         from .kernel import build  # imported with the first kernel it builds
@@ -421,24 +376,22 @@ def _finite(check, outs: list):
         raise EvalDomainError(f"{what} is not finite", expr.root)
 
 
-def _finite_rows(check, outs: list):
-    """Over columns."""
-    expr, n, what = check
-    finite = True
-    for value in outs[-n:]:
-        finite = finite & np.isfinite(value)
-    if not np.all(finite):
-        bad = int(np.argmax(~finite))
-        raise EvalDomainError(f"{what} at batch row {bad} is not finite", expr.root)
-
-
 def _columns(program: _Code, x: np.ndarray, tail=None):
-    """A program's outputs at the rows of an (N, arity) array, N >= 1: a
-    column each, or one number where an output reads no variable; or, with
-    a tail of numbers, the outputs and then the tail as the columns of one
-    (N, width + len(tail)) array.  It runs bare numpy first and tests the
-    results once; only where that test fails does it run with marks and
-    _finite_rows (kernel.columns)."""
+    """(columns, mask): a program's outputs at the rows of an (N, arity)
+    array, N >= 1, run on numpy's bare functions: a column each, or one
+    number where an output reads no variable; or, with a tail of numbers,
+    the outputs and then the tail as the columns of one (N, width +
+    len(tail)) array.  mask marks the rows where the result of a marked op
+    (_MARKED) or an output is not finite, and every row where the run raised
+    (a number divided by the number 0).
+
+    A derived program's checks test its outputs' finiteness alone, so mask
+    holds every row where the run on floats raises, and a few where it does
+    not.  The caller redoes each masked row on floats, _run(program, row,
+    _finite), whose numbers or error are the row's.  An unmasked row agrees
+    with the run on floats to roundoff, which cancellation may amplify: the
+    gradient of tanh(x1 - 10) at (3, 0.5) differs by 1e-8 relative
+    (kernel.columns)."""
     from .kernel import columns
 
     return columns(program, x, tail)

@@ -30,21 +30,20 @@ message and node, as it did when it ran at every check.  A test passes
 only where the finishing step would not raise; it may fail where the step
 then raises nothing, as when a finite group's sum overflows.  The name
 floats gates the tests: on columns, where it is False, no test is
-evaluated and the finishing step runs at every check.
+evaluated and the finishing step, one that does nothing, runs at every
+check.
 
-Three functions run a program's one code object, each under its own
-names (_MODES):
+Two functions run a program's one code object, each under its own names
+(_MODES):
 
 - floats: math's rules and the tests;
-- columns: numpy's rules, marking the rows math would reject, and the
-  finishing step at every check (expr._finite_rows);
-- bare columns: numpy's functions, marking nothing, and a finishing step
-  that does nothing.
+- columns: numpy's functions, which return inf or nan where math's
+  raise.
 
-On columns a kernel also returns the results of its marked ops.  columns
-runs the bare kernel first and tests those results and the outputs for
-finiteness at once; only where that fails does it run the marking kernel,
-so every error over columns is the one it always was.
+On columns a kernel also returns the results of its marked ops
+(expr._MARKED).  columns tests those results and the outputs for
+finiteness at once, and returns the mask of the rows where a test fails
+with the outputs: its caller redoes those rows on floats.
 
 A geodesic program also gets a step kernel (step, _step_text): one RK4
 step of geodesics.integrate as one function on floats.  It writes the
@@ -81,7 +80,7 @@ from types import CodeType, FunctionType
 import numpy as np
 
 from .errors import EvalDomainError
-from .expr import _BINARY, _CALLS, _OP_BIN, _OP_CALL, _OP_OUT, _Code, _finite_rows, _run
+from .expr import _BINARY, _CALLS, _MARKED, _OP_BIN, _OP_CALL, _OP_OUT, _Code, _run
 
 _INLINE = {_BINARY[op]: op for op in "+-*"}  # bitwise operator.add, sub and mul
 
@@ -90,13 +89,13 @@ _NAMES = {rules: name for name, rules in _CALLS.items()}
 _NAMES[_BINARY["/"]] = "divide"
 _NAMES[_BINARY["^"]] = "power"
 
-# a kernel's globals on floats, on columns and on bare columns: each name's
-# rule, the names of the tests, and floats, which gates them
+# a kernel's globals on floats and on columns: each name's rule, the names
+# of the tests, and floats, which gates them
 _TESTS = {"isfinite": math.isfinite, "abs": abs, "max": max}
 _MODES = tuple(
     {"__builtins__": {}, "floats": mode == 0, **(_TESTS if mode == 0 else {}),
      **{name: rules[mode] for rules, name in _NAMES.items()}}
-    for mode in (0, 1, 2)
+    for mode in (0, 1)
 )
 
 
@@ -168,9 +167,9 @@ def _text(program: _Code) -> str:
                 line += f"; floats and {test} or finish(checks[{checks}], outs)"
                 checks += 1
         lines.append(line)
-    # the results of the ops whose rule marks rows on columns
+    # the results of the marked ops, which columns tests
     marked = "".join(f"r{target}, " for code, rules, _, target, *_ in program.ops
-                     if (code is _OP_BIN or code is _OP_CALL) and rules[1] is not rules[2])
+                     if (code is _OP_BIN or code is _OP_CALL) and rules in _MARKED)
     lines.append(f"return outs if floats else (outs, ({marked}))")
     return "\n    ".join(lines) + "\n"
 
@@ -193,8 +192,8 @@ def _bound(program: _Code, tail: tuple = ()) -> tuple:
 
 
 def build(program: _Code) -> tuple:
-    """The program's kernel on floats, on columns and on bare columns, kept
-    on it: three functions over one code object."""
+    """The program's kernel on floats and on columns, kept on it: two
+    functions over one code object."""
     code, bound = _code(_text(program)), _bound(program)
     program.kernels = tuple(FunctionType(code, names, "kernel", bound) for names in _MODES)
     return program.kernels
@@ -376,19 +375,7 @@ def stencil_rows(program: _Code, tail: list, x: list, h: list):
 
 
 def _skip(check, outs):
-    """The bare kernel's finishing step: columns tests once, at the end."""
-
-
-def _all_finite(values) -> bool:
-    """Whether every entry of values, columns and numbers, is finite: one
-    numpy test over all of them."""
-    if not values:
-        return True
-    try:
-        joined = np.concatenate(values)
-    except ValueError:  # a number among the columns
-        joined = np.hstack(values)
-    return bool(np.isfinite(joined).all())
+    """The finishing step on columns: columns tests once, at the end."""
 
 
 def _stacked(outs: list, tail, rows: int) -> np.ndarray:
@@ -399,40 +386,18 @@ def _stacked(outs: list, tail, rows: int) -> np.ndarray:
     return flat
 
 
-def _bare(program: _Code, leaves: list, tail, rows: int):
-    """columns' result from the bare kernel, or None where a marked op's
-    result or an output is not finite at some row, or the run raised (a
-    number divided by the number 0)."""
-    try:
-        outs, marked = _run(program, leaves, _skip, 2)
-    except EvalDomainError:
-        return None
-    if not _all_finite(marked):
-        return None
-    if tail is None:
-        return outs if _all_finite(outs) else None
-    flat = _stacked(outs, tail, rows)
-    return flat if np.isfinite(flat).all() else None
-
-
 def columns(program: _Code, x: np.ndarray, tail=None):
-    """expr._columns: the program's outputs at the rows of x, or with a tail
-    the outputs and the tail as the columns of one array.
-
-    Every mark flags only rows where numpy's bare result is not finite:
-    sin, cos and tan of +-inf give nan, exp, sinh and cosh overflow to inf,
-    log of a value <= 0 gives -inf or nan, sqrt of a negative nan, x / 0
-    +-inf or nan, and power marks a result that is not finite.  And
-    _finite_rows rejects only rows where an output is not finite.  So where
-    the bare kernel's marked results and outputs are all finite, the
-    marking kernel would raise nowhere, and it would compute the same
-    numbers with the same functions.  Elsewhere it runs, and raises as it
-    always has or returns its outputs."""
+    """expr._columns: (the program's outputs at the rows of x, or with a
+    tail the outputs and the tail as the columns of one array; the mask of
+    the rows where a marked op's result or an output is not finite)."""
+    rows = len(x)
     leaves = [x[:, i] for i in range(x.shape[1])]
     with np.errstate(all="ignore"):
-        out = _bare(program, leaves, tail, len(x))
-        if out is None:
-            out, _ = _run(program, leaves, _finite_rows, 1)
-            if tail is not None:
-                out = _stacked(out, tail, len(x))
-    return out
+        try:
+            outs, marked = _run(program, leaves, _skip, True)
+        except EvalDomainError:  # a number divided by the number 0: every row
+            outs, marked = [np.full(rows, np.nan)] * program.width, (np.nan,)
+    finite = np.ones(rows, dtype=bool)
+    for value in (*marked, *outs):
+        finite &= np.isfinite(value)
+    return (outs if tail is None else _stacked(outs, tail, rows)), ~finite

@@ -5,15 +5,17 @@ These tests hold what the kernel keeps: its text is made of register
 names, the inline + - *, fixed names, a few fixed literals and check
 indices alone, so no text of an expression or a manifest reaches compile;
 the line where a run raises names the node of the first failing op, on
-floats and on columns; an error of a finishing step passes through as it
-is; and a program's kernel is built at its first run, as one code object
-that its float, column and bare column runs share.
+floats and in the float redo of a row that a run over columns masks; an
+error of a finishing step passes through as it is; and a program's kernel
+is built at its first run, as one code object that its float and column
+runs share.
 
-They also hold what makes the inline tests and the bare columns safe: a
-check's test passes only where its finishing step would not raise, a
-marking rule marks only rows whose bare result is not finite, and so
-every output and every error is the one the finishing step at every
-check, and the marking rules, give.
+They also hold what makes the inline tests and the columns safe: a
+check's test passes only where its finishing step would not raise, so
+every output and every error is the one the finishing step at every check
+gives; and a run over columns masks every row the run on floats rejects,
+so a row redone on floats where it is masked, and bare elsewhere, has the
+float path's outcome wherever that raises.
 
 A geodesic program's step kernel keeps the same kinds of names, and is
 built once per spec and route, at the first step integrate takes; what it
@@ -41,15 +43,12 @@ from warpcurv.closed_form import bundle_closed
 from warpcurv.derivative import derived
 from warpcurv.errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
 from warpcurv.expr import (
-    _BINARY,
-    _CALLS,
     Call,
     Const,
     Var,
     _columns,
     _compile,
     _finite,
-    _finite_rows,
     _program_of,
     _run,
     evaluate,
@@ -64,7 +63,7 @@ from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_
 from warpcurv.oracle import bundle_fd
 from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
 
-from batch_reference import value_and_gradient_batch
+from batch_reference import rows_of, value_and_gradient_batch
 
 # The one shape every kernel line has.  The names are the rule table's,
 # written out here so that the test does not read them from the code.
@@ -85,7 +84,7 @@ _OP = re.compile(
     rf"    ({_REG} = ({_REG} [-+*] {_REG}|-{_REG}|{_RULE}\({_REG}(, {_REG})?\))"
     rf"|outs\.append\({_REG}\)(; floats and ({_GROUP}|{_DET}) or finish\(checks\[\d+\], outs\))?)"
 )
-# the results of the ops whose rule marks rows, for the run on columns
+# the results of the marked ops, which the run over columns tests
 _TAIL = re.compile(rf"    return outs if floats else \(outs, \(({_REG}, )*\)\)")
 
 
@@ -289,13 +288,16 @@ def test_stencil_kernels_are_built_once_per_program(monkeypatch):
 
 
 def _run_at(program, point, columns):
-    """The program's outputs at a point, on floats or as one-row columns."""
+    """The program's outputs at a point, on floats or as one-row columns,
+    the row redone on floats where it is masked."""
     if columns:
-        return _columns(program, np.array([point], dtype=float))
+        return rows_of(program, [point])[0]
     return _run(program, [float(c) for c in point], _finite)
 
 
 def _failing_node(program, point, columns):
+    if columns:  # the row is masked, and its redo raises
+        assert _columns(program, np.array([point], dtype=float))[1].tolist() == [True]
     with pytest.raises(EvalDomainError) as info:
         _run_at(program, point, columns)
     return info.value.node
@@ -343,7 +345,7 @@ def test_outputs_that_are_a_bare_leaf_or_a_bare_constant(columns):
     assert constant == 2.0 and np.all(leaf == 3.0) and np.all(value == 0.0)
 
 
-def _passes_through(program, leaves, finish, columns=0):
+def _passes_through(program, leaves, finish):
     """The error finish raises, after checking that _run raises that very
     object."""
     raised = []
@@ -357,7 +359,7 @@ def _passes_through(program, leaves, finish, columns=0):
 
     with pytest.raises(Exception) as info:
         with np.errstate(all="ignore"):
-            _run(program, leaves, spy, columns)
+            _run(program, leaves, spy)
     assert raised and info.value is raised[0]
     return info.value
 
@@ -365,10 +367,13 @@ def _passes_through(program, leaves, finish, columns=0):
 def test_an_error_of_a_finishing_step_passes_through_as_it_is():
     # each input fails its check's test, so the finishing step is reached
     e = parse_expression("x0*1e308*10", 1)
-    exc = _passes_through(_program_of(e, 1)[0], [1.0], _finite)
+    program = _program_of(e, 1)[0]
+    exc = _passes_through(program, [1.0], _finite)
     assert type(exc) is EvalDomainError and str(exc) == "value or gradient is not finite"
-    exc = _passes_through(_program_of(e, 1)[0], [np.array([0.0, 1.0])], _finite_rows, 1)
-    assert str(exc) == "value or gradient at batch row 0 is not finite"  # the gradient is inf
+    # over columns both rows are masked, and the redo of each passes it through
+    assert _columns(program, np.array([[0.0], [1.0]]))[1].tolist() == [True, True]
+    exc = _passes_through(program, [0.0], _finite)
+    assert str(exc) == "value or gradient is not finite"  # the gradient is inf
     # the class the kernel's handler catches is not re-wrapped either
     square = parse_expression("x0*x0", 1)
     program = _compile([(square.root, (square, 1, "value"))])
@@ -388,10 +393,9 @@ def test_an_error_of_a_finishing_step_passes_through_as_it_is():
 
 
 def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
-    """One kernel text per program, and one code object, run under three
-    tables of names: floats (math's rules, the inline tests), columns
-    (numpy's rules with their marks, the finishing step at every check) and
-    bare columns (numpy's functions, no finishing step)."""
+    """One kernel text per program, and one code object, run under two
+    tables of names: floats (math's rules, the inline tests) and columns
+    (numpy's functions, a finishing step that does nothing)."""
     built = []
     code = kernel._code
 
@@ -405,50 +409,26 @@ def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
     assert program.kernels is None and not built  # compiling the program builds no kernel
     first = _run(program, [0.5, 2.0], _finite)
     assert len(built) == 1
-    floats, columns, bare = kernels = program.kernels
-    assert floats.__code__ is columns.__code__ is bare.__code__
-    assert len({id(k.__globals__) for k in kernels}) == 3
-    assert [k.__globals__["floats"] for k in kernels] == [True, False, False]
-    assert columns.__globals__["sin"] is _CALLS["sin"][1] and bare.__globals__["sin"] is np.sin
-    _columns(program, np.array([[0.5, 2.0], [1.0, 3.0]]))  # the bare run
-    with pytest.raises(EvalDomainError):  # (-2)^0.5: the bare run fails, and columns raises
-        _columns(program, np.array([[0.5, -2.0]]))
+    floats, columns = kernels = program.kernels
+    assert floats.__code__ is columns.__code__
+    assert len({id(k.__globals__) for k in kernels}) == 2
+    assert [k.__globals__["floats"] for k in kernels] == [True, False]
+    assert floats.__globals__["sin"] is math.sin and columns.__globals__["sin"] is np.sin
+    # (-2)^0.5 is masked, and the rows around it are not
+    _, mask = _columns(program, np.array([[0.5, 2.0], [0.5, -2.0], [1.0, 3.0]]))
+    assert mask.tolist() == [False, True, False]
     assert _run(program, [0.5, 2.0], _finite) == first
     assert len(built) == 1 and program.kernels == kernels
 
 
 # ---------------------------------------------------------------------------
-# Inline tests and bare columns: what makes them safe
+# Inline tests and columns: what makes them safe
 
 _INF, _NAN = math.inf, math.nan
 # zeros, infinities, nan, the edges of exp's and the float range, negatives
 # and subnormals
 _SPECIAL = [0.0, -0.0, _INF, -_INF, _NAN, 1e308, -1e308, 710.0, -1000.0, -1.0, -2.5,
             5e-324, -5e-324, 2.5e-310, 0.5, 3.0]
-
-
-def test_a_marking_rule_marks_only_rows_whose_bare_result_is_not_finite():
-    rules = dict(_CALLS)
-    rules["divide"], rules["power"] = _BINARY["/"], _BINARY["^"]
-    marks = set()
-    with np.errstate(all="ignore"):
-        for name, (_, marking, bare) in rules.items():
-            arity = 2 if name in ("divide", "power") else 1
-            for args in itertools.product(_SPECIAL, repeat=arity):
-                # a column, and a number, as a constant's register holds it
-                for values in ([np.array([a]) for a in args], list(args)):
-                    try:
-                        marking(*values)
-                    except ValueError:
-                        marks.add(name)
-                    else:
-                        continue
-                    try:
-                        result = bare(*values)
-                    except ZeroDivisionError:  # a number divided by 0.0
-                        continue
-                    assert not np.isfinite(result).any(), (name, args)
-    assert marks == set(rules) - {"tanh"}  # tanh marks nothing
 
 
 def _closing(check, n: int):
@@ -545,11 +525,6 @@ def _at_every_check(program, leaves, finish):
         program.kernels = kernels
 
 
-def _marking(program, x):
-    """The run over columns with the marking rules and _finite_rows alone."""
-    return _run(program, [x[:, i] for i in range(x.shape[1])], _finite_rows, 1)[0]
-
-
 def _same(program, leaves, finish):
     """The run on floats gives what the finishing step at every check gives."""
     if program.kernels is None:
@@ -559,15 +534,9 @@ def _same(program, leaves, finish):
     return expect
 
 
-def _same_columns(program, x):
-    expect = _outcome(_marking, program, x)
-    assert _outcome(_columns, program, x) == expect, x
-    return expect
-
-
-def test_inline_tests_and_bare_columns_keep_every_output_and_error():
-    """Floats against the finishing step at every check, and columns against
-    the marking rules, bitwise and error for error: geodesic programs and
+def test_inline_tests_keep_every_output_and_error():
+    """Floats against the finishing step at every check, bitwise and error
+    for error: geodesic programs and
     metric programs on the catalog, both valid fixtures and
     dense_manifests(1), at seeded points in and far outside their boxes, and
     fuzz-grammar expressions at the fuzz grid's coordinates.  A product
@@ -603,12 +572,6 @@ def test_inline_tests_and_bare_columns_keep_every_output_and_error():
             program = geometry._grid(plain, order)[0]
             for x in points:
                 outcomes.append(_same(program, list(map(float, x)), _finite))
-        program, tail, _ = geometry._grid(plain, 1)
-        for rows in (inside, outside, points):
-            outcomes.append(_same_columns(program, rows))
-            # and as the stacked Christoffels take them, tested once
-            stacked = _outcome(lambda: [kernel._stacked(_marking(program, rows), tail, len(rows))])
-            assert _outcome(lambda: [_columns(program, rows, tail)]) == stacked
     grid = np.array(list(itertools.product(_COORDS, repeat=3)))
     for text, arity in _fuzz_texts(150, seed=17):
         e = parse_expression(text, arity)
@@ -617,11 +580,101 @@ def test_inline_tests_and_bare_columns_keep_every_output_and_error():
             program = _program_of(e, order)[0]
             for x in points:
                 outcomes.append(_same(program, list(map(float, x)), _finite))
-            outcomes.append(_same_columns(program, points))
-            outcomes.append(_same_columns(program, points[:1]))
     errors = [o[0] for o in outcomes if type(o) is tuple]
     assert len(outcomes) > 2000 and 100 < len(errors) < len(outcomes) - 1000
     assert set(errors) == {EvalDomainError, NonpositiveWarpError, DegenerateMetricError, _Fallback}
+
+
+def _on_floats(program, x, tail: list) -> list:
+    """Each row's outcome on floats: its outputs and the tail as bytes, or
+    its error's class, message and node."""
+    out = []
+    for row in x:
+        try:
+            out.append(np.array(_run(program, [float(c) for c in row], _finite) + tail).tobytes())
+        except EvalDomainError as exc:
+            out.append((type(exc), str(exc), exc.node))
+    return out
+
+
+def _per_row(program, x, tail=()) -> tuple:
+    """Holds a run over columns at the rows of x to the run on floats, row
+    by row: every row the run on floats rejects is masked, and every other
+    row is bitwise the bare kernel's; rows_of, which redoes the masked rows
+    on floats, raises the first rejected row's error, or else gives each
+    masked row the float path's outputs and each other row the bare
+    kernel's.  Returns the counts of the rows floats reject, of those they
+    accept, and of those masked among the latter."""
+    tail = list(tail)
+    floats = _on_floats(program, x, tail)
+    flat, mask = _columns(program, x, tail)
+    rejected = [type(f) is tuple for f in floats]
+    try:
+        with np.errstate(all="ignore"):
+            outs, _ = _run(program, [x[:, i] for i in range(x.shape[1])], kernel._skip, True)
+        bare = kernel._stacked(outs, tail, len(x))
+    except EvalDomainError:  # a number divided by the number 0
+        bare = None
+    for i, masked in enumerate(mask):
+        assert masked or not rejected[i], (floats[i], x[i])
+        if not masked:
+            assert flat[i].tobytes() == bare[i].tobytes(), x[i]
+    first = next((f for f in floats if type(f) is tuple), None)
+    want = first or [f if masked else row.tobytes() for f, masked, row in zip(floats, mask, flat)]
+    try:
+        got = [row.tobytes() for row in rows_of(program, x, tail)]
+    except EvalDomainError as exc:
+        got = (type(exc), str(exc), exc.node)
+    assert got == want, x
+    accepted = len(x) - sum(rejected)
+    return sum(rejected), accepted, int(np.count_nonzero(mask)) - sum(rejected)
+
+
+def test_a_run_over_columns_masks_every_row_the_run_on_floats_rejects():
+    """The per-row contract of expr._columns (_per_row): the metric
+    programs of the catalog, both valid fixtures and dense_manifests(1..3),
+    orders 0 to 2, at points in and far outside their boxes and at _SPECIAL
+    coordinates; and fuzz-grammar expressions, each also wrapped in ^0,
+    which discards its value but not its errors, at the fuzz grid's
+    coordinates and _SPECIAL's.  Each marked rule, wrapped in ^0, runs at
+    every pair of _SPECIAL values too, so the test fails where any one of
+    them is left out of expr._MARKED: its result would reach no output."""
+    manifests = _manifests()
+    dense = _load("workloads").dense_manifests
+    manifests += [parse_manifest(doc, source=doc["name"]) for s in (1, 2, 3) for doc in dense(s)]
+    rng = np.random.default_rng(23)
+    counts = np.zeros(3, dtype=int)  # rejected, accepted, masked of those accepted
+    for mf in manifests:
+        box = np.asarray(mf.box, dtype=float)
+        d = len(box)
+        points = np.concatenate([
+            box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((4, d)),
+            rng.choice([-1.0, 1.0], (4, d)) * 10.0 ** rng.uniform(-3, 3, (4, d)),
+            rng.choice(_SPECIAL, (4, d)),
+        ])
+        plain = as_plain_metric(mf.spec)
+        for order in (0, 1, 2):
+            program, tail, _ = geometry._grid(plain, order)
+            counts += _per_row(program, points, tail)
+            counts += _per_row(program, points[:1], tail)
+    rules = [(f"{name}(x0)", 1) for name in _RULE[1:-1].split("|")[:-2]]
+    rules += [("x0/x1", 2), ("x0^x1", 2)]
+    cases = [(text, arity, np.array(list(itertools.product(_SPECIAL, repeat=arity))))
+             for text, arity in rules]
+    grid = np.array(list(itertools.product(_COORDS + _SPECIAL, repeat=3)))
+    cases += [(text, arity, grid[rng.choice(len(grid), 12), :arity])
+              for text, arity in _fuzz_texts(60, seed=23)]
+    for text, arity, points in cases:
+        for wrapped in (text, f"({text})^0"):
+            e = parse_expression(wrapped, arity)
+            for order in (0, 1, 2):
+                program, tail, _ = _program_of(e, order)
+                counts += _per_row(program, points, tail)
+    # both outcomes; the mask also flags some rows that floats accept, where
+    # math takes an inf as it comes (sinh(inf)) or ^0 discards a value that
+    # is not finite, but not most of them
+    rejected, accepted, masked = counts
+    assert rejected > 1000 and accepted > 5000 and 0 < masked < accepted // 5, counts
 
 
 # ---------------------------------------------------------------------------
