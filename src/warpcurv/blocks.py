@@ -82,7 +82,7 @@ class Blocks:
         leaves = _leaves(self.fields, d)
         base, fiber = self.programs
         try:
-            out = _run(base, leaves, None) + _run(fiber, leaves, None)
+            out = _run(base, leaves) + _run(fiber, leaves)
         except EvalDomainError:  # a division by an underflowed square
             raise EvalDomainError(_NOT_FINITE) from None
         if not all(map(math.isfinite, out)):

@@ -76,10 +76,8 @@ from .geometry import (
     _metric_and_first_derivs,
     _metric_jets,
 )
-from .oracle import (
-    DiffPolicy,
-    bundle_fd,  # unused here; bench/tracer.py wraps closed_form.bundle_fd by name
-)
+# unused here: bench/tracer.py wraps closed_form.bundle_fd by name
+from .oracle import bundle_fd  # noqa: F401
 from .warped import WarpedProductSpec, _as_product_point
 
 __all__ = ["christoffels_closed", "bundle_closed"]
@@ -263,7 +261,7 @@ def _blocks(spec: WarpedProductSpec, d):
 def bundle_closed(
     spec: WarpedProductSpec,
     point,
-    policy: DiffPolicy | None = None,
+    policy=None,
     convention: str = "paper",
 ) -> CurvatureBundle:
     """All four tensors from one pass of point data: the factor metrics'

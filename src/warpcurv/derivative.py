@@ -6,9 +6,11 @@ own, by the chain rule, with the derivative of each function from
 expr._DERIVATIVES.  jet_nodes applies it twice for second derivatives:
 Hessian entry (i, j), i <= j, is the derivative tree of the i-th
 first-derivative tree, and entry (j, i) is the same tree, so a Hessian is
-bitwise symmetric.  derived compiles the trees of many expressions up to
-an order, 0, 1 or 2, into one program, which expr runs as a generated
-kernel on floats or on numpy columns.  Every evaluator runs such programs:
+bitwise symmetric.  outputs_of writes one expression's trees as a group
+of a program's outputs, closed by its check (kernel._finish); derived
+compiles the groups of many expressions up to an order, 0, 1 or 2, into
+one program, which expr runs as a generated kernel on floats or on numpy
+columns.  Every evaluator runs such programs:
 expr's evaluate, value_and_gradient and jet2, geometry's metric grids (at a
 point and in the oracle's stencil kernels), the closed form's warps, and the
 geodesic programs of the split module.
@@ -213,35 +215,42 @@ def live_entries(entries: list) -> list:
 _WHAT = ("value", "value or gradient", "value, gradient or Hessian")
 
 
+def outputs_of(outputs: list, root: Node, variables, order: int, check: tuple) -> tuple:
+    """Append root's output group to outputs, (tree, check) pairs: its
+    value where it has guards, so that the value runs first and, where
+    both fail, the error is evaluate's; then the guards; then its live
+    entries, the last closed by (kind, expr, n, arg) from check = (kind,
+    expr, arg), n counting them.  Returns (jet_nodes' entries, id -> the
+    output index of each live entry)."""
+    guards = []
+    entries = jet_nodes(root, variables, order, guards)
+    live = live_entries(entries)
+    if guards:  # the value runs first, as evaluate runs it
+        outputs.append((live[0], None))
+    outputs += [(g, None) for g in guards]
+    where = {}
+    for node in live:
+        where[id(node)] = len(outputs)
+        outputs.append((node, None))
+    kind, expr, arg = check
+    outputs[-1] = (live[-1], (kind, expr, len(live), arg))
+    return entries, where
+
+
 def derived(exprs, order: int):
     """One program over exprs and their derivatives up to order, and where
-    each expression's entries land: (program, places, tail), places[e]
-    holding the positions of the 1 + k (+ k*k) entries of jet_nodes for
-    expression e of arity k in outputs + tail, outputs being the
-    program's.  tail holds 0.0, for the zeros, then each constant entry.
-
-    Each expression's outputs are its guards, then its live entries; the
-    last of them carries the check (expr, n, what) that expr's finishing
-    steps read: the expression's n live entries must be finite, else
-    "<what> is not finite".  An expression with guards outputs its value
-    once more before them, so that its value runs first: where both the
-    value and a guard fail, the error is evaluate's.  So a program over
-    many expressions raises at the first one that fails, as they would one
-    by one.
+    each expression's entries land: (program, places), places[e] holding
+    the positions of the 1 + k (+ k*k) entries of jet_nodes for expression
+    e of arity k in the program's outputs + tail.  Its tail holds 0.0, for
+    the zeros, then each constant entry.  Each expression is one output
+    group (outputs_of), whose check ("finite", expr, n, what) raises "<what>
+    is not finite", so the program raises at the first expression that
+    fails, as they would one by one.
     """
     outputs, refs, tail = [], [], [0.0]
     for expr in exprs:
-        guards = []
-        entries = jet_nodes(expr.root, range(expr.arity), order, guards)
-        group = live_entries(entries)
-        if guards:  # the value runs first, as evaluate runs it
-            outputs.append((group[0], None))
-        outputs += [(g, None) for g in guards]
-        where = {}
-        for node in group:
-            where[id(node)] = len(outputs)
-            outputs.append((node, None))
-        outputs[-1] = (group[-1], (expr, len(group), _WHAT[order]))
+        check = ("finite", expr, _WHAT[order])
+        entries, where = outputs_of(outputs, expr.root, range(expr.arity), order, check)
         ref = []  # an output's index, or -1 - its index in tail
         for node in entries:
             if node is None:
@@ -254,4 +263,4 @@ def derived(exprs, order: int):
         refs.append(ref)
     width = len(outputs)
     places = [[r if r >= 0 else width - 1 - r for r in ref] for ref in refs]
-    return _compile(outputs), places, tail
+    return _compile(outputs, tail), places

@@ -26,13 +26,15 @@ so nothing a user wrote reaches compile.  One code object runs one point
 on floats with math's rules and N points on numpy columns with numpy's
 bare functions (_columns; the oracle's stencil has kernels of its own, on
 floats), under a set of names for each.  On floats each check is an
-inline test, and its finishing step runs only where the test fails.
-Columns raise nothing: they come with a mask of the rows where a marked
-op's result or an output is not finite, and the caller redoes those rows
-on floats, which raise as they always have.  Where a run raises, the
-kernel's line names the op, and the error names its node.  Nothing walks
-a tree by recursion, so a sum of thousands of terms evaluates,
-differentiates, prints and reindexes like a short one.  The tests hold the
+inline test, and the kernel's own finishing step (kernel._finish) runs
+only where the test fails; a program carries its checks and its tail of
+constant entries (_Code.tail).  Columns raise nothing: they come with a
+mask of the rows where a marked op's result or an output is not finite,
+and the caller redoes those rows on floats, which raise as they always
+have.  Where a run raises, the kernel's line names the op, and the error
+names its node.  Nothing walks a tree by recursion, so a sum of
+thousands of terms evaluates, differentiates, prints and reindexes like
+a short one.  The tests hold the
 derivatives to sympy and to finite differences, two references that share
 nothing with this code.
 
@@ -252,12 +254,13 @@ class _Code:
     in value-number order: each constant's value, and None for a computed
     one; the leaves follow it.  An op is (opcode, rules, node, target,
     operand, operand or None); OUT has its check for the rules.  width
-    counts the outputs.  kernels is None until the first run builds the
-    program's kernel, and stencil until the oracle builds a metric's
-    stencil kernels (the kernel module)."""
+    counts the outputs, and tail lists the program's constant entries,
+    numbers that its callers read after the outputs.  kernels is None
+    until the first run builds the program's kernel, and stencil until the
+    oracle builds a metric's stencil kernels (the kernel module)."""
 
-    def __init__(self, ops: tuple, registers: list):
-        self.ops, self.registers = ops, registers
+    def __init__(self, ops: tuple, registers: list, tail=()):
+        self.ops, self.registers, self.tail = ops, registers, list(tail)
         self.width = sum(op[0] is _OP_OUT for op in ops)
         self.kernels = self.stencil = None
 
@@ -265,9 +268,9 @@ class _Code:
         return len(self.ops)
 
 
-def _compile(outputs) -> _Code:
+def _compile(outputs, tail=()) -> _Code:
     """One register program for a sequence of (root, check) outputs over
-    one chart.
+    one chart, with a tail of numbers (_Code.tail).
 
     Subtrees with the same structure get one value number and register: a
     constant is keyed by its bits, a variable by its index, and a negation,
@@ -325,7 +328,7 @@ def _compile(outputs) -> _Code:
                 todo.append((number, True))
                 todo.extend((o, False) for o in reversed(operands))
         ops.append((_OP_OUT, check, root, None, where[out], None))
-    return _Code(tuple(ops), registers)
+    return _Code(tuple(ops), registers, tail)
 
 
 def _reads_variables(expr: Expression) -> bool:
@@ -336,65 +339,52 @@ def _reads_variables(expr: Expression) -> bool:
 _FIRST_OP_LINE = 3
 
 
-def _run(program: _Code, leaves: list, finish, columns: bool = False):
+def _run(program: _Code, leaves: list, columns: bool = False):
     """The outputs of a program, in order.  Variable i reads leaves[i]:
     floats, run with math's rules, or, where columns is True, numpy columns
     of one length, run with numpy's bare functions (the kernel module).  On
-    floats, an output with a check is tested, and where the test fails
-    finish(check, outputs so far) runs; on columns finish runs at every
-    check.  So an output it rejects stops the run before the next output's
-    ops.  On columns the run returns (outputs, the results of its marked
-    ops).  An op that raises is named by EvalDomainError; an error of finish
-    passes through as it is."""
+    floats, an output with a check is tested, and where the test fails the
+    kernel's finishing step (kernel._finish) raises the check's error; so
+    an output it rejects stops the run before the next output's ops.  On
+    columns nothing is tested, and the run returns (outputs, the results of
+    its marked ops).  An op that raises is named by EvalDomainError; an
+    error of the finishing step passes through as it is."""
     kernels = program.kernels
     if kernels is None:
         from .kernel import build  # imported with the first kernel it builds
 
         kernels = build(program)
     try:
-        return kernels[columns](leaves, finish)
+        return kernels[columns](leaves)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # the traceback runs from this frame into the kernel's, at the line
         # of the op that raised
         line = exc.__traceback__.tb_next.tb_lineno
         code, _, node, *_ = program.ops[line - _FIRST_OP_LINE]
-        if code is _OP_OUT:  # raised by finish
+        if code is _OP_OUT:  # raised by the finishing step
             raise
         node = getattr(node, "origin", node)
         what = node.name if type(node) is Call else repr(node.op)
         raise EvalDomainError(f"{what}: {exc}", node) from None
 
 
-# Finishing steps for derivative.derived's programs: the check (expr, n,
-# what) closes one expression's entries, the last n outputs.
-
-
-def _finite(check, outs: list):
-    """At one point."""
-    expr, n, what = check
-    if not all(map(math.isfinite, outs[-n:])):
-        raise EvalDomainError(f"{what} is not finite", expr.root)
-
-
-def _columns(program: _Code, x: np.ndarray, tail=None):
-    """(columns, mask): a program's outputs at the rows of an (N, arity)
-    array, N >= 1, run on numpy's bare functions: a column each, or one
-    number where an output reads no variable; or, with a tail of numbers,
-    the outputs and then the tail as the columns of one (N, width +
-    len(tail)) array.  mask marks the rows where the result of a marked op
-    (_MARKED) or an output is not finite, and every row where the run raised
-    (a number divided by the number 0).
+def _columns(program: _Code, x: np.ndarray):
+    """(columns, mask): a program's outputs and then its tail at the rows
+    of an (N, arity) array, N >= 1, run on numpy's bare functions, as the
+    columns of one (N, width + len(tail)) array.  mask marks the rows where
+    the result of a marked op (_MARKED) or an output is not finite, and
+    every row where the run raised (a number divided by the number 0).
 
     A derived program's checks test its outputs' finiteness alone, so mask
     holds every row where the run on floats raises, and a few where it does
-    not.  The caller redoes each masked row on floats, _run(program, row,
-    _finite), whose numbers or error are the row's.  An unmasked row agrees
-    with the run on floats to roundoff, which cancellation may amplify: the
-    gradient of tanh(x1 - 10) at (3, 0.5) differs by 1e-8 relative
+    not.  The caller redoes each masked row on floats, _run(program, row),
+    whose numbers or error are the row's.  An unmasked row agrees with the
+    run on floats to roundoff, which cancellation may amplify: the gradient
+    of tanh(x1 - 10) at (3, 0.5) differs by 1e-8 relative
     (kernel.columns)."""
     from .kernel import columns
 
-    return columns(program, x, tail)
+    return columns(program, x)
 
 
 def _gather(places):
@@ -406,15 +396,16 @@ def _gather(places):
 
 
 def _program_of(expr: Expression, order: int) -> tuple:
-    """(program, tail, gather) of expr at a derivative order (0, 1 or 2),
-    compiled on first use and kept on it: gather(outputs + tail) is its
-    value, gradient and row-major Hessian, as far as the order goes."""
+    """(program, gather) of expr at a derivative order (0, 1 or 2),
+    compiled on first use and kept on it: gather(outputs + program.tail)
+    is its value, gradient and row-major Hessian, as far as the order
+    goes."""
     program = expr._programs[order]
     if program is None:
         from .derivative import derived  # it builds on this module
 
-        code, (places,), tail = derived((expr,), order)
-        program = expr._programs[order] = (code, tail, _gather(places))
+        code, (places,) = derived((expr,), order)
+        program = expr._programs[order] = (code, _gather(places))
     return program
 
 
@@ -424,8 +415,8 @@ def _jet(expr: Expression, point, order: int) -> tuple:
     checked finite."""
     if len(point) != expr.arity:
         raise ValueError(f"point has length {len(point)}, expected {expr.arity}")
-    program, tail, gather = _program_of(expr, order)
-    return gather(_run(program, [float(c) for c in point], _finite) + tail)
+    program, gather = _program_of(expr, order)
+    return gather(_run(program, [float(c) for c in point]) + program.tail)
 
 
 @np.errstate(all="ignore")

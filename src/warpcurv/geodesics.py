@@ -76,6 +76,7 @@ from .errors import (
     NonpositiveWarpError,
     StepTooLargeError,
 )
+from .geometry import _Fallback
 # assemble_metric gives the norm only at a sample whose acceleration fails
 from .warped import ProductPoint, WarpedProductSpec, _as_product_point, assemble_metric
 
@@ -146,11 +147,6 @@ def _accel_split(d, v: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The programs, built and run by the split module
-
-
-class _Fallback(Exception):
-    """A factor metric entry beyond _ADJUGATE_PEAK, where _inverse_of takes
-    LAPACK's determinant and inverse: the point takes point data instead."""
 
 
 def _program_of(spec: WarpedProductSpec, route: str):
@@ -317,7 +313,7 @@ def integrate(
         except _EXITS as exc:
             return exc, float(v @ assemble_metric(spec, sample.position) @ v)
         if type(data) is list:
-            return a, _norm(program.gather((*data, *program.tail)), m, v)
+            return a, _norm(program.gather(data + program.program.tail), m, v)
         B, F = data
         return a, _norm([*B.g.ravel().tolist(), *F.g.ravel().tolist(), B.w, F.w], m, v)
 

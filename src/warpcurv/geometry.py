@@ -32,8 +32,9 @@ per-call cost outweighs the arithmetic:
 - One precomputed gather per array places the run's outputs.
 - _inverse_of uses the closed-form adjugate for dim <= 3 and LAPACK above
   that or for entries beyond 1e100, where a product of three entries could
-  overflow.  Both apply one degeneracy rule, the one _christoffels_stacked
-  applies row by row.
+  overflow.  Both apply one degeneracy rule (_nondegenerate), as do the
+  geodesic programs' checks (kernel._finish), and _christoffels_stacked
+  row by row.
 - Point checks finiteness on Python floats.
 """
 
@@ -48,7 +49,6 @@ import numpy as np
 from .errors import DegenerateMetricError, EvalDomainError
 from .expr import (
     Expression,
-    _finite,
     _reads_variables,
     _run,
     evaluate,
@@ -167,16 +167,16 @@ def _constant_value(expr: Expression):
 
 
 def _grid(spec: MetricSpec, order: int) -> tuple:
-    """(program, tail, gathers) of a metric at a derivative order, 0, 1 or
-    2, built on first use and cached on the spec.
+    """(program, gathers) of a metric at a derivative order, 0, 1 or 2,
+    built on first use and cached on the spec.
 
     program computes the live components (i, j), i <= j, in row-major
     order, each with its derivatives up to the order (derivative.derived).
-    Its outputs, followed by tail (0.0, the constant derivatives and each
-    folded component's value), hold every entry of the metric arrays;
+    Its outputs, followed by its tail (0.0, the constant derivatives and
+    each folded component's value), hold every entry of the metric arrays;
     gathers holds, for g, D and DD up to the order, an itemgetter and an
     index array of those flat positions, and the array's shape.  With no
-    live component the program is empty and tail alone holds them.
+    live component the program is empty and its tail alone holds them.
     """
     grids = spec._compiled
     if grids is None:
@@ -189,8 +189,8 @@ def _grid(spec: MetricSpec, order: int) -> tuple:
         dim = spec.dim
         upper = [spec.components[i][j] for i in range(dim) for j in range(i, dim)]
         live = [e for e in upper if _constant_value(e) is None]
-        program, places, tail = derived(live, order)
-        width, place = program.width, {}
+        program, places = derived(live, order)
+        width, tail, place = program.width, program.tail, {}
         for e, p in zip(live, places):
             place[id(e)] = p
         for e in upper:
@@ -203,7 +203,7 @@ def _grid(spec: MetricSpec, order: int) -> tuple:
         for rank, block in enumerate(blocks[: order + 1]):
             ix = [p[t] for t in block for p in cells]
             gathers.append((operator.itemgetter(*ix), np.array(ix), (dim,) * (2 + rank)))
-        grid = grids[order] = (program, tail, gathers)
+        grid = grids[order] = (program, gathers)
     return grid
 
 
@@ -211,8 +211,8 @@ def _at_point(spec: MetricSpec, c, order: int) -> list:
     """[g, D, DD][: order + 1] at one point, from one run of the metric's
     program of that order; D[l, i, j] = d g_ij / dx_l and DD[l, m, i, j] =
     d^2 g_ij / dx_l dx_m, each bitwise symmetric in (i, j)."""
-    program, tail, gathers = _grid(spec, order)
-    flat = _run(program, [float(x) for x in c], _finite) + tail
+    program, gathers = _grid(spec, order)
+    flat = _run(program, [float(x) for x in c]) + program.tail
     return [np.array(get(flat)).reshape(shape) for get, _, shape in gathers]
 
 
@@ -224,6 +224,20 @@ def metric_at(spec: MetricSpec, point) -> np.ndarray:
 # Up to this peak entry no product of three entries overflows, so the
 # closed-form adjugate is safe; beyond it LAPACK takes over.
 _ADJUGATE_PEAK = 1e100
+
+
+class _Fallback(Exception):
+    """A metric entry beyond _ADJUGATE_PEAK, where a program that writes the
+    adjugate stops (kernel._finish): its caller takes point data."""
+
+
+def _nondegenerate(det: float, peak: float, dim: int):
+    """Raise DegenerateMetricError unless |det| >= 1e-12 * max(1, peak)^dim,
+    peak being the largest |entry|.  The determinant scales like
+    entries^dim, so the cutoff must too; a float product reaches inf where
+    ** would raise OverflowError."""
+    if not abs(det) >= 1e-12 * math.prod([max(1.0, peak)] * dim):
+        raise DegenerateMetricError(f"metric determinant {det!r} is degenerate at this point", det)
 
 
 def _adjugate(a: list, dim: int):
@@ -249,24 +263,18 @@ def _adjugate(a: list, dim: int):
 
 def _inverse_of(g: np.ndarray) -> np.ndarray:
     """Inverse of a metric array.  Raises DegenerateMetricError when an
-    entry is not finite or |det| < 1e-12 * max(1, peak)^dim, peak being the
-    largest |entry|."""
+    entry is not finite or the determinant is degenerate
+    (_nondegenerate)."""
     dim = g.shape[0]
     flat = g.ravel().tolist()
     if not all(map(math.isfinite, flat)):
         raise DegenerateMetricError("metric is not finite at this point", math.nan)
     peak = max(map(abs, flat))
-    # the determinant scales like entries^dim, so the cutoff must too; a
-    # float product reaches inf where ** would raise OverflowError
-    cutoff = 1e-12 * math.prod([max(1.0, peak)] * dim)
     if dim <= 3 and peak <= _ADJUGATE_PEAK:
         det, adj = _adjugate(flat, dim)
     else:
         det, adj = float(np.linalg.det(g)), None
-    if not abs(det) >= cutoff:
-        raise DegenerateMetricError(
-            f"metric determinant {det!r} is degenerate at this point", det
-        )
+    _nondegenerate(det, peak, dim)
     if adj is None:
         return np.linalg.inv(g)
     return np.array([c / det for c in adj]).reshape(dim, dim)
@@ -312,7 +320,7 @@ def _christoffels_stacked(spec: MetricSpec, flat: np.ndarray) -> np.ndarray:
     row; which row is left to the caller.
     """
     rows, dim = len(flat), spec.dim
-    (_, gi, _), (_, di, _) = _grid(spec, 1)[2]
+    (_, gi, _), (_, di, _) = _grid(spec, 1)[1]
     # take, not flat[:, index], which would lay the result out in Fortran
     # order; einsum and LAPACK may round differently on another layout
     g = flat.take(gi, axis=1).reshape(rows, dim, dim)

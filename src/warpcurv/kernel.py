@@ -17,21 +17,23 @@ A kernel, as _text writes it:
 
 Line expr._FIRST_OP_LINE + i states op i, so the line where a run raises
 names the op.  Each name in the text is looked up in the tables below by
-the op's rules or the check's kind, never taken from a node, and constants
-and checks are bound as the defaults of the last two arguments.  So the
+the op's rules or the check's kind, never taken from a node, and the
+finishing step, constants and checks are bound as the defaults of the
+last three arguments.  So the
 text holds register names, the inline + - *, the names of fixed tables,
 a few fixed literals and check indices alone: no text of an expression or
 a manifest reaches compile.  Programs of one shape have one text, and a
 cache of the recent code objects lets them share one.
 
-Each check is written as one test (_test), and on floats its finishing
-step runs only where the test fails, so it raises with its own class,
-message and node, as it did when it ran at every check.  A test passes
-only where the finishing step would not raise; it may fail where the step
+A check is (kind, subject, n, arg).  Each is written as one test (_test),
+and on floats the finishing step, _finish, the one statement of every
+check's error, runs only where the test fails, so it raises with its own
+class, message and node, as it did when it ran at every check.  A test
+passes only where _finish would not raise; it may fail where _finish
 then raises nothing, as when a finite group's sum overflows.  The name
 floats gates the tests: on columns, where it is False, no test is
-evaluated and the finishing step, one that does nothing, runs at every
-check.
+evaluated and the finishing step, _skip, which does nothing, runs at
+every check.
 
 Two functions run a program's one code object, each under its own names
 (_MODES):
@@ -79,8 +81,9 @@ from types import CodeType, FunctionType
 
 import numpy as np
 
-from .errors import EvalDomainError
+from .errors import EvalDomainError, NonpositiveWarpError
 from .expr import _BINARY, _CALLS, _MARKED, _OP_BIN, _OP_CALL, _OP_OUT, _Code, _run
+from .geometry import _ADJUGATE_PEAK, _Fallback, _nondegenerate
 
 _INLINE = {_BINARY[op]: op for op in "+-*"}  # bitwise operator.add, sub and mul
 
@@ -106,15 +109,13 @@ _SUM = 100
 
 def _test(check, group: list, k: int, spare: str) -> str:
     """The test of check k on floats, from the names of the registers of
-    the outputs so far (group): where it holds, the check's finishing step
-    would not raise.
+    the outputs so far (group): where it holds, _finish would not raise.
 
-    derivative.derived's (expr, n, what) and split's ("entry", expr, n, _)
-    need the last n outputs finite: the sum of each _SUM of them; split's
-    ("warp", expr, n, _) the first of them > 0 too; and split's ("det",
-    dim, live, peak) geometry._inverse_of's cutoff, with split._check's
-    operands in its order, spare holding the peak."""
-    kind, a, b, _ = ("entry", *check) if len(check) == 3 else check
+    ("finite", expr, n, what) needs the last n outputs finite: the sum of
+    each _SUM of them; ("warp", expr, n, which) the first of them > 0 too;
+    and ("det", dim, live, peak) the cutoff of geometry._nondegenerate,
+    with _finish's operands in its order, spare holding the peak."""
+    kind, a, b, _ = check
     if kind == "det":
         peak = ", ".join([f"checks[{k}][3]"] + [f"abs({group[i]})" for i in b])
         top = f"max({peak})" if b else f"checks[{k}][3]"
@@ -122,6 +123,33 @@ def _test(check, group: list, k: int, spare: str) -> str:
         return f"({spare} := {top}) <= 1e100 and abs({group[-1]}) >= 1e-12 * ({scale})"
     test = _finite_test(group[-b:])
     return test + f" and {group[-b]} > 0.0" if kind == "warp" else test
+
+
+def _finish(check, outs: list):
+    """The finishing step on floats, run where a check's test fails: raise
+    the check's error on the outputs so far, if it fails.  ("finite", expr,
+    n, what) and ("warp", expr, n, which) close an expression's last n
+    outputs, its value first; a warp's value must be > 0 too.  ("det", dim,
+    live, peak) is geometry's verdict on the last output, a determinant,
+    peak being the largest |constant entry| and live the positions of the
+    others."""
+    kind, a, b, c = check
+    if kind == "det":
+        peak = max([c, *[abs(outs[i]) for i in b]])
+        if peak > _ADJUGATE_PEAK:
+            raise _Fallback
+        _nondegenerate(outs[-1], peak, a)
+        return
+    group = outs[-b:]
+    if not all(map(math.isfinite, group)):
+        what = c if kind == "finite" else "value or gradient"
+        raise EvalDomainError(f"{what} is not finite", a.root)
+    if kind == "warp" and not group[0] > 0.0:
+        raise NonpositiveWarpError(c, group[0])
+
+
+def _skip(check, outs):
+    """The finishing step on columns: columns tests once, at the end."""
 
 
 def _finite_test(names: list) -> str:
@@ -184,18 +212,20 @@ def _code(text: str) -> CodeType:
     return code
 
 
-def _bound(program: _Code, tail: tuple = ()) -> tuple:
+def _bound(program: _Code, tail=()) -> tuple:
     """A kernel's last two arguments: its constants (the registers' and then
     tail's) and its checks."""
-    return (tuple(v for v in program.registers if v is not None) + tail,
+    return (tuple(v for v in program.registers if v is not None) + tuple(tail),
             tuple(op[1] for op in program.ops if op[0] is _OP_OUT and op[1] is not None))
 
 
 def build(program: _Code) -> tuple:
     """The program's kernel on floats and on columns, kept on it: two
-    functions over one code object."""
+    functions over one code object, whose finishing step is bound as the
+    default of finish: _finish on floats, _skip on columns."""
     code, bound = _code(_text(program)), _bound(program)
-    program.kernels = tuple(FunctionType(code, names, "kernel", bound) for names in _MODES)
+    program.kernels = tuple(FunctionType(code, names, "kernel", (finish, *bound))
+                            for names, finish in zip(_MODES, (_finish, _skip)))
     return program.kernels
 
 
@@ -205,7 +235,7 @@ def build(program: _Code) -> tuple:
 _STAGES = "bcde"
 
 
-def _step_text(code: _Code, dim: int, places, tail: int) -> str:
+def _step_text(code: _Code, dim: int, places) -> str:
     """The RK4 step kernel of a geodesic program as Python source.
 
     It takes the state y = [*x, *v], the acceleration a at y, and half, h
@@ -215,13 +245,13 @@ def _step_text(code: _Code, dim: int, places, tail: int) -> str:
     prefix, each check written as its test (_test).  Where a test fails the
     kernel returns None, and integrate redoes the step stage by stage.
     Otherwise it returns the new state, its acceleration and the entries of
-    g_B, g_F, f and h there (places, into the outputs and then the tail,
-    named t0, t1, ...).  The stage arithmetic is that of integrate's
-    per-stage loop (geodesics.integrate's rk4); the two must stay bitwise
-    equal."""
+    g_B, g_F, f and h there (places, into the outputs and then the
+    program's tail, named t0, t1, ...).  The stage arithmetic is that of
+    integrate's per-stage loop (geodesics.integrate's rk4); the two must
+    stay bitwise equal."""
     fixed = len(code.registers)
     constant = {i for i, value in enumerate(code.registers) if value is not None}
-    head = [f"r{i}" for i in sorted(constant)] + [f"t{i}" for i in range(tail)]
+    head = [f"r{i}" for i in sorted(constant)] + [f"t{i}" for i in range(len(code.tail))]
     y = [f"y{i}" for i in range(2 * dim)]
     k = y[dim:] + [f"a{i}" for i in range(dim)]  # stage 1
     lines = ["def step(y, a, half, h, sixth, constants, checks):",
@@ -257,8 +287,8 @@ def step(program):
     """The RK4 step kernel of a geodesic program (split.Program), kept on it
     as program.step: one function on floats, with math's rules."""
     code = program.program
-    text = _step_text(code, program.m + program.n, program.places, len(program.tail))
-    program.step = FunctionType(_code(text), _MODES[0], "step", _bound(code, program.tail))
+    text = _step_text(code, program.m + program.n, program.places)
+    program.step = FunctionType(_code(text), _MODES[0], "step", _bound(code, code.tail))
     return program.step
 
 
@@ -275,29 +305,30 @@ def _reads(program: _Code, dim: int) -> dict:
 
 def _tested(check, group: list) -> list:
     """The entries of group that the check's test (_test) reads."""
-    kind, _, b, _ = ("entry", *check) if len(check) == 3 else check
+    kind, _, b, _ = check
     return [group[i] for i in b] + group[-1:] if kind == "det" else group[-b:]
 
 
-def _stencil_text(code: _Code, dim: int, tail: int, keep: list, axis: int = -1) -> str:
+def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
     """A metric program's stencil kernel as Python source: with axis -1 the
     centre kernel, else the kernel of that axis.
 
     The centre kernel takes the centre's coordinates and runs every op on
-    them.  It returns the outputs, the tail (t0, t1, ...) and the registers
-    of keep, which the axis kernels read.  An axis kernel takes the centre's
-    coordinate x on its axis, the signed steps hs and that list; for each
-    step it sets the axis's leaf to x + h and runs only the ops whose
-    register reads the axis, every other register holding the centre's
-    value, and adds the outputs and the tail to one flat list of rows.
+    them.  It returns the outputs, the program's tail (t0, t1, ...) and the
+    registers of keep, which the axis kernels read.  An axis kernel takes
+    the centre's coordinate x on its axis, the signed steps hs and that
+    list; for each step it sets the axis's leaf to x + h and runs only the
+    ops whose register reads the axis, every other register holding the
+    centre's value, and adds the outputs and the tail to one flat list of
+    rows.
     Each check whose test reads a register that was run is written as its
     test (_test); where one fails, the kernel returns None."""
     fixed = len(code.registers)
     reads = _reads(code, dim)
-    head = [f"r{i}" for i, value in enumerate(code.registers) if value is not None]
-    head += [f"t{i}" for i in range(tail)]
+    tail = [f"t{i}" for i in range(len(code.tail))]
+    head = [f"r{i}" for i, value in enumerate(code.registers) if value is not None] + tail
     head = [", ".join(head) + ", = constants"] if head else []
-    outs = [f"r{op[4]}" for op in code.ops if op[0] is _OP_OUT] + [f"t{i}" for i in range(tail)]
+    outs = [f"r{op[4]}" for op in code.ops if op[0] is _OP_OUT] + tail
     centre = outs + [f"r{r}" for r in keep]
     if axis < 0:
         lines = ["def centre(x, constants, checks):",
@@ -327,12 +358,11 @@ def _stencil_text(code: _Code, dim: int, tail: int, keep: list, axis: int = -1) 
     return "\n    ".join(lines) + "\n"
 
 
-def stencil(program: _Code, tail: list, dim: int) -> tuple:
-    """The stencil kernels of a metric's order-1 program with its tail
-    (geometry._grid) on a chart of dim variables, kept on it as
-    program.stencil: the centre kernel, and an (axis, kernel) pair for each
-    axis that some output reads, in order.  Functions on floats, with
-    math's rules."""
+def stencil(program: _Code, dim: int) -> tuple:
+    """The stencil kernels of a metric's order-1 program (geometry._grid)
+    on a chart of dim variables, kept on it as program.stencil: the centre
+    kernel, and an (axis, kernel) pair for each axis that some output
+    reads, in order.  Functions on floats, with math's rules."""
     reads = _reads(program, dim)
     outs = [op[4] for op in program.ops if op[0] is _OP_OUT]
     axes = [a for a in range(dim) if any(reads.get(r, 0) >> a & 1 for r in outs)]
@@ -341,15 +371,15 @@ def stencil(program: _Code, tail: list, dim: int) -> tuple:
             if code is not _OP_OUT and reads[target] >> a & 1
             for r in operands if r in reads and not reads[r] >> a & 1}
     keep = sorted(keep - set(outs))
-    bound = _bound(program, tuple(tail))
-    text = functools.partial(_stencil_text, program, dim, len(tail), keep)
+    bound = _bound(program, program.tail)
+    text = functools.partial(_stencil_text, program, dim, keep)
     program.stencil = (FunctionType(_code(text()), _MODES[0], "centre", bound),
                        tuple((a, FunctionType(_code(text(a)), _MODES[0], "axis", bound))
                              for a in axes))
     return program.stencil
 
 
-def stencil_rows(program: _Code, tail: list, x: list, h: list):
+def stencil_rows(program: _Code, x: list, h: list):
     """The metric's order-1 program at a point x and its stencil: (the
     centre kernel's list, whose first entries are the outputs and the tail;
     the rows of the stencil, flat, each the outputs and the tail; the axes
@@ -357,8 +387,8 @@ def stencil_rows(program: _Code, tail: list, x: list, h: list):
     level, at x[axis] + h and then x[axis] + (-h), h from h[axis].  The
     kernels are built at the first call (stencil).  None where a test fails
     or an op raises: the run on floats would raise at the centre or at some
-    row there, or the test's finishing step would have passed."""
-    centre, axes = program.stencil or stencil(program, tail, len(x))
+    row there, or _finish would have passed."""
+    centre, axes = program.stencil or stencil(program, len(x))
     rows = []
     try:
         values = centre(x)
@@ -374,10 +404,6 @@ def stencil_rows(program: _Code, tail: list, x: list, h: list):
     return values, rows, [axis for axis, _ in axes]
 
 
-def _skip(check, outs):
-    """The finishing step on columns: columns tests once, at the end."""
-
-
 def _stacked(outs: list, tail, rows: int) -> np.ndarray:
     """The outputs and then the tail's numbers as the columns of one array."""
     flat = np.empty((rows, len(outs) + len(tail)))
@@ -386,18 +412,18 @@ def _stacked(outs: list, tail, rows: int) -> np.ndarray:
     return flat
 
 
-def columns(program: _Code, x: np.ndarray, tail=None):
-    """expr._columns: (the program's outputs at the rows of x, or with a
-    tail the outputs and the tail as the columns of one array; the mask of
-    the rows where a marked op's result or an output is not finite)."""
+def columns(program: _Code, x: np.ndarray):
+    """expr._columns: (the program's outputs and then its tail at the rows
+    of x, as the columns of one array; the mask of the rows where a marked
+    op's result or an output is not finite)."""
     rows = len(x)
     leaves = [x[:, i] for i in range(x.shape[1])]
     with np.errstate(all="ignore"):
         try:
-            outs, marked = _run(program, leaves, _skip, True)
+            outs, marked = _run(program, leaves, True)
         except EvalDomainError:  # a number divided by the number 0: every row
             outs, marked = [np.full(rows, np.nan)] * program.width, (np.nan,)
     finite = np.ones(rows, dtype=bool)
     for value in (*marked, *outs):
         finite &= np.isfinite(value)
-    return (outs if tail is None else _stacked(outs, tail, rows)), ~finite
+    return _stacked(outs, program.tail, rows), ~finite

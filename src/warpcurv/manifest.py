@@ -70,6 +70,12 @@ def _require(cond: bool, path: str, message: str):
         raise ManifestError(f"{path}: {message}")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether a decoded JSON value is a number of kinds.  JSON's true and
+    false decode to bool, a subclass of int, and are not numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
     if key not in obj:
         _require(not required, f"{path}.{key}", "missing required field")
@@ -97,7 +103,7 @@ def _expand_upper_triangular(rows, dim: int, path: str):
 def _factor_spec(obj, path: str) -> MetricSpec:
     _require(isinstance(obj, dict), path, "factor must be a JSON object")
     dim = _get(obj, "dim", path)
-    _require(isinstance(dim, int) and dim >= 1, f"{path}.dim", "dim must be an integer >= 1")
+    _require(_is_number(dim, int) and dim >= 1, f"{path}.dim", "dim must be an integer >= 1")
     metric = _get(obj, "metric", path)
     _require(isinstance(metric, list), f"{path}.metric", "metric must be a grid of strings")
     name = obj.get("name", "")
@@ -145,14 +151,14 @@ def _diff_policy(obj, path: str) -> DiffPolicy:
     kwargs = {}
     if "base_step" in obj:
         _require(
-            isinstance(obj["base_step"], (int, float)) and obj["base_step"] > 0,
+            _is_number(obj["base_step"]) and obj["base_step"] > 0,
             f"{path}.base_step",
             "must be a positive number",
         )
         kwargs["base_step"] = float(obj["base_step"])
     if "richardson_levels" in obj:
         _require(
-            isinstance(obj["richardson_levels"], int),
+            _is_number(obj["richardson_levels"], int),
             f"{path}.richardson_levels",
             "must be an integer",
         )
@@ -179,7 +185,7 @@ def _box(obj, dim: int, path: str):
         _require(
             isinstance(pair, list)
             and len(pair) == 2
-            and all(isinstance(v, (int, float)) for v in pair),
+            and all(map(_is_number, pair)),
             f"{path}[{i}]",
             "each box entry must be [lo, hi] numbers",
         )

@@ -101,8 +101,8 @@ def _dgamma(spec: MetricSpec, coords: np.ndarray, policy: DiffPolicy) -> tuple:
     d, levels = spec.dim, policy.richardson_levels
     h = policy.steps_at(coords)[:, None] / 2.0 ** np.arange(levels)  # [axis, level]
     steps = h.tolist()
-    program, tail, gathers = _grid(spec, 1)
-    run = stencil_rows(program, tail, coords.tolist(), steps)
+    program, gathers = _grid(spec, 1)
+    run = stencil_rows(program, coords.tolist(), steps)
     out = np.zeros((d,) * 4)  # an axis no output reads: exactly +0.0
     axes = run and run[2]
     try:
@@ -216,11 +216,8 @@ def _compare_arrays(a: np.ndarray, b: np.ndarray, peaks: tuple) -> TensorCompari
     if not diff.size:
         return _comparison(0.0, max(*peaks, 0.0), ())
     worst = int(diff.argmax())  # the first NaN where there is one, as max takes it
-    index, rest = [], worst
-    for n in reversed(diff.shape):
-        rest, i = divmod(rest, n)
-        index.append(i)
-    return _comparison(float(diff.flat[worst]), max(*peaks, 0.0), tuple(index[::-1]))
+    index = tuple(map(int, np.unravel_index(worst, diff.shape)))  # ints, for JSON
+    return _comparison(float(diff.flat[worst]), max(*peaks, 0.0), index)
 
 
 def compare_bundles(a: CurvatureBundle, b: CurvatureBundle) -> ComparisonReport:

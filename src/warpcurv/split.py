@@ -10,9 +10,10 @@ an explicit function of the 2d numbers (x, v).  build writes it as one
 program, which expr runs as a generated kernel.  Both routes share the
 factor part (_factor): the factor metrics' entries, their adjugate
 determinants and the warps, each followed by its derivative trees (the
-derivative module) and checked as _point_data checks it.  They differ only in the
-acceleration, with the inverse metric as the adjugate over the
-determinant in both:
+derivative module, whose outputs_of writes each group) and checked as
+_point_data checks it, each check's error stated by kernel._finish.  They
+differ only in the acceleration, with the inverse metric as the adjugate
+over the determinant in both:
 
 - "split" contracts the lowered factor Christoffels with the velocity
   first and divides by the determinant once (_split_nodes);
@@ -27,70 +28,39 @@ integrate has built it, one RK4 step.
 
 from __future__ import annotations
 
-import math
 import operator
 from types import SimpleNamespace
 
-from .errors import DegenerateMetricError, EvalDomainError, NonpositiveWarpError
-from .derivative import jet_nodes, live_entries
+from .derivative import outputs_of
+from .errors import DegenerateMetricError, NonpositiveWarpError
 from .expr import _BINARY, BinOp, Const, Neg, Var, _compile, _run, reindex
-from .geodesics import _Fallback
-from .geometry import _ADJUGATE_PEAK, MetricSpec, _constant_value
+from .geometry import MetricSpec, _Fallback, _constant_value
+from .kernel import _finish
 from .warped import WarpedProductSpec
 
 
 class Program:
-    """A route's program for a spec, with what its values place: tail
-    holds the constant entries and warps, places the flat positions of
-    g_B's entries, g_F's, f and h in values + tail, and gather takes them
-    from there.  step is its RK4 step kernel (kernel.step), built at the
-    first step of integrate over it."""
+    """A route's program for a spec, with what its values place: places
+    holds the flat positions of g_B's entries, g_F's, f and h in the
+    program's outputs + tail (the constant entries and warps), and gather
+    takes them from there.  step is its RK4 step kernel (kernel.step),
+    built at the first step of integrate over it."""
 
-    __slots__ = ("program", "tail", "places", "gather", "m", "n", "step")
+    __slots__ = ("program", "places", "gather", "m", "n", "step")
 
-    def __init__(self, program, tail, places, m, n):
-        self.program, self.tail, self.places, self.m, self.n = program, tail, places, m, n
+    def __init__(self, program, places, m, n):
+        self.program, self.places, self.m, self.n = program, places, m, n
         self.gather = operator.itemgetter(*places)
         self.step = None
 
     def values(self, y: list) -> list:
         """The checked outputs at the state y = [*x, *v]."""
-        return _run(self.program, y, _check)
-
-
-def _check(check, values):
-    """Raise where _point_data would raise at the same check, on the last
-    of the values so far.  The failure path: a kernel runs it only where
-    the check's inline test fails (kernel._test), so its class, message and
-    node are the errors a run raises.
-
-    ("det", k, live, peak) is _inverse_of's verdict on a determinant, from
-    the positions of the factor's live entries in values and the largest
-    |constant entry|.  ("entry", expr, n, _) and ("warp", expr, n, which)
-    close an entry's or a warp's n outputs, its value and then its
-    derivatives: they are checked together, as value_and_gradient checks
-    them, and a warp's sign after them."""
-    kind, a, b, c = check
-    last = values[-1]
-    if kind == "det":
-        top = max([c, *[abs(values[i]) for i in b]])
-        if top > _ADJUGATE_PEAK:
-            raise _Fallback
-        if not abs(last) >= 1e-12 * math.prod([max(1.0, top)] * a):
-            raise DegenerateMetricError(
-                f"metric determinant {last!r} is degenerate at this point", last
-            )
-        return
-    group = values[-b:]
-    if not all(map(math.isfinite, group)):
-        raise EvalDomainError("value or gradient is not finite", a.root)
-    if kind == "warp" and not group[0] > 0.0:
-        raise NonpositiveWarpError(c, group[0])
+        return _run(self.program, y)
 
 
 def _fails(check, value) -> bool:
     try:
-        _check(check, [value])
+        _finish(check, [value])
     except (DegenerateMetricError, NonpositiveWarpError, _Fallback):
         return True
     return False
@@ -138,16 +108,16 @@ def _sum(terms):
 def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs, tail):
     """One factor's part of either route's program: its metric entries,
     then their determinant, then the warp that lives on it.  A live entry
-    or warp is an output, followed by its derivatives and preceded by its
-    guards (derivative.jet_nodes), and by its value once more where it has
-    guards, so that its value runs first.  A constant one goes to tail instead,
-    and a check on constants that passes is not repeated at every run.
-    outs holds (tree, check) pairs, the check a tuple for _check or
+    or warp is an output group (derivative.outputs_of) of its value and
+    first derivatives, closed by ("finite", expr, n, "value or gradient")
+    or ("warp", expr, n, which); a constant one goes to tail instead, and
+    a check on constants that passes is not repeated at every run.  outs
+    holds (tree, check) pairs, each check one for kernel._finish, or
     None."""
     k = factor.dim
     own = range(offset, offset + k)
 
-    def place(expr, kind, arg):
+    def place(expr, check):
         """(node, where its value is, derivatives): the index of its value's
         output, or -1 - its index in tail."""
         c = _constant_value(expr)
@@ -155,14 +125,8 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
             tail.append(c)
             return Const(c), -len(tail), [None] * k
         node = reindex(expr, offset, arity).root if offset else expr.root
-        guards = []
-        entries = jet_nodes(node, own, 1, guards)
-        trees = live_entries(entries)
-        if guards:  # the value runs before its guards, as in derivative.derived
-            outs.append((trees[0], None))
-        outs.extend((t, None) for t in guards + trees[:-1])
-        outs.append((trees[-1], (kind, expr, len(trees), arg)))
-        return node, len(outs) - len(trees), entries[1:]
+        entries, where = outputs_of(outs, node, own, 1, check)
+        return node, where[id(node)], entries[1:]
 
     g = [[None] * k for _ in range(k)]
     dg = [[None] * k for _ in range(k)]
@@ -170,7 +134,8 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
     live, peak = [], 0.0
     for i in range(k):
         for j in range(i, k):
-            node, ref, grad = place(factor.components[i][j], "entry", None)
+            e = factor.components[i][j]
+            node, ref, grad = place(e, ("finite", e, "value or gradient"))
             g[i][j] = g[j][i] = node
             dg[i][j] = dg[j][i] = grad
             refs[i][j] = refs[j][i] = ref
@@ -182,7 +147,7 @@ def _factor(factor: MetricSpec, warp, which: str, offset: int, arity: int, outs,
     check = ("det", k, live, peak)
     if type(det) is not Const or _fails(check, det.value):
         outs.append((det, check))
-    w, wref, dw = place(warp, "warp", which)
+    w, wref, dw = place(warp, ("warp", warp, which))
     check = ("warp", warp, 1, which)
     if wref < 0 and _fails(check, w.value):
         outs.append((w, check))
@@ -341,4 +306,4 @@ def build(spec: WarpedProductSpec, route: str):
 
     places = [index(r) for X in (B, F) for row in X.refs for r in row]
     places += [index(B.wref), index(F.wref)]
-    return Program(_compile(outs), tuple(tail), places, m, n)
+    return Program(_compile(outs, tail), places, m, n)

@@ -14,19 +14,19 @@ the one-point evaluators row by row, and the stacked Christoffels
 
 import numpy as np
 
-from warpcurv.expr import _columns, _finite, _program_of, _run
+from warpcurv.expr import _columns, _program_of, _run
 from warpcurv.geometry import _christoffels_stacked, _grid
 
 
-def rows_of(program, x, tail=()):
-    """A program's outputs and then tail at each row of an (N, arity) array
-    x, N >= 1, as one (N, width + len(tail)) array: its run over columns,
-    each masked row redone on floats.  Where a redone row raises, the first
-    such row's error is raised as the run on floats raises it."""
+def rows_of(program, x):
+    """A program's outputs and then its tail at each row of an (N, arity)
+    array x, N >= 1, as one (N, width + len(tail)) array: its run over
+    columns, each masked row redone on floats.  Where a redone row raises,
+    the first such row's error is raised as the run on floats raises it."""
     x = np.asarray(x, dtype=float)
-    flat, mask = _columns(program, x, list(tail))
+    flat, mask = _columns(program, x)
     for i in np.flatnonzero(mask):
-        flat[i] = _run(program, [float(c) for c in x[i]], _finite) + list(tail)
+        flat[i] = _run(program, [float(c) for c in x[i]]) + program.tail
     return flat
 
 
@@ -40,8 +40,8 @@ def value_and_gradient_batch(expr, points):
         raise ValueError(f"points have shape {x.shape}, expected (N, {n})")
     if x.shape[0] == 0:
         return np.zeros(0), np.zeros((0, n))
-    program, tail, gather = _program_of(expr, 1)
-    rows = gather(rows_of(program, x, tail).T)
+    program, gather = _program_of(expr, 1)
+    rows = gather(rows_of(program, x).T)
     return rows[0].copy(), np.array(rows[1:]).reshape(n, -1).T.copy()
 
 
@@ -50,5 +50,4 @@ def christoffels_batch(spec, points):
     run of the metric's order-1 program over columns and the stacked
     inverse (geometry._christoffels_stacked); raises EvalDomainError
     exactly when the program would raise at some row."""
-    program, tail, _ = _grid(spec, 1)
-    return _christoffels_stacked(spec, rows_of(program, points, tail))
+    return _christoffels_stacked(spec, rows_of(_grid(spec, 1)[0], points))

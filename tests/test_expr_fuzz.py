@@ -20,7 +20,6 @@ from warpcurv.errors import EvalDomainError, WarpcurvError
 from warpcurv.expr import (
     Expression,
     _columns,
-    _finite,
     _run,
     evaluate,
     format_expression,
@@ -202,13 +201,13 @@ def _bits(*parts) -> bytes:
 def _grid_run(grid, at):
     """Each expression's entries (value, gradient, row-major Hessian as far
     as the order goes) from one run of a program over all of them, grid =
-    (program, places, tail): at a point, or as columns over the rows of an
+    (program, places): at a point, or as columns over the rows of an
     array."""
-    program, places, tail = grid
+    program, places = grid
     if np.ndim(at) == 1:
-        flat = _run(program, [float(c) for c in at], _finite) + tail
+        flat = _run(program, [float(c) for c in at]) + program.tail
         return [[flat[p] for p in ps] for ps in places]
-    flat = rows_of(program, at, tail)
+    flat = rows_of(program, at)
     return [flat[:, ps] for ps in places]
 
 

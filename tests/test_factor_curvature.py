@@ -138,6 +138,16 @@ def test_closed_route_needs_no_oracle_or_stencil(monkeypatch):
             assert np.isfinite(b.scalar)
 
 
+def test_closed_form_binds_only_bundle_fd_from_the_oracle():
+    """The closed route imports nothing from the oracle but bundle_fd,
+    which bench/tracer.py wraps by name there."""
+    from warpcurv import closed_form
+
+    bound = {name for name, value in vars(closed_form).items()
+             if getattr(value, "__module__", None) == oracle.__name__}
+    assert bound == {"bundle_fd"}
+
+
 def test_policy_does_not_reach_the_closed_route():
     coarse = DiffPolicy(base_step=0.3, richardson_levels=1)
     for mf in MANIFESTS:

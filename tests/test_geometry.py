@@ -342,7 +342,7 @@ def warp_hessian(spec, field, point):
     k = spec.dim
     nodes = [base.H[i][j] for i in range(k) for j in range(k)] + [base.lap]
     program = _compile([(Const(0.0) if n is None else n, None) for n in nodes])
-    out = _run(program, blocks._leaves(fields, d), None)
+    out = _run(program, blocks._leaves(fields, d))
     return np.array(out[:-1]).reshape(k, k), out[-1]
 
 

@@ -48,7 +48,6 @@ from warpcurv.expr import (
     Var,
     _columns,
     _compile,
-    _finite,
     _program_of,
     _run,
     evaluate,
@@ -56,9 +55,9 @@ from warpcurv.expr import (
     parse_expression,
     value_and_gradient,
 )
-from warpcurv.geodesics import GeodesicState, _Fallback, integrate, rhs_full, rhs_split
+from warpcurv.geodesics import GeodesicState, integrate, rhs_full, rhs_split
 from warpcurv.geodesics import _program_of as _route_program
-from warpcurv.geometry import MetricSpec
+from warpcurv.geometry import MetricSpec, _Fallback
 from warpcurv.manifest import catalog_names, load_catalog, load_manifest, parse_manifest
 from warpcurv.oracle import bundle_fd
 from warpcurv.warped import ProductPoint, WarpedProductSpec, as_plain_metric
@@ -247,9 +246,9 @@ def test_no_stencil_text_is_longer_than_its_programs_kernel(kernel_texts):
     largest = 0
     for mf in manifests:
         plain = as_plain_metric(mf.spec)
-        program, tail, _ = geometry._grid(plain, 1)
+        program = geometry._grid(plain, 1)[0]
         start = len(kernel_texts)
-        _, axes = kernel.stencil(program, tail, plain.dim)
+        _, axes = kernel.stencil(program, plain.dim)
         texts = kernel_texts[start:]
         assert len(texts) == 1 + len(axes)
         limit = kernel._text(program).count("\n") + STENCIL_EXTRA_LINES
@@ -264,9 +263,9 @@ def test_stencil_kernels_are_built_once_per_program(monkeypatch):
     built = []
     stencil = kernel.stencil
 
-    def spy(program, tail, dim):
+    def spy(program, dim):
         built.append(program)
-        return stencil(program, tail, dim)
+        return stencil(program, dim)
 
     monkeypatch.setattr(kernel, "stencil", spy)
     mf = load_catalog("schwarzschild-exterior-slice")
@@ -292,7 +291,7 @@ def _run_at(program, point, columns):
     the row redone on floats where it is masked."""
     if columns:
         return rows_of(program, [point])[0]
-    return _run(program, [float(c) for c in point], _finite)
+    return _run(program, [float(c) for c in point])
 
 
 def _failing_node(program, point, columns):
@@ -345,9 +344,25 @@ def test_outputs_that_are_a_bare_leaf_or_a_bare_constant(columns):
     assert constant == 2.0 and np.all(leaf == 3.0) and np.all(value == 0.0)
 
 
-def _passes_through(program, leaves, finish):
-    """The error finish raises, after checking that _run raises that very
-    object."""
+def _run_with(program, leaves, finish=None, **names):
+    """_run with a copy of the program's float kernel in place: the kernel
+    function with finish bound as its finishing step, in place of
+    kernel._finish, and names over its global names."""
+    kernels = program.kernels or kernel.build(program)
+    floats = kernels[0]
+    bound = floats.__defaults__
+    program.kernels = (FunctionType(floats.__code__, {**floats.__globals__, **names}, "kernel",
+                                    bound if finish is None else (finish, *bound[1:])),
+                       *kernels[1:])
+    try:
+        return _run(program, leaves)
+    finally:
+        program.kernels = kernels
+
+
+def _passes_through(program, leaves, finish=kernel._finish):
+    """The error finish raises as the kernel's finishing step, after
+    checking that _run raises that very object."""
     raised = []
 
     def spy(check, outs):
@@ -359,7 +374,7 @@ def _passes_through(program, leaves, finish):
 
     with pytest.raises(Exception) as info:
         with np.errstate(all="ignore"):
-            _run(program, leaves, spy)
+            _run_with(program, leaves, spy)
     assert raised and info.value is raised[0]
     return info.value
 
@@ -367,35 +382,37 @@ def _passes_through(program, leaves, finish):
 def test_an_error_of_a_finishing_step_passes_through_as_it_is():
     # each input fails its check's test, so the finishing step is reached
     e = parse_expression("x0*1e308*10", 1)
+    for order, what in enumerate(("value", "value or gradient", "value, gradient or Hessian")):
+        exc = _passes_through(_program_of(e, order)[0], [1.0])
+        assert type(exc) is EvalDomainError and str(exc) == f"{what} is not finite"
     program = _program_of(e, 1)[0]
-    exc = _passes_through(program, [1.0], _finite)
-    assert type(exc) is EvalDomainError and str(exc) == "value or gradient is not finite"
     # over columns both rows are masked, and the redo of each passes it through
     assert _columns(program, np.array([[0.0], [1.0]]))[1].tolist() == [True, True]
-    exc = _passes_through(program, [0.0], _finite)
+    exc = _passes_through(program, [0.0])
     assert str(exc) == "value or gradient is not finite"  # the gradient is inf
     # the class the kernel's handler catches is not re-wrapped either
     square = parse_expression("x0*x0", 1)
-    program = _compile([(square.root, (square, 1, "value"))])
+    program = _compile([(square.root, ("finite", square, 1, "value"))])
 
     def rejects(check, outs):
         raise ValueError("rejected by the finishing step")
 
-    assert _run(program, [2.0], rejects) == [4.0]  # the test holds: no finishing step
+    assert _run_with(program, [2.0], rejects) == [4.0]  # the test holds: no finishing step
     exc = _passes_through(program, [1e200], rejects)  # the square overflows
     assert type(exc) is ValueError
     # a geodesic program's check: the warp x0 is not positive at -1
     one = MetricSpec.from_strings(1, [["1"]])
     spec = WarpedProductSpec.build(one, one, "x0", "1")
     program = split.build(spec, "split").program
-    exc = _passes_through(program, [-1.0, 0.0, 1.0, 1.0], split._check)
+    exc = _passes_through(program, [-1.0, 0.0, 1.0, 1.0])
     assert type(exc) is NonpositiveWarpError
 
 
 def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
     """One kernel text per program, and one code object, run under two
-    tables of names: floats (math's rules, the inline tests) and columns
-    (numpy's functions, a finishing step that does nothing)."""
+    tables of names: floats (math's rules, the inline tests, kernel._finish
+    bound as the finishing step) and columns (numpy's functions, a
+    finishing step that does nothing)."""
     built = []
     code = kernel._code
 
@@ -405,19 +422,20 @@ def test_a_program_gets_one_code_object_at_its_first_run(monkeypatch):
 
     monkeypatch.setattr(kernel, "_code", spy)
     e = parse_expression("x0*sin(x1) - 2^x0 + x1^0.5", 2)
-    program, _, _ = derived((e,), 1)
+    program, _ = derived((e,), 1)
     assert program.kernels is None and not built  # compiling the program builds no kernel
-    first = _run(program, [0.5, 2.0], _finite)
+    first = _run(program, [0.5, 2.0])
     assert len(built) == 1
     floats, columns = kernels = program.kernels
     assert floats.__code__ is columns.__code__
+    assert floats.__defaults__[0] is kernel._finish and columns.__defaults__[0] is kernel._skip
     assert len({id(k.__globals__) for k in kernels}) == 2
     assert [k.__globals__["floats"] for k in kernels] == [True, False]
     assert floats.__globals__["sin"] is math.sin and columns.__globals__["sin"] is np.sin
     # (-2)^0.5 is masked, and the rows around it are not
     _, mask = _columns(program, np.array([[0.5, 2.0], [0.5, -2.0], [1.0, 3.0]]))
     assert mask.tolist() == [False, True, False]
-    assert _run(program, [0.5, 2.0], _finite) == first
+    assert _run(program, [0.5, 2.0]) == first
     assert len(built) == 1 and program.kernels == kernels
 
 
@@ -436,20 +454,22 @@ def _closing(check, n: int):
     return _compile([(Var(i), None) for i in range(n - 1)] + [(Var(n - 1), check)])
 
 
-def _verdicts(program, finish, values):
+def _verdicts(program, values):
     """(whether the run at the values reaches the finishing step, whether
-    finish raises there)."""
+    kernel._finish raises there): the kernel function, called with a spy
+    for its finishing step."""
     check = program.ops[-1][1]
+    floats = (program.kernels or kernel.build(program))[0]
     reached = []
-    _run(program, list(values), lambda check, outs: reached.append(outs))
+    floats(list(values), lambda _, outs: reached.append(outs))
     try:
-        finish(check, list(values))
+        kernel._finish(check, list(values))
     except (DegenerateMetricError, EvalDomainError, NonpositiveWarpError, _Fallback):
         return bool(reached), True
     return bool(reached), False
 
 
-def test_the_inline_determinant_test_passes_exactly_where_split_check_does():
+def test_the_inline_determinant_test_passes_exactly_where_finish_does():
     assert geometry._ADJUGATE_PEAK == 1e100  # the test's literal
     seen = set()
     for dim in (1, 2, 3):
@@ -463,7 +483,7 @@ def test_the_inline_determinant_test_passes_exactly_where_split_check_does():
                 cutoff = 1e-12 * math.prod([max(1.0, top)] * dim)
                 below = math.nextafter(cutoff, 0.0)
                 for det in (cutoff, -cutoff, below, -below, 0.0, _NAN, _INF, 1e300):
-                    reached, raises = _verdicts(program, split._check, [*entries, det])
+                    reached, raises = _verdicts(program, [*entries, det])
                     assert reached == raises, (dim, peak, entries, det)
                     seen.add(raises)
     assert seen == {True, False}
@@ -473,28 +493,27 @@ def test_a_group_test_passes_only_where_its_finishing_step_does():
     x = parse_expression("x0", 1)
     alarms = 0
     for n in (1, 2, 3):
-        # split's entry and warp checks, and derivative.derived's
-        for check, finish in ((("entry", x, n, None), split._check),
-                              (("warp", x, n, "f"), split._check), ((x, n, "value"), _finite)):
+        # an expression's or a factor entry's check, and a warp's
+        for check in (("finite", x, n, "value"), ("warp", x, n, "f")):
             program = _closing(check, n)
             for values in itertools.product(_SPECIAL, repeat=n):
-                reached, raises = _verdicts(program, finish, values)
+                reached, raises = _verdicts(program, values)
                 assert reached or not raises, (check, values)
                 alarms += reached and not raises
     # a finite group whose sum overflows reaches the finishing step, which
     # then raises nothing
-    program = _closing(("entry", x, 2, None), 2)
-    assert alarms and _verdicts(program, split._check, [1e308, 1e308]) == (True, False)
+    program = _closing(("finite", x, 2, "value or gradient"), 2)
+    assert alarms and _verdicts(program, [1e308, 1e308]) == (True, False)
     # a group of thousands, as a jet2 of arity 70 has, is tested in sums of
     # a bounded length, which compile takes
     n = 5000
-    program = _closing((x, n, "value"), n)
+    program = _closing(("finite", x, n, "value"), n)
     _check_text(kernel._text(program))
     for bad in (0, 2345, n - 1):
         values = [1.0] * n
         values[bad] = _NAN
-        assert _verdicts(program, _finite, values) == (True, True)
-    assert _verdicts(program, _finite, [1.0] * n) == (False, False)
+        assert _verdicts(program, values) == (True, True)
+    assert _verdicts(program, [1.0] * n) == (False, False)
 
 
 def _bytes(values) -> list:
@@ -510,27 +529,17 @@ def _outcome(run, *args):
         return type(exc), str(exc)
 
 
-def _at_every_check(program, leaves, finish):
+def _at_every_check(program, leaves):
     """The run on floats with the finishing step at every check, as kernels
     ran before they tested their checks inline: the float kernel, with the
     name floats, which gates the tests, set False."""
-    kernels = program.kernels
-    floats = kernels[0]
-    names = {**floats.__globals__, "floats": False}
-    program.kernels = (FunctionType(floats.__code__, names, "kernel", floats.__defaults__),
-                       *kernels[1:])
-    try:
-        return _run(program, leaves, finish)[0]
-    finally:
-        program.kernels = kernels
+    return _run_with(program, leaves, floats=False)[0]
 
 
-def _same(program, leaves, finish):
+def _same(program, leaves):
     """The run on floats gives what the finishing step at every check gives."""
-    if program.kernels is None:
-        kernel.build(program)
-    expect = _outcome(_at_every_check, program, leaves, finish)
-    assert _outcome(_run, program, leaves, finish) == expect, leaves
+    expect = _outcome(_at_every_check, program, leaves)
+    assert _outcome(_run, program, leaves) == expect, leaves
     return expect
 
 
@@ -566,12 +575,12 @@ def test_inline_tests_keep_every_output_and_error():
             program = _route_program(spec, route).program
             for x in points:
                 y = [*map(float, x), *map(float, rng.standard_normal(d))]
-                outcomes.append(_same(program, y, split._check))
+                outcomes.append(_same(program, y))
         plain = as_plain_metric(spec)
         for order in (0, 1, 2):
             program = geometry._grid(plain, order)[0]
             for x in points:
-                outcomes.append(_same(program, list(map(float, x)), _finite))
+                outcomes.append(_same(program, list(map(float, x))))
     grid = np.array(list(itertools.product(_COORDS, repeat=3)))
     for text, arity in _fuzz_texts(150, seed=17):
         e = parse_expression(text, arity)
@@ -579,25 +588,25 @@ def test_inline_tests_keep_every_output_and_error():
         for order in (0, 1, 2):
             program = _program_of(e, order)[0]
             for x in points:
-                outcomes.append(_same(program, list(map(float, x)), _finite))
+                outcomes.append(_same(program, list(map(float, x))))
     errors = [o[0] for o in outcomes if type(o) is tuple]
     assert len(outcomes) > 2000 and 100 < len(errors) < len(outcomes) - 1000
     assert set(errors) == {EvalDomainError, NonpositiveWarpError, DegenerateMetricError, _Fallback}
 
 
-def _on_floats(program, x, tail: list) -> list:
+def _on_floats(program, x) -> list:
     """Each row's outcome on floats: its outputs and the tail as bytes, or
     its error's class, message and node."""
     out = []
     for row in x:
         try:
-            out.append(np.array(_run(program, [float(c) for c in row], _finite) + tail).tobytes())
+            out.append(np.array(_run(program, [float(c) for c in row]) + program.tail).tobytes())
         except EvalDomainError as exc:
             out.append((type(exc), str(exc), exc.node))
     return out
 
 
-def _per_row(program, x, tail=()) -> tuple:
+def _per_row(program, x) -> tuple:
     """Holds a run over columns at the rows of x to the run on floats, row
     by row: every row the run on floats rejects is masked, and every other
     row is bitwise the bare kernel's; rows_of, which redoes the masked rows
@@ -605,14 +614,13 @@ def _per_row(program, x, tail=()) -> tuple:
     masked row the float path's outputs and each other row the bare
     kernel's.  Returns the counts of the rows floats reject, of those they
     accept, and of those masked among the latter."""
-    tail = list(tail)
-    floats = _on_floats(program, x, tail)
-    flat, mask = _columns(program, x, tail)
+    floats = _on_floats(program, x)
+    flat, mask = _columns(program, x)
     rejected = [type(f) is tuple for f in floats]
     try:
         with np.errstate(all="ignore"):
-            outs, _ = _run(program, [x[:, i] for i in range(x.shape[1])], kernel._skip, True)
-        bare = kernel._stacked(outs, tail, len(x))
+            outs, _ = _run(program, [x[:, i] for i in range(x.shape[1])], True)
+        bare = kernel._stacked(outs, program.tail, len(x))
     except EvalDomainError:  # a number divided by the number 0
         bare = None
     for i, masked in enumerate(mask):
@@ -622,7 +630,7 @@ def _per_row(program, x, tail=()) -> tuple:
     first = next((f for f in floats if type(f) is tuple), None)
     want = first or [f if masked else row.tobytes() for f, masked, row in zip(floats, mask, flat)]
     try:
-        got = [row.tobytes() for row in rows_of(program, x, tail)]
+        got = [row.tobytes() for row in rows_of(program, x)]
     except EvalDomainError as exc:
         got = (type(exc), str(exc), exc.node)
     assert got == want, x
@@ -654,9 +662,9 @@ def test_a_run_over_columns_masks_every_row_the_run_on_floats_rejects():
         ])
         plain = as_plain_metric(mf.spec)
         for order in (0, 1, 2):
-            program, tail, _ = geometry._grid(plain, order)
-            counts += _per_row(program, points, tail)
-            counts += _per_row(program, points[:1], tail)
+            program = geometry._grid(plain, order)[0]
+            counts += _per_row(program, points)
+            counts += _per_row(program, points[:1])
     rules = [(f"{name}(x0)", 1) for name in _RULE[1:-1].split("|")[:-2]]
     rules += [("x0/x1", 2), ("x0^x1", 2)]
     cases = [(text, arity, np.array(list(itertools.product(_SPECIAL, repeat=arity))))
@@ -668,8 +676,8 @@ def test_a_run_over_columns_masks_every_row_the_run_on_floats_rejects():
         for wrapped in (text, f"({text})^0"):
             e = parse_expression(wrapped, arity)
             for order in (0, 1, 2):
-                program, tail, _ = _program_of(e, order)
-                counts += _per_row(program, points, tail)
+                program = _program_of(e, order)[0]
+                counts += _per_row(program, points)
     # both outcomes; the mask also flags some rows that floats accept, where
     # math takes an inf as it comes (sinh(inf)) or ^0 discards a value that
     # is not finite, but not most of them

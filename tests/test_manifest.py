@@ -117,6 +117,18 @@ def test_validation_paths_are_reported():
             parse_manifest(data)
 
 
+@pytest.mark.parametrize("data, path", [
+    (minimal(base={"dim": True, "metric": [["1"]]}), r"\$\.base\.dim: "),
+    (minimal(box=[[False, True], [0, 1]]), r"\$\.box\[0\]: "),
+    (minimal(diff_policy={"richardson_levels": True}), r"\$\.diff_policy\.richardson_levels: "),
+    (minimal(diff_policy={"base_step": True}), r"\$\.diff_policy\.base_step: "),
+], ids=["dim", "box", "richardson_levels", "base_step"])
+def test_a_json_boolean_is_not_a_number(data, path):
+    # true and false decode to bool, a subclass of int
+    with pytest.raises(ManifestError, match=path):
+        parse_manifest(data)
+
+
 def test_expression_errors_become_manifest_errors():
     with pytest.raises(ManifestError, match=r"\$\.base\.metric"):
         parse_manifest(minimal(base={"dim": 1, "metric": [["sin("]]}))

@@ -172,7 +172,7 @@ def test_a_lone_expression_compiles_to_its_postfix_and_one_out():
                         if code not in (_OP_CONST, _OP_VAR)]
     assert ops[-1] == (_OP_OUT, "check")
     # the order-0 program is that one, its output checked as a value
-    assert _program_of(alone, 0)[0].ops[-1][1] == (alone, 1, "value")
+    assert _program_of(alone, 0)[0].ops[-1][1] == ("finite", alone, 1, "value")
     # a repeated subtree is computed by one op, and both reads name its register
     twice = parse_expression("sin(x0 + 1)*sin(x0 + 1)", 1)
     ops = _compile([(twice.root, None)]).ops
@@ -189,7 +189,7 @@ def _dense_3x3():
 
 def _outputs(program):
     """The expressions whose outputs the program checks, in order."""
-    return [arg[0] for code, arg, *_ in program.ops if code is _OP_OUT and arg is not None]
+    return [arg[1] for code, arg, *_ in program.ops if code is _OP_OUT and arg is not None]
 
 
 def test_plain_chart_program_shares_the_warps():
@@ -217,9 +217,9 @@ def test_folded_components_stay_out_of_the_batched_pass(monkeypatch):
     runs = []
     rows = kernel.stencil_rows
 
-    def spy(program, tail, x, h):
+    def spy(program, x, h):
         runs.append(_outputs(program))
-        return rows(program, tail, x, h)
+        return rows(program, x, h)
 
     monkeypatch.setattr(kernel, "stencil_rows", spy)
     bundle_fd(plain, np.zeros(plain.dim))
@@ -245,7 +245,7 @@ def test_setup_compiles_nothing(monkeypatch):
     assert plain._compiled is not None and mf.spec.base._compiled is None
     # a kernel is built by a program's first run: the metric's order-0
     # program, and the one that folded the constant cross blocks
-    (program, _, _), *rest = plain._compiled
+    (program, _), *rest = plain._compiled
     assert program.kernels is not None and rest == [None, None]
     folded = plain.components[0][-1]
     assert folded._programs[0][0].kernels is not None and len(kernels) == 2

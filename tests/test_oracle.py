@@ -217,9 +217,9 @@ def _stencil(spec, c, policy):
     """The stencil kernels at c: (the centre's list, the rows as an array,
     the axes they run, the steps [axis, level])."""
     h = policy.steps_at(c)[:, None] / 2.0 ** np.arange(policy.richardson_levels)
-    program, tail, _ = _grid(spec, 1)
-    values, rows, axes = kernel.stencil_rows(program, tail, c.tolist(), h.tolist())
-    return values, np.array(rows).reshape(-1, program.width + len(tail)), axes, h
+    program = _grid(spec, 1)[0]
+    values, rows, axes = kernel.stencil_rows(program, c.tolist(), h.tolist())
+    return values, np.array(rows).reshape(-1, program.width + len(program.tail)), axes, h
 
 
 @pytest.mark.parametrize("mf", MANIFESTS, ids=IDS)
@@ -228,7 +228,7 @@ def test_stencil_rows_are_the_metric_at_each_stencil_point_bitwise(mf):
     there, bitwise; an axis without rows leaves the metric bitwise the
     centre's at each of its points."""
     spec = as_plain_metric(mf.spec)
-    gathers = _grid(spec, 1)[2]
+    gathers = _grid(spec, 1)[1]
     box = np.asarray(mf.box, dtype=float)
     rng = np.random.default_rng(29)
 
@@ -299,8 +299,7 @@ def test_a_row_that_fails_in_the_kernels_raises_what_the_walk_raises():
                         christoffels_of(spec, x)
                     except Exception:  # noqa: BLE001 - any failure counts
                         failing.append((axis, level, delta > 0))
-        program, tail, _ = _grid(spec, 1)
-        run = kernel.stencil_rows(program, tail, c.tolist(),
+        run = kernel.stencil_rows(_grid(spec, 1)[0], c.tolist(),
                                   (h[:, None] / 2.0 ** np.arange(2)).tolist())
         if spec is domain[0]:
             assert failing == [(1, 0, False)] and run is None
