@@ -214,17 +214,6 @@ def cmd_verify(mf: Manifest, args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 
-def _trace(mf: Manifest, initial: GeodesicState, args, rhs: str):
-    traj = integrate(
-        mf.spec, initial, s_end=args.s_end, step=args.step, rhs=rhs, abort_drift=args.abort_drift
-    )
-    rows = []
-    for st, norm in zip(traj.samples, traj.norm_history):
-        vals = [st.s, *st.position.full, *st.velocity, norm]
-        rows.append(",".join(_fmt(v) for v in vals))
-    return traj, rows
-
-
 def cmd_geodesic(mf: Manifest, args) -> int:
     if not (math.isfinite(args.s_end) and args.s_end >= 0.0):
         raise ManifestError(f"--s-end must be finite and >= 0, got {args.s_end!r}")
@@ -245,8 +234,7 @@ def cmd_geodesic(mf: Manifest, args) -> int:
     velocity = _parse_reals(vel_text, "--init velocity")
     if len(position) != mf.dim or len(velocity) != mf.dim:
         raise ManifestError(f"--init needs {mf.dim} position and {mf.dim} velocity entries")
-    m = mf.spec.base.dim
-    initial = GeodesicState(0.0, ProductPoint.from_full(position, m), velocity)
+    initial = GeodesicState(0.0, ProductPoint.from_full(position, mf.spec.base.dim), velocity)
 
     d = mf.dim
     header = ",".join(["s", *[f"x{i}" for i in range(d)], *[f"v{i}" for i in range(d)], "norm"])
@@ -257,11 +245,12 @@ def cmd_geodesic(mf: Manifest, args) -> int:
     code = EXIT_OK
     trajectories = []
     for rhs in choices:
-        traj, rows = _trace(mf, initial, args, rhs)
+        traj = integrate(
+            mf.spec, initial, s_end=args.s_end, step=args.step, rhs=rhs, abort_drift=args.abort_drift
+        )
         trajectories.append(traj)
-        lines.append(f"# rhs={rhs}")
-        lines.append(header)
-        lines.extend(rows)
+        table = np.column_stack([traj.s_values, traj.positions, traj.velocities, traj.norm_history])
+        lines += [f"# rhs={rhs}", header, *(",".join(map(_fmt, row)) for row in table.tolist())]
         n0 = traj.norm_history[0]
         drift = float(np.abs(traj.norm_history - n0).max())
         lines.append(f"# norm_drift,{_fmt(drift)}")

@@ -41,20 +41,17 @@ floats and does numpy's RK4 arithmetic elementwise, in its order, so a run
 is bitwise the numpy loop over the public right-hand sides.  Where the
 route has a program, each step is one call of its step kernel
 (kernel.step), built at the first step and kept on the program: the three
-later stages' states, each tested for finiteness, the program's ops at
-each, and its ops once more at the new sample.  A step the kernel does not
-finish, because an inline test fails or an op raises, is redone from the
-same state by the per-stage loop, which also serves a route without a
-program and a route whose run was replaced in _RHS: each stage checks its
-state's entries once and is one call of _RHS's run, or one pass of point
-data.  So every number and every error is
-the loop's.  A step's first stage starts at the sample the previous step
-ended on, so the run that gives the sample its norm also gives that stage
-its acceleration: the norm is assemble_metric's arithmetic on the factor
-metrics and warps of that run (_norm), bitwise metric_at's values.  A
-stage or sample that is no longer finite ends the run with
-DomainExitError at the last healthy sample: the last one whose norm could
-be evaluated.
+later stages, each state tested for finiteness, and the new sample, each
+one run of the program's ops.  A step the kernel does not finish (a test
+fails or an op raises) is redone from the same state by the per-stage
+loop, which also serves a route without a program or whose run was
+replaced in _RHS, one run of _RHS or of point data per stage.  A step's
+first stage reuses the run at the sample it starts from, which gives the
+sample its norm: assemble_metric's arithmetic on that run's factor metrics
+and warps (_norm).  Each accepted sample is kept as floats, its state, s
+and norm, and the Trajectory's arrays are built from them once, at the
+end.  A stage or sample that is no longer finite ends the run with
+DomainExitError at the last healthy sample, the last one kept.
 """
 
 from __future__ import annotations
@@ -104,24 +101,32 @@ class GeodesicState:
 
 @dataclass
 class Trajectory:
-    samples: list  # of GeodesicState
+    """An integrated run: its samples' parameters s_values (N,), positions
+    and velocities (N, d) and squared velocity norms norm_history (N,).
+
+    samples and endpoint are built on each read, as GeodesicStates whose
+    ProductPoint coordinates and velocity are views into positions and
+    velocities: editing one in place edits the arrays, and the other way
+    round."""
+
+    s_values: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
     norm_history: np.ndarray
+    base_dim: int
+
+    def _state(self, k: int) -> GeodesicState:
+        x, m = self.positions[k], self.base_dim
+        pp = ProductPoint._checked_by_caller(x[:m], x[m:])
+        return GeodesicState(float(self.s_values[k]), pp, self.velocities[k])
 
     @property
-    def s_values(self) -> np.ndarray:
-        return np.array([st.s for st in self.samples])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([st.position.full for st in self.samples])
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return np.array([st.velocity for st in self.samples])
+    def samples(self) -> list:  # of GeodesicState
+        return [self._state(k) for k in range(len(self.s_values))]
 
     @property
     def endpoint(self) -> GeodesicState:
-        return self.samples[-1]
+        return self._state(-1)
 
 
 def _accel_full(d, v: np.ndarray) -> np.ndarray:
@@ -264,31 +269,34 @@ def integrate(
     """
     if rhs not in _RHS:
         raise ValueError(f"rhs must be one of {sorted(_RHS)}, got {rhs!r}")
-    if not (math.isfinite(step) and math.isfinite(s_end)):
-        raise ValueError(f"step and s_end must be finite, got {step!r} and {s_end!r}")
+    s0 = initial.s
+    if not (math.isfinite(step) and math.isfinite(s_end) and math.isfinite(s0)):
+        raise ValueError(f"step, s_end and initial.s must be finite, got {step!r}, {s_end!r}, {s0!r}")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if not abort_drift >= 0.0:
         raise ValueError(f"abort_drift must be >= 0, got {abort_drift!r}")
-    if s_end < initial.s:
+    if s_end < s0:
         raise ValueError("s_end must be >= the initial parameter value")
-    program = _program_of(spec, rhs)
-    m, dim = spec.base.dim, spec.dim
-
-    span = s_end - initial.s
-    whole = int(np.floor(span / step + 1e-9))
+    span = s_end - s0
+    if not math.isfinite(span / step):
+        raise ValueError(f"the span s_end - initial.s = {span!r} in steps of {step!r} is not finite")
+    whole = math.floor(span / step + 1e-9)
     remainder = span - whole * step
     if remainder <= 1e-12 * step:
         remainder = 0.0
     total_steps = whole + (1 if remainder else 0)
+    program = _program_of(spec, rhs)
+    m, dim = spec.base.dim, spec.dim
+
+    def exit_at_last(message: str):
+        """DomainExitError at the last healthy sample, the last one kept."""
+        return DomainExitError(ss[-1], ProductPoint.from_full(ys[-1][:dim], m), message)
 
     def check(y: list):
         """The state y = [*position, *velocity], its entries checked here once."""
         if not all(map(math.isfinite, y)):
-            last = samples[-1]
-            raise DomainExitError(
-                last.s, last.position, f"trajectory state is no longer finite after s={last.s!r}"
-            )
+            raise exit_at_last(f"trajectory state is no longer finite after s={ss[-1]!r}")
 
     def deriv(y: list, c: float, k: list) -> list:
         """The stage at y + c k, by numpy's arithmetic elementwise."""
@@ -296,33 +304,27 @@ def integrate(
         check(y)
         return y[dim:] + _accel(spec, rhs, program, y)[0]
 
-    def sample_at(s: float, y: list) -> GeodesicState:
-        return GeodesicState(
-            s, ProductPoint._checked_by_caller(np.array(y[:m]), np.array(y[m:dim])),
-            np.array(y[dim:]),
-        )
-
-    def reach(sample: GeodesicState, y: list):
+    def reach(y: list):
         """(acceleration, norm) at a sample.  The norm needs values alone,
         which may exist where a derivative does not: where the acceleration
         fails, the sample takes its norm from assemble_metric and the error
         stands in for the acceleration, raised if a step starts there."""
-        v = sample.velocity
+        v = np.array(y[dim:])
         try:
             a, data = _accel(spec, rhs, program, y)
         except _EXITS as exc:
-            return exc, float(v @ assemble_metric(spec, sample.position) @ v)
+            return exc, float(v @ assemble_metric(spec, y[:dim]) @ v)
         if type(data) is list:
             return a, _norm(program.gather(data + program.program.tail), m, v)
         B, F = data
         return a, _norm([*B.g.ravel().tolist(), *F.g.ravel().tolist(), B.w, F.w], m, v)
 
-    def rk4(y: list, a: list, h: float, s: float):
+    def rk4(y: list, a: list, h: float):
         """One step stage by stage, numpy's RK4 arithmetic elementwise and in
         its order: the first stage reads the acceleration of the sample it
-        starts at.  (new state, sample, acceleration, norm).  The step
-        kernel (kernel._step_text) writes the same arithmetic; the two must
-        stay bitwise equal."""
+        starts at.  (new state, acceleration, norm).  The step kernel
+        (kernel._step_text) writes the same arithmetic; the two must stay
+        bitwise equal."""
         if isinstance(a, Exception):
             raise a
         k1 = y[dim:] + a
@@ -333,15 +335,14 @@ def integrate(
         y = [p + c * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
              for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
         check(y)
-        sample = sample_at(s, y)
-        return (y, sample, *reach(sample, y))
+        return (y, *reach(y))
 
+    # the accepted samples: each one's state [*x, *v], its s and its norm
     y = initial.position.full.tolist() + initial.velocity.tolist()
-    samples = [GeodesicState(initial.s, initial.position, initial.velocity.copy())]
-    a, n0 = reach(samples[0], y)
+    ys, ss = [y], [s0]
+    a, n0 = reach(y)
     norms = [n0]
-    if total_steps:
-        check(y)  # a non-finite initial velocity ends the run here
+    check(y)  # a non-finite initial velocity ends the run here
     # the step kernel, where the route has a program: a step whose inline
     # test fails, or whose op raises, is redone stage by stage.  It runs
     # the program in place of _values, so a run replaced in _RHS (a spy, a
@@ -356,7 +357,7 @@ def integrate(
 
     for k in range(total_steps):
         h = step if k < whole else remainder
-        s = initial.s + (k + 1) * step if k < whole else s_end
+        s = s0 + (k + 1) * step if k < whole else s_end
         if k == whole:
             half, sixth = 0.5 * h, h / 6.0
         try:
@@ -367,18 +368,18 @@ def integrate(
                 except _RAISES:
                     pass
             if out is None:
-                y, sample, a, norm = rk4(y, a, h, s)
+                y, a, norm = rk4(y, a, h)
             else:
                 y, a, parts = out
-                sample = sample_at(s, y)
-                norm = _norm(parts, m, sample.velocity)
+                norm = _norm(parts, m, np.array(y[dim:]))
         except _EXITS as exc:
-            last = samples[-1]
-            raise DomainExitError(last.s, last.position, str(exc)) from exc
+            raise exit_at_last(str(exc)) from exc
         drift = abs(norm - n0)
         if drift > abort_drift * (1.0 + abs(n0)):
             raise StepTooLargeError(s, drift, abort_drift * (1.0 + abs(n0)))
-        samples.append(sample)
+        ys.append(y)
+        ss.append(s)
         norms.append(norm)
 
-    return Trajectory(samples, np.asarray(norms))
+    rows = np.array(ys)
+    return Trajectory(np.array(ss, dtype=float), rows[:, :dim], rows[:, dim:], np.array(norms), m)

@@ -86,7 +86,8 @@ class Point:
 
 
 def _coords(point, dim: int) -> np.ndarray:
-    c = point.coords if isinstance(point, Point) else np.asarray(point, dtype=float)
+    """The point's coordinates, by Point's rules, checked against dim."""
+    c = (point if isinstance(point, Point) else Point(point)).coords
     if len(c) != dim:
         raise ValueError(f"point has {len(c)} coordinates, metric needs {dim}")
     return c

@@ -23,6 +23,7 @@ modules: its value as a cross-check depends on that separation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,16 +94,23 @@ def _gamma_shifted(spec: MetricSpec, coords: np.ndarray, axis: int, delta: float
         ) from exc
 
 
+@functools.cache
+def _kernel():
+    """The kernel module, imported at the first stencil and kept, so that a
+    fresh import of the package beside this copy leaves it as it is."""
+    from . import kernel
+
+    return kernel
+
+
 def _dgamma(spec: MetricSpec, coords: np.ndarray, policy: DiffPolicy) -> tuple:
     """(g, D, out): the metric and its first derivatives at the centre, and
     out[l, k, i, j] = d_l Gamma^k_ij by extrapolated central differences."""
-    from .kernel import stencil_rows  # imported with the first kernel
-
     d, levels = spec.dim, policy.richardson_levels
     h = policy.steps_at(coords)[:, None] / 2.0 ** np.arange(levels)  # [axis, level]
     steps = h.tolist()
     program, gathers = _grid(spec, 1)
-    run = stencil_rows(program, coords.tolist(), steps)
+    run = _kernel().stencil_rows(program, coords.tolist(), steps)
     out = np.zeros((d,) * 4)  # an axis no output reads: exactly +0.0
     axes = run and run[2]
     try:

@@ -207,6 +207,46 @@ def test_zero_span_returns_single_sample():
     assert traj.endpoint.s == 0.0
 
 
+def test_integrate_rejects_an_initial_s_or_span_that_is_not_finite():
+    """ValueErrors that name initial.s or the span, not int()'s errors."""
+    cases = (
+        (-math.inf, 1.0, 1e-2, "initial.s"),
+        (math.nan, 1.0, 1e-2, "initial.s"),
+        (-1e308, 1e308, 1e-2, "span"),  # s_end - initial.s overflows
+        (0.0, 1e300, 1e-10, "span"),  # so does the step count
+    )
+    for s0, s_end, step, what in cases:
+        st = state(SPHERE, [1.0, 0.0], [0.2, 0.7], s=s0)
+        with pytest.raises(ValueError, match=what):
+            integrate(SPHERE, st, s_end=s_end, step=step)
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
+def test_a_zero_step_run_checks_the_initial_state(rhs):
+    initial = state(SPHERE, [1.0, 0.0], [math.inf, 1.0])
+    with pytest.raises(DomainExitError) as none:
+        integrate(SPHERE, initial, initial.s, 0.1, rhs=rhs)
+    with pytest.raises(DomainExitError) as one:
+        integrate(SPHERE, initial, initial.s + 0.1, 0.1, rhs=rhs)
+    assert str(none.value) == str(one.value)
+    assert none.value.s == one.value.s == initial.s
+    assert np.array_equal(none.value.position.full, initial.position.full)
+
+
+def test_samples_are_views_into_the_trajectory_arrays():
+    traj = integrate(SPHERE, state(SPHERE, [1.0, 0.0], [0.2, 0.7]), s_end=0.05, step=1e-2)
+    samples = traj.samples
+    assert [st.s for st in samples] == traj.s_values.tolist()
+    assert np.array_equal([st.position.full for st in samples], traj.positions)
+    assert np.array_equal([st.velocity for st in samples], traj.velocities)
+    end = traj.endpoint
+    assert end.s == 0.05
+    end.position.fiber_coords[0] += 1.0
+    end.velocity[0] = 2.0
+    assert traj.positions[-1, 1] == samples[-1].position.fiber_coords[0]
+    assert traj.velocities[-1, 0] == 2.0 == traj.samples[-1].velocity[0]
+
+
 @pytest.mark.parametrize("rhs", ["full", "split"])
 def test_nonfinite_stage_is_a_domain_exit(rhs):
     # the first stage's acceleration overflows, so the second stage's
@@ -323,7 +363,13 @@ def _reference_integrate(spec, initial, s_end, step, rhs="full", abort_drift=1e-
             raise StepTooLargeError(s, drift, abort_drift * (1.0 + abs(n0)))
         samples.append(sample)
         norms.append(norm)
-    return Trajectory(samples, np.asarray(norms))
+    return Trajectory(
+        np.array([st.s for st in samples]),
+        np.array([st.position.full for st in samples]),
+        np.array([st.velocity for st in samples]),
+        np.asarray(norms),
+        m,
+    )
 
 
 def _bench_workloads():

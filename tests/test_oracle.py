@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from warpcurv.geometry import (
     christoffels_of,
     metric_at,
 )
+from warpcurv.manifest import load_catalog
 from warpcurv.oracle import DiffPolicy, bundle_fd, compare_bundles, _ricci_from_common
 from warpcurv.warped import as_plain_metric
 
@@ -502,3 +504,24 @@ def test_compare_bundles_reports_what_the_numpy_comparison_reported():
                 assert type(report.max_rel) is float
                 cases += 1
     assert cases == 540
+
+
+@pytest.mark.parametrize("evaluate", [bundle_fd, christoffels_of, metric_at])
+def test_coordinates_that_are_not_finite_are_rejected(evaluate):
+    sphere = as_plain_metric(load_catalog("unit-sphere").spec)
+    rw = as_plain_metric(load_catalog("robertson-walker").spec)
+    for spec, point in ((sphere, [1.0, math.nan]), (rw, [0.5, 0.1, math.inf, 0.3])):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            evaluate(spec, point)
+
+
+def test_a_warm_bundle_fd_imports_no_kernel_module(monkeypatch):
+    """The oracle keeps the kernel module it first imported, so dropping
+    warpcurv.kernel from sys.modules (as a fresh import of the package
+    beside this copy does) does not make the next bundle_fd import it
+    again."""
+    plain = as_plain_metric(load_catalog("unit-sphere").spec)
+    bundle_fd(plain, [1.0, 0.3])
+    monkeypatch.delitem(sys.modules, "warpcurv.kernel")
+    bundle_fd(plain, [1.1, 0.3])
+    assert "warpcurv.kernel" not in sys.modules

@@ -2,14 +2,16 @@
 """Alternating A/B pairs of the benchmark between two checkouts.
 
     python3 tools/ab.py PARENT CHANGE --out BENCH_18.json \
-        [--workloads catalog-sweep dense-sweep geodesic-long] [--description TEXT]
+        [--workloads catalog-sweep dense-sweep geodesic-long] [--description TEXT] \
+        [--traced K]
 
 PARENT and CHANGE are the roots of two warpcurv checkouts.  Each run is
 `python3 bench/run.py --workload W --seed 1 --seconds 30 --trace 0` started
 from one checkout's root, so each side runs its own bench/ against its own
 src/; nothing under bench/ is changed or copied.  Runs go one at a time,
 ten pairs per workload.  Pair k of a workload runs the parent first when k is even and the change
-first when k is odd.
+first when k is odd.  With --traced K, each workload's pairs are followed
+by K rounds of `--trace 1` runs, one per checkout, alternating the same way.
 
 The output file is rewritten after every pair, so an interrupted run
 leaves the pairs it finished.  Its layout:
@@ -20,10 +22,13 @@ leaves the pairs it finished.  Its layout:
                                              "ratio", "change_lower_pairs"},
                                    "attempted": {"parent_median", "change_median"},
                                    "failed": {"parent", "change"}, "pairs": n},
-                       "pairs": [{"seed", "first", "parent": run, "change": run}]}}}
+                       "pairs": [{"seed", "first", "parent": run, "change": run}],
+                       "traced": [{"seed", "first", "parent": traced, "change": traced}]}}}
 
 where a run holds each end-to-end metric's value, attempted, failed and
-correct, and ratio is change_median / parent_median.
+correct, ratio is change_median / parent_median, and a traced run holds
+attempted, failed, correct and layer_sum_error_p99 (the traced run's check
+that layer self times sum to each operation's wall time).
 """
 
 from __future__ import annotations
@@ -43,16 +48,31 @@ SEED = 1
 SECONDS = 30  # BENCHMARK.json's run_seconds
 
 
-def run(root: Path, workload: str) -> dict:
-    """One benchmark run in a checkout: its end-to-end metrics and counts."""
+def run(root: Path, workload: str, trace: int = 0) -> dict:
+    """One benchmark run in a checkout: its counts, and its end-to-end
+    metrics, or with trace 1 its layer-sum error."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    out = {name: result["metrics"][name]["value"] for name in METRICS}
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    if trace:
+        spans = json.loads(lines[-2])["details"]["spans"]
+        out = {"layer_sum_error_p99": spans["layer_sum_error_p99"]}
+    else:
+        out = {name: result["metrics"][name]["value"] for name in METRICS}
     out.update(attempted=result["attempted"], failed=result["failed"], correct=result["correct"])
+    return out
+
+
+def alternating(roots: dict, workload: str, k: int, trace: int = 0) -> dict:
+    """Round k: one run per checkout, the parent first when k is even."""
+    order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+    out = {"seed": SEED, "first": order[0]}
+    for side in order:
+        out[side] = run(roots[side], workload, trace)
     return out
 
 
@@ -87,20 +107,24 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     ap.add_argument("--description", default="")
+    ap.add_argument("--traced", type=int, default=0, metavar="K",
+                    help="after each workload's pairs, K rounds of --trace 1 runs")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"description": args.description, "workloads": {}}
     for workload in args.workloads:
         pairs = []
         for k in range(PAIRS):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": SEED, "first": order[0]}
-            for side in order:
-                pair[side] = run(roots[side], workload)
+            pair = alternating(roots, workload, k)
             pairs.append(pair)
             doc["workloads"][workload] = {"summary": summary(pairs), "pairs": pairs}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            print(workload, k, {s: pair[s]["op_ms_tail"] for s in order}, flush=True)
+            print(workload, k, {s: pair[s]["op_ms_tail"] for s in roots}, flush=True)
+        traced = doc["workloads"][workload]["traced"] = []
+        for k in range(args.traced):
+            traced.append(alternating(roots, workload, k, trace=1))
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+            print(workload, "traced", k, {s: traced[-1][s]["correct"] for s in roots}, flush=True)
     return 0
 
 
