@@ -38,20 +38,21 @@ integration error and aborts the run when it passes a threshold.
 
 The integrator carries one state y = (position, velocity) as a list of
 floats and does numpy's RK4 arithmetic elementwise, in its order, so a run
-is bitwise the numpy loop over the public right-hand sides.  Where the
-route has a program, each step is one call of its step kernel
-(kernel.step), built at the first step and kept on the program: the three
-later stages, each state tested for finiteness, and the new sample, each
-one run of the program's ops.  A step the kernel does not finish (a test
-fails or an op raises) is redone from the same state by the per-stage
-loop, which also serves a route without a program or whose run was
-replaced in _RHS, one run of _RHS or of point data per stage.  A step's
-first stage reuses the run at the sample it starts from, which gives the
-sample its norm: assemble_metric's arithmetic on that run's factor metrics
-and warps (_norm).  Each accepted sample is kept as floats, its state, s
-and norm, and the Trajectory's arrays are built from them once, at the
-end.  A stage or sample that is no longer finite ends the run with
-DomainExitError at the last healthy sample, the last one kept.
+is bitwise the numpy loop over the public right-hand sides.  kernel writes
+that arithmetic once, in two forms.  Where the route has a program, each
+step is one call of its step kernel (kernel.step), built at the first step
+and kept on the program: the three later stages, each state tested for
+finiteness, and the new sample, each one run of the program's ops.  A step
+the kernel does not finish (a test fails or an op raises) is redone from
+the same state by the stage-by-stage step (kernel.stages), built at the
+first step that needs it, which also serves a route without a program or
+whose run was replaced in _RHS: one run of _RHS or of point data per
+stage.  A step's first stage reuses the run at the sample it starts from,
+which gives the sample its norm: assemble_metric's arithmetic on that run's
+factor metrics and warps (_norm).  Each accepted sample is kept as floats,
+its state, s and norm, and the Trajectory's arrays are built from them
+once, at the end.  A stage or sample that is no longer finite ends the run
+with DomainExitError at the last healthy sample, the last one kept.
 """
 
 from __future__ import annotations
@@ -182,8 +183,7 @@ def _accel(spec: WarpedProductSpec, route: str, program, y: list):
     floats whose position the caller has found finite: one run of the
     route's program and its values, or, where the route has no program
     (False) or it falls back at y, the route's formula and its point data.
-    The integrator's per-stage loop and the public right-hand sides come
-    here."""
+    The stage-by-stage step and the public right-hand sides come here."""
     if program:
         try:
             values = _RHS[route](program, y)
@@ -289,20 +289,15 @@ def integrate(
     program = _program_of(spec, rhs)
     m, dim = spec.base.dim, spec.dim
 
-    def exit_at_last(message: str):
-        """DomainExitError at the last healthy sample, the last one kept."""
+    def exit_at_last(message=None):
+        """DomainExitError at the last healthy sample, the last one kept; by
+        default, for a state that is no longer finite."""
+        message = message or f"trajectory state is no longer finite after s={ss[-1]!r}"
         return DomainExitError(ss[-1], ProductPoint.from_full(ys[-1][:dim], m), message)
 
-    def check(y: list):
-        """The state y = [*position, *velocity], its entries checked here once."""
-        if not all(map(math.isfinite, y)):
-            raise exit_at_last(f"trajectory state is no longer finite after s={ss[-1]!r}")
-
-    def deriv(y: list, c: float, k: list) -> list:
-        """The stage at y + c k, by numpy's arithmetic elementwise."""
-        y = [p + c * q for p, q in zip(y, k)]
-        check(y)
-        return y[dim:] + _accel(spec, rhs, program, y)[0]
+    def accel(y: list) -> list:
+        """The acceleration at a stage's state, for the stage-by-stage step."""
+        return _accel(spec, rhs, program, y)[0]
 
     def reach(y: list):
         """(acceleration, norm) at a sample.  The norm needs values alone,
@@ -319,41 +314,23 @@ def integrate(
         B, F = data
         return a, _norm([*B.g.ravel().tolist(), *F.g.ravel().tolist(), B.w, F.w], m, v)
 
-    def rk4(y: list, a: list, h: float):
-        """One step stage by stage, numpy's RK4 arithmetic elementwise and in
-        its order: the first stage reads the acceleration of the sample it
-        starts at.  (new state, acceleration, norm).  The step kernel
-        (kernel._step_text) writes the same arithmetic; the two must stay
-        bitwise equal."""
-        if isinstance(a, Exception):
-            raise a
-        k1 = y[dim:] + a
-        k2 = deriv(y, 0.5 * h, k1)
-        k3 = deriv(y, 0.5 * h, k2)
-        k4 = deriv(y, h, k3)
-        c = h / 6.0
-        y = [p + c * (((q1 + 2.0 * q2) + 2.0 * q3) + q4)
-             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
-        check(y)
-        return (y, *reach(y))
-
     # the accepted samples: each one's state [*x, *v], its s and its norm
-    y = initial.position.full.tolist() + initial.velocity.tolist()
-    ys, ss = [y], [s0]
+    y = _as_product_point(spec, initial.position).full.tolist() + initial.velocity.tolist()
     a, n0 = reach(y)
-    norms = [n0]
-    check(y)  # a non-finite initial velocity ends the run here
+    ys, ss, norms = [y], [s0], [n0]
+    if not all(map(math.isfinite, y)):  # a non-finite initial velocity ends the run here
+        raise exit_at_last()
     # the step kernel, where the route has a program: a step whose inline
     # test fails, or whose op raises, is redone stage by stage.  It runs
     # the program in place of _values, so a run replaced in _RHS (a spy, a
-    # tracer) takes the per-stage loop and is called at every stage.
+    # tracer) takes the stage-by-stage step and is called at every stage.
     own = _RHS[rhs] is _values
     if program and own and total_steps and program.step is None:
         from . import kernel  # built at the route's first step
 
         kernel.step(program)
     fused = program and own and program.step
-    half, sixth = 0.5 * step, step / 6.0
+    half, sixth, stepper = 0.5 * step, step / 6.0, None
 
     for k in range(total_steps):
         h = step if k < whole else remainder
@@ -361,14 +338,21 @@ def integrate(
         if k == whole:
             half, sixth = 0.5 * h, h / 6.0
         try:
-            out = None
-            if fused and type(a) is list:
-                try:
-                    out = fused(y, a, half, h, sixth)
-                except _RAISES:
-                    pass
-            if out is None:
-                y, a, norm = rk4(y, a, h)
+            if type(a) is not list:  # the error at the sample the step starts at
+                raise a
+            try:
+                out = fused and fused(y, a, half, h, sixth)
+            except _RAISES:
+                out = None
+            if not out:  # no step kernel, or it did not finish the step
+                if not stepper:
+                    from .kernel import stages  # built at the first step that needs it
+
+                    stepper = stages(dim)
+                y = stepper(y, a, half, h, sixth, accel)
+                if y is None:
+                    raise exit_at_last()
+                a, norm = reach(y)
             else:
                 y, a, parts = out
                 norm = _norm(parts, m, np.array(y[dim:]))

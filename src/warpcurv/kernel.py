@@ -47,14 +47,14 @@ On columns a kernel also returns the results of its marked ops
 finiteness at once, and returns the mask of the rows where a test fails
 with the outputs: its caller redoes those rows on floats.
 
-A geodesic program also gets a step kernel (step, _step_text): one RK4
-step of geodesics.integrate as one function on floats.  It writes the
-program's op lines (_lines) once for each of the three later stages and
-once more for the new sample, each under its own register prefix, with
-integrate's stage arithmetic between them and each check as its test.  It
-returns None where a test fails, and integrate redoes that step stage by
-stage; so a step kernel needs no finishing step.  Its text holds the same
-kinds of names as a kernel's.
+RK4 for geodesics.integrate has one writer, _step_text: one step as one
+function on floats.  A geodesic program's step kernel (step) writes the
+program's op lines once for each of the three later stages and once more
+for the new sample, each under its own register prefix, with the stage
+arithmetic between them and each check as its test (_checked).  It
+returns None where a test fails, so it needs no finishing step; integrate
+then redoes the step by the same text without a program, the stage-by-stage
+step (stages).  Both hold the same kinds of names as a kernel's text.
 
 A metric's order-1 program gets stencil kernels for the oracle (stencil,
 _stencil_text, stencil_rows), on floats as well.  One pass over the ops
@@ -152,11 +152,18 @@ def _skip(check, outs):
     """The finishing step on columns: columns tests once, at the end."""
 
 
-def _finite_test(names: list) -> str:
+def _finite_test(names: list, terms: int = _SUM) -> str:
     """Whether the registers of names are all finite, within the sums they
-    may overflow: the sum of each _SUM of them finite."""
-    return " and ".join(f"isfinite({' + '.join(names[i:i + _SUM])})"
-                        for i in range(0, len(names), _SUM))
+    may overflow: the sum of each run of terms of them finite."""
+    return " and ".join(f"isfinite({' + '.join(names[i:i + terms])})"
+                        for i in range(0, len(names), terms))
+
+
+def _constants(code: _Code, tail: bool = True) -> list:
+    """The line that unpacks a kernel's constants, and with tail t0, t1, ..."""
+    names = [f"r{i}" for i, value in enumerate(code.registers) if value is not None]
+    names += [f"t{i}" for i in range(len(code.tail))] if tail else []
+    return [", ".join(names) + ", = constants"] if names else []
 
 
 def _lines(program: _Code, name):
@@ -176,11 +183,31 @@ def _lines(program: _Code, name):
             yield f"{name(target)} = -{name(a)}", None, None
 
 
+def _checked(lines: list, code: _Code, name, spare: str, run=lambda r: True, indent="") -> list:
+    """Adds the op lines to lines, each register as name(it), and each check
+    as `if not (test): return` (_test, with spare), and returns the outputs;
+    with run, only the ops whose register run holds and tests that read one."""
+    group, outs, checks = [], [], 0
+    for op, (line, out, check) in zip(code.ops, _lines(code, name)):
+        if line is not None:
+            if run(op[3]):
+                lines.append(indent + line)
+            continue
+        group.append(op[4])
+        outs.append(out)
+        if check is not None:
+            kind, _, b, _ = check
+            tested = [group[i] for i in b] + group[-1:] if kind == "det" else group[-b:]
+            if any(map(run, tested)):
+                lines.append(f"{indent}if not ({_test(check, outs, checks, spare)}): return")
+            checks += 1
+    return outs
+
+
 def _text(program: _Code) -> str:
     """The program's kernel as Python source, one line per op."""
     fixed = len(program.registers)
-    head = [f"r{i}" for i, value in enumerate(program.registers) if value is not None]
-    head = [", ".join(head) + ", = constants"] if head else []
+    head = _constants(program, tail=False)
     read = {r for *_, a, b in program.ops for r in (a, b) if r is not None and r >= fixed}
     head += [f"r{r} = leaves[{r - fixed}]" for r in sorted(read)]
     lines = ["def kernel(leaves, finish, constants, checks):", "; ".join(head + ["outs = []"])]
@@ -235,51 +262,50 @@ def build(program: _Code) -> tuple:
 _STAGES = "bcde"
 
 
-def _step_text(code: _Code, dim: int, places) -> str:
-    """The RK4 step kernel of a geodesic program as Python source.
+def _step_text(code, dim: int, places=()) -> str:
+    """One RK4 step of geodesics.integrate as Python source: a geodesic
+    program's step kernel, or with code None the stage-by-stage step.
 
     It takes the state y = [*x, *v], the acceleration a at y, and half, h
     and sixth, h's multiples that integrate uses.  Each stage's state is
-    integrate's arithmetic on floats, in numpy's order, and is tested for
-    finiteness; then the program's ops run on it under the stage's register
-    prefix, each check written as its test (_test).  Where a test fails the
-    kernel returns None, and integrate redoes the step stage by stage.
-    Otherwise it returns the new state, its acceleration and the entries of
-    g_B, g_F, f and h there (places, into the outputs and then the
-    program's tail, named t0, t1, ...).  The stage arithmetic is that of
-    integrate's per-stage loop (geodesics.integrate's rk4); the two must
-    stay bitwise equal."""
-    fixed = len(code.registers)
-    constant = {i for i, value in enumerate(code.registers) if value is not None}
-    head = [f"r{i}" for i in sorted(constant)] + [f"t{i}" for i in range(len(code.tail))]
+    numpy's RK4 arithmetic on floats, in its order, and is tested for
+    finiteness; the step returns None where a test fails.  A step kernel
+    then runs the program's ops on it under the stage's register prefix,
+    each check written as its test (_checked), and returns the new state,
+    its acceleration and the entries of g_B, g_F, f and h there (places,
+    into the outputs and then the program's tail, named t0, t1, ...).  The
+    stage-by-stage step tests each entry on its own, takes each later
+    stage's acceleration from one call accel(state), whose errors pass
+    through, and returns the new state."""
+    fixed = len(code.registers) if code else 0
+    constant = {i for i, value in enumerate(code.registers) if value is not None} if code else ()
     y = [f"y{i}" for i in range(2 * dim)]
     k = y[dim:] + [f"a{i}" for i in range(dim)]  # stage 1
-    lines = ["def step(y, a, half, h, sixth, constants, checks):",
-             "; ".join(([", ".join(head) + ", = constants"] if head else [])
-                       + [", ".join(y) + ", = y", ", ".join(k[dim:]) + ", = a"])]
+    head = [", ".join(y) + ", = y", ", ".join(k[dim:]) + ", = a"]
+    lines = ["def step(y, a, half, h, sixth, constants, checks):" if code
+             else "def stages(y, a, half, h, sixth, accel):",
+             "; ".join((_constants(code) if code else []) + head)]
     ks = [k]
     for p in _STAGES:
-        state = [f"{p}{fixed + i}" for i in range(2 * dim)]  # the program's leaves
+        state = [f"{p}{fixed + i}" for i in range(2 * dim)]  # a program's leaves
         if p == "e":
             c = "sixth"
             k = [f"((({q1} + 2.0 * {q2}) + 2.0 * {q3}) + {q4})" for q1, q2, q3, q4 in zip(*ks)]
         else:
             c = "h" if p == "d" else "half"
         lines.append("; ".join(f"{s} = {q} + {c} * {d}" for s, q, d in zip(state, y, k)))
-        lines.append(f"if not ({_finite_test(state)}): return")
-        outs, checks, spare = [], 0, f"{p}{fixed + 2 * dim}"
-        for line, out, check in _lines(code, lambda r: f"r{r}" if r in constant else f"{p}{r}"):
-            if out is None:
-                lines.append(line)
-                continue
-            outs.append(out)
-            if check is not None:
-                lines.append(f"if not ({_test(check, outs, checks, spare)}): return")
-                checks += 1
+        lines.append(f"if not ({_finite_test(state, _SUM if code else 1)}): return")
+        if code:
+            outs = _checked(lines, code, lambda r: f"r{r}" if r in constant else f"{p}{r}",
+                            f"{p}{fixed + 2 * dim}")
+        elif p != "e":
+            outs = [f"{p}{2 * dim + i}" for i in range(dim)]
+            lines.append(f"{', '.join(outs)}, = accel([{', '.join(state)}])")
         k = state[dim:] + outs[-dim:]
         ks.append(k)
     parts = [outs[i] if i < len(outs) else f"t{i - len(outs)}" for i in places]
-    lines.append(f"return [{', '.join(state)}], [{', '.join(outs[-dim:])}], [{', '.join(parts)}]")
+    lines.append(f"return [{', '.join(state)}], [{', '.join(outs[-dim:])}], [{', '.join(parts)}]"
+                 if code else f"return [{', '.join(state)}]")
     return "\n    ".join(lines) + "\n"
 
 
@@ -292,6 +318,12 @@ def step(program):
     return program.step
 
 
+@functools.cache
+def stages(dim: int):
+    """The stage-by-stage step (_step_text) of a product of dim variables."""
+    return FunctionType(_code(_step_text(None, dim)), _MODES[0], "stages")
+
+
 def _reads(program: _Code, dim: int) -> dict:
     """register -> the chart variables it reads, as a bit mask: leaf i reads
     variable i, an op's result what its operands read, a constant nothing."""
@@ -301,12 +333,6 @@ def _reads(program: _Code, dim: int) -> dict:
         if code is not _OP_OUT:
             reads[target] = reads.get(a, 0) | reads.get(b, 0)
     return reads
-
-
-def _tested(check, group: list) -> list:
-    """The entries of group that the check's test (_test) reads."""
-    kind, _, b, _ = check
-    return [group[i] for i in b] + group[-1:] if kind == "det" else group[-b:]
 
 
 def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
@@ -326,10 +352,8 @@ def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
     fixed = len(code.registers)
     reads = _reads(code, dim)
     tail = [f"t{i}" for i in range(len(code.tail))]
-    head = [f"r{i}" for i, value in enumerate(code.registers) if value is not None] + tail
-    head = [", ".join(head) + ", = constants"] if head else []
     outs = [f"r{op[4]}" for op in code.ops if op[0] is _OP_OUT] + tail
-    centre = outs + [f"r{r}" for r in keep]
+    centre, head = outs + [f"r{r}" for r in keep], _constants(code)
     if axis < 0:
         lines = ["def centre(x, constants, checks):",
                  "; ".join(head + [", ".join(f"r{fixed + i}" for i in range(dim)) + ", = x"])]
@@ -339,18 +363,7 @@ def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
                  "; ".join(head + [", ".join(centre) + ", = centre", "rows = []"]),
                  "for h in hs:", f"    r{fixed + axis} = x + h"]
         indent, run = "    ", lambda target: reads.get(target, 0) >> axis & 1
-    group, names, checks, spare = [], [], 0, f"r{fixed + dim}"
-    for op, (line, out, check) in zip(code.ops, _lines(code, "r{}".format)):
-        if line is not None:
-            if run(op[3]):
-                lines.append(indent + line)
-            continue
-        group.append(op[4])
-        names.append(out)
-        if check is not None:
-            if any(run(r) for r in _tested(check, group)):
-                lines.append(f"{indent}if not ({_test(check, names, checks, spare)}): return")
-            checks += 1
+    _checked(lines, code, "r{}".format, f"r{fixed + dim}", run, indent)
     if axis < 0:
         lines.append(f"return [{', '.join(centre)}]")
     else:

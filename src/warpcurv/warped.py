@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonpositiveWarpError
 from .expr import BinOp, Const, Expression, evaluate, parse_expression, reindex
-from .geometry import MetricSpec, Point, metric_at
+from .geometry import MetricSpec, Point, _coords, metric_at
 
 __all__ = [
     "WarpedProductSpec",
@@ -100,7 +100,7 @@ def _as_product_point(spec: WarpedProductSpec, point) -> ProductPoint:
         if len(point.base_coords) != spec.base.dim or len(point.fiber_coords) != spec.fiber.dim:
             raise ValueError("product point does not match factor dimensions")
         return point
-    return ProductPoint.from_full(point, spec.base.dim)
+    return ProductPoint.from_full(_coords(point, spec.dim), spec.base.dim)
 
 
 def warp_values(spec: WarpedProductSpec, point) -> tuple[float, float]:

@@ -187,6 +187,16 @@ def test_unknown_convention_rejected():
         bundle_closed(DEXP, ProductPoint([0.0], [0.0]), convention="other")
 
 
+@pytest.mark.parametrize("fn", [bundle_closed, christoffels_closed])
+@pytest.mark.parametrize("spec, coords", [(SPHERE, [0.5] * 3), (SPHERE, [0.5]),
+                                          (RW, [0.5] * 5), (RW, [0.5] * 3)])
+def test_a_flat_point_of_the_wrong_length_is_rejected(fn, spec, coords):
+    # a kernel reads the leaves it needs and no more, so only the length
+    # check stops a point with one entry too many or too few
+    with pytest.raises(ValueError, match=f"point has {len(coords)} coordinates, metric needs"):
+        fn(spec, coords)
+
+
 # ---------------------------------------------------------------------------
 # Ricci and scalar anchors
 

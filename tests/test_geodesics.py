@@ -222,6 +222,15 @@ def test_integrate_rejects_an_initial_s_or_span_that_is_not_finite():
 
 
 @pytest.mark.parametrize("rhs", ["full", "split"])
+def test_integrate_checks_the_initial_position_against_the_factors(rhs):
+    # the sphere's factors are of dim 1 and 1, as rhs_full checks too
+    for position in (ProductPoint([1.0], [0.0, 0.0]), ProductPoint([1.0, 0.0], [])):
+        initial = GeodesicState(0.0, position, np.full(len(position.full), 0.5))
+        with pytest.raises(ValueError, match="product point does not match factor dimensions"):
+            integrate(SPHERE, initial, 0.1, 0.01, rhs=rhs)
+
+
+@pytest.mark.parametrize("rhs", ["full", "split"])
 def test_a_zero_step_run_checks_the_initial_state(rhs):
     initial = state(SPHERE, [1.0, 0.0], [math.inf, 1.0])
     with pytest.raises(DomainExitError) as none:
@@ -400,12 +409,22 @@ def _same_run(a, b):
 
 
 @pytest.mark.parametrize("rhs", ["full", "split"])
-def test_integrate_is_bitwise_the_reference_loop(rhs):
-    for name, spec, start, step in _fan_starts():
-        # 200 whole steps, then the same span plus a fractional final step
-        for s_end in (200 * step, 200 * step + 0.4 * step):
-            _same_run(integrate(spec, start, s_end, step, rhs=rhs),
-                      _reference_integrate(spec, start, s_end, step, rhs=rhs))
+def test_integrate_is_bitwise_the_reference_loop(monkeypatch, rhs):
+    """On the benchmark's fans, with the route's own run, where the step
+    kernel takes the steps, and with a pass-through spy in geodesics._RHS,
+    where the stage-by-stage step takes every one."""
+    from warpcurv import geodesics
+
+    own, calls = geodesics._RHS[rhs], []
+    for spied in (False, True):
+        for name, spec, start, step in _fan_starts():
+            # 200 whole steps, then the same span plus a fractional final step
+            for s_end in (200 * step, 200 * step + 0.4 * step):
+                calls.clear()
+                run = integrate(spec, start, s_end, step, rhs=rhs)
+                assert len(calls) == (1 + 4 * (len(run.s_values) - 1)) * spied, name
+                _same_run(run, _reference_integrate(spec, start, s_end, step, rhs=rhs))
+        monkeypatch.setitem(geodesics._RHS, rhs, lambda program, y: calls.append(y) or own(program, y))
 
 
 def _raised(fn, *args, **kwargs):
@@ -522,7 +541,7 @@ def test_products_without_a_split_program_take_the_factor_form_from_point_data()
 
 
 # ---------------------------------------------------------------------------
-# The step kernel and the per-stage loop that redoes a step it does not take
+# The step kernel and the stage-by-stage step that redoes a step it does not take
 
 
 def _spied_steps(spec, rhs):

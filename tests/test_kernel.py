@@ -19,7 +19,7 @@ float path's outcome wherever that raises.
 
 A geodesic program's step kernel keeps the same kinds of names, and is
 built once per spec and route, at the first step integrate takes; what it
-gives is held against the per-stage loop in test_geodesics.  So do a
+gives is held against the reference loop in test_geodesics.  So do a
 metric program's stencil kernels, built once per program at its first
 bundle_fd, none longer than the program's own kernel; what they give is
 held against the metric at each stencil point in test_oracle."""
@@ -730,6 +730,29 @@ def _check_step_text(text):
         checks += 1
     assert stages == 4  # stages 2, 3 and 4, and the new sample
     return text
+
+
+def test_the_stage_by_stage_step_holds_states_tests_and_accel_calls_alone():
+    """kernel.stages(dim): the step kernel's stage arithmetic without a
+    program, each state tested entry by entry, stages 2-4 each one call of
+    accel; one function per dim."""
+    for dim in (1, 2, 3, 5):
+        step = kernel.stages(dim)
+        assert kernel.stages(dim) is step
+        lines = kernel._step_text(None, dim).split("\n")
+        assert lines[0] == "def stages(y, a, half, h, sixth, accel):" and lines[-1] == ""
+        assert re.fullmatch(r"    (y\d+, )+= y; (a\d+, )+= a", lines[1]), lines[1]
+        body = lines[2:-2]
+        assert len(body) == 3 * 3 + 2 and re.fullmatch(r"    return \[e\d+(, e\d+)*\]", lines[-2])
+        for k, line in enumerate(body):
+            if k % 3 == 0:
+                assert _STATE.fullmatch(line), line
+                names = re.findall(rf"(?:^    |; )({_SREG}) =", line)
+                assert len(names) == 2 * dim
+            elif k % 3 == 1:
+                assert line == f"    if not ({' and '.join(f'isfinite({n})' for n in names)}): return"
+            else:
+                assert re.fullmatch(rf"    ({_SREG}, )+= accel\({_LIST}\)", line), line
 
 
 def _manifests():

@@ -8,10 +8,14 @@
 PARENT and CHANGE are the roots of two warpcurv checkouts.  Each run is
 `python3 bench/run.py --workload W --seed 1 --seconds 30 --trace 0` started
 from one checkout's root, so each side runs its own bench/ against its own
-src/; nothing under bench/ is changed or copied.  Runs go one at a time,
-ten pairs per workload.  Pair k of a workload runs the parent first when k is even and the change
-first when k is odd.  With --traced K, each workload's pairs are followed
-by K rounds of `--trace 1` runs, one per checkout, alternating the same way.
+src/; nothing under bench/ is changed or copied.  Each run has
+PYTHONDONTWRITEBYTECODE=1 and its own fresh, empty PYTHONPYCACHEPREFIX, so
+it neither reads nor writes a checkout's __pycache__, and both checkouts
+import from the same bytecode state.  Runs go one at a time, ten pairs per
+workload.  Pair k of a workload runs the parent first when k is even and
+the change first when k is odd.  With --traced K, each workload's pairs
+are followed by K rounds of `--trace 1` runs, one per checkout,
+alternating the same way.
 
 The output file is rewritten after every pair, so an interrupted run
 leaves the pairs it finished.  Its layout:
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +59,9 @@ def run(root: Path, workload: str, trace: int = 0) -> dict:
     metrics, or with trace 1 its layer-sum error."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
