@@ -226,14 +226,12 @@ def _curvature(X) -> tuple:
         for c, d in pairs[i:]:
             W[a, b, c, d] = _fold("-", Z(a, b, c, d), Z(a, b, d, c))
 
-    def lowered_at(a, b, c, d):
-        if a == b or c == d:
+    def lowered_at(a, b, c, d):  # c < d
+        if a == b:
             return 1, None
         sign = 1
         if a > b:
             a, b, sign = b, a, -sign
-        if c > d:
-            c, d, sign = d, c, -sign
         return sign, W[min((a, b, c, d), (c, d, a, b))]
 
     riem = {}

@@ -172,6 +172,9 @@ def cmd_verify(mf: Manifest, args) -> int:
         raise ManifestError("manifest has no box; pass --box lo..hi per coordinate")
     convention = args.convention or mf.convention
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        what = "--seed" if args.seed is not None else "WARPCURV_SEED"
+        raise ManifestError(f"{what} must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     plain = as_plain_metric(mf.spec)
     m = mf.spec.base.dim

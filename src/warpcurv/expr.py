@@ -255,12 +255,15 @@ class _Code:
     one; the leaves follow it.  An op is (opcode, rules, node, target,
     operand, operand or None); OUT has its check for the rules.  width
     counts the outputs, and tail lists the program's constant entries,
-    numbers that its callers read after the outputs.  kernels is None
-    until the first run builds the program's kernel, and stencil until the
-    oracle builds a metric's stencil kernels (the kernel module)."""
+    numbers that its callers read after the outputs.  A kernel binds
+    constants, the constants' values in register order, and checks, the
+    outputs' checks in order.  kernels is None until the first run builds
+    the program's kernel, and stencil until the oracle builds a metric's
+    stencil kernels (the kernel module)."""
 
-    def __init__(self, ops: tuple, registers: list, tail=()):
-        self.ops, self.registers, self.tail = ops, registers, list(tail)
+    def __init__(self, ops: tuple, registers: list, checks: tuple, tail=()):
+        self.ops, self.registers, self.checks, self.tail = ops, registers, checks, list(tail)
+        self.constants = tuple(v for v in registers if v is not None)
         self.width = sum(op[0] is _OP_OUT for op in ops)
         self.kernels = self.stencil = None
 
@@ -275,12 +278,13 @@ def _compile(outputs, tail=()) -> _Code:
     Subtrees with the same structure get one value number and register: a
     constant is keyed by its bits, a variable by its index, and a negation,
     call or binary op by its name or op and its operands' numbers in order,
-    so x0-x1 and x1-x0 stay apart.  An op computes each number where the
-    postfix order first reaches it, and OUT hands each output to the run,
-    with its check, or None.  A shared node applies the same rule to the
-    same operands, so each output is bitwise the tree's own, and the first
-    failure is the one the trees run one by one would meet: a value read
-    again was computed without error."""
+    so x0-x1 and x1-x0 stay apart.  One walk numbers each output's tree in
+    postfix order, and the ops of the numbers it creates come in that order
+    before the output's OUT, which hands it to the run, with its check, or
+    None.  A shared node applies the same rule to the same operands, so
+    each output is bitwise the tree's own, and the first failure is the one
+    the trees run one by one would meet: a value read again was computed
+    without error."""
     numbers = {}  # structural key -> value number
     known = {}  # id(node) -> value number, so a subtree shared by object is walked once
     nodes = []  # value number -> (opcode, argument, node, operand numbers)
@@ -307,28 +311,21 @@ def _compile(outputs, tail=()) -> _Code:
                     nodes.append((code, arg, node, operands))
                 known[id(node)] = number
             stack.append(number)
-        outs.append((stack.pop(), root, check))
+        outs.append((stack.pop(), root, check, len(nodes)))
     registers = [arg if code is _OP_CONST else None
                  for code, arg, *_ in nodes if code is not _OP_VAR]
     fixed = iter(range(len(registers)))  # value number -> register, leaves last
     where = [len(registers) + arg if code is _OP_VAR else next(fixed) for code, arg, *_ in nodes]
-    ops, done = [], set()
-    for out, root, check in outs:
-        todo = [(out, False)]
-        while todo:
-            number, expanded = todo.pop()
-            code, arg, node, operands = nodes[number]
-            if not operands or number in done:
-                continue
-            if expanded:
-                done.add(number)
+    ops, number = [], 0
+    for out, root, check, end in outs:
+        for code, arg, node, operands in nodes[number:end]:
+            if operands:
                 a, b, *_ = [where[o] for o in operands] + [None]
                 ops.append((code, arg, node, where[number], a, b))
-            else:
-                todo.append((number, True))
-                todo.extend((o, False) for o in reversed(operands))
+            number += 1
         ops.append((_OP_OUT, check, root, None, where[out], None))
-    return _Code(tuple(ops), registers, tail)
+    checks = tuple(check for _, _, check, _ in outs if check is not None)
+    return _Code(tuple(ops), registers, checks, tail)
 
 
 def _reads_variables(expr: Expression) -> bool:

@@ -17,13 +17,14 @@ A kernel, as _text writes it:
 
 Line expr._FIRST_OP_LINE + i states op i, so the line where a run raises
 names the op.  Each name in the text is looked up in the tables below by
-the op's rules or the check's kind, never taken from a node, and the
-finishing step, constants and checks are bound as the defaults of the
-last three arguments.  So the
-text holds register names, the inline + - *, the names of fixed tables,
-a few fixed literals and check indices alone: no text of an expression or
-a manifest reaches compile.  Programs of one shape have one text, and a
-cache of the recent code objects lets them share one.
+the op's rules or the check's kind, never taken from a node.  What a
+kernel binds as defaults, besides its finishing step, is its program's:
+its constants (then its tail, where the kernel reads it) and its checks
+(expr._Code).  So the text holds register names, the inline + - *, the
+names of fixed tables, a few fixed literals and check indices alone: no
+text of an expression or a manifest reaches compile.  Programs of one
+shape have one text, and a cache of the recent code objects lets them
+share one.
 
 A check is (kind, subject, n, arg).  Each is written as one test (_test),
 and on floats the finishing step, _finish, the one statement of every
@@ -239,18 +240,11 @@ def _code(text: str) -> CodeType:
     return code
 
 
-def _bound(program: _Code, tail=()) -> tuple:
-    """A kernel's last two arguments: its constants (the registers' and then
-    tail's) and its checks."""
-    return (tuple(v for v in program.registers if v is not None) + tuple(tail),
-            tuple(op[1] for op in program.ops if op[0] is _OP_OUT and op[1] is not None))
-
-
 def build(program: _Code) -> tuple:
     """The program's kernel on floats and on columns, kept on it: two
     functions over one code object, whose finishing step is bound as the
     default of finish: _finish on floats, _skip on columns."""
-    code, bound = _code(_text(program)), _bound(program)
+    code, bound = _code(_text(program)), (program.constants, program.checks)
     program.kernels = tuple(FunctionType(code, names, "kernel", (finish, *bound))
                             for names, finish in zip(_MODES, (_finish, _skip)))
     return program.kernels
@@ -314,7 +308,8 @@ def step(program):
     as program.step: one function on floats, with math's rules."""
     code = program.program
     text = _step_text(code, program.m + program.n, program.places)
-    program.step = FunctionType(_code(text), _MODES[0], "step", _bound(code, code.tail))
+    bound = (code.constants + tuple(code.tail), code.checks)
+    program.step = FunctionType(_code(text), _MODES[0], "step", bound)
     return program.step
 
 
@@ -335,7 +330,7 @@ def _reads(program: _Code, dim: int) -> dict:
     return reads
 
 
-def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
+def _stencil_text(code: _Code, dim: int, keep: list, reads: dict, axis: int = -1) -> str:
     """A metric program's stencil kernel as Python source: with axis -1 the
     centre kernel, else the kernel of that axis.
 
@@ -346,11 +341,10 @@ def _stencil_text(code: _Code, dim: int, keep: list, axis: int = -1) -> str:
     list; for each step it sets the axis's leaf to x + h and runs only the
     ops whose register reads the axis, every other register holding the
     centre's value, and adds the outputs and the tail to one flat list of
-    rows.
+    rows.  reads maps each register to the variables it reads (_reads).
     Each check whose test reads a register that was run is written as its
     test (_test); where one fails, the kernel returns None."""
     fixed = len(code.registers)
-    reads = _reads(code, dim)
     tail = [f"t{i}" for i in range(len(code.tail))]
     outs = [f"r{op[4]}" for op in code.ops if op[0] is _OP_OUT] + tail
     centre, head = outs + [f"r{r}" for r in keep], _constants(code)
@@ -384,8 +378,8 @@ def stencil(program: _Code, dim: int) -> tuple:
             if code is not _OP_OUT and reads[target] >> a & 1
             for r in operands if r in reads and not reads[r] >> a & 1}
     keep = sorted(keep - set(outs))
-    bound = _bound(program, program.tail)
-    text = functools.partial(_stencil_text, program, dim, keep)
+    bound = (program.constants + tuple(program.tail), program.checks)
+    text = functools.partial(_stencil_text, program, dim, keep, reads)
     program.stencil = (FunctionType(_code(text()), _MODES[0], "centre", bound),
                        tuple((a, FunctionType(_code(text(a)), _MODES[0], "axis", bound))
                              for a in axes))

@@ -126,6 +126,35 @@ def test_verify_env_seed_default(tmp_path, monkeypatch):
     assert "seed=42" in envrun.read_text().splitlines()[0]
 
 
+@pytest.mark.parametrize(
+    "env,flags,named",
+    [(None, ["--seed", "-1"], "--seed"), ("-3", [], "WARPCURV_SEED"),
+     ("4.5", [], "WARPCURV_SEED")],
+    ids=["negative-flag", "negative-variable", "variable-not-an-integer"],
+)
+def test_verify_rejects_a_seed_that_is_negative_or_not_an_integer(env, flags, named, monkeypatch,
+                                                                  capsys):
+    if env is None:
+        monkeypatch.delenv("WARPCURV_SEED", raising=False)
+    else:
+        monkeypatch.setenv("WARPCURV_SEED", env)
+    assert main(["verify", catalog("unit-sphere"), "--samples", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in _one_line(captured.err)
+
+
+def test_verify_without_a_box_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(catalog("unit-sphere")).read_text())
+    del doc["box"]
+    path = tmp_path / "boxless.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--box" in _one_line(captured.err)
+
+
 def test_verify_tolerance_below_noise_floor_exits_1(tmp_path):
     code = main(
         [
@@ -286,6 +315,27 @@ def test_geodesic_domain_exit_3(tmp_path, capsys):
     assert "last valid s=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,budget,summary",
+    [([catalog("unit-sphere"), "--init", "1.2,0;0.3,0.8", "--s-end", "0.1"],
+      ["--drift-tol", "0"], "# norm_drift,"),
+     # the two routes end one rounding apart on this run
+     ([catalog("robertson-walker"), "--init=0.26,0.25,0.29,0.51;-0.14,0.52,0.76,-0.8",
+       "--s-end", "0.5", "--rhs", "both", "--drift-tol", "1"],
+      ["--path-tol", "0"], "# max_coordinate_deviation,")],
+    ids=["drift", "path"],
+)
+def test_geodesic_over_a_zero_budget_exits_1_after_the_full_csv(argv, budget, summary, tmp_path):
+    out = tmp_path / "g.csv"
+    argv = ["geodesic", *argv, "--step", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    full = out.read_text()
+    assert main(argv + budget) == 1
+    assert out.read_text() == full
+    last = full.splitlines()[-1]
+    assert last.startswith(summary) and float(last.split(",")[1]) > 0.0
+
+
 def test_geodesic_init_validation(capsys):
     assert main(["geodesic", catalog("unit-sphere"), "--init", "1,0", "--s-end", "1"]) == 2
     assert main(["geodesic", catalog("unit-sphere"), "--init", "1;0,1", "--s-end", "1"]) == 2
@@ -319,6 +369,9 @@ def test_missing_manifest_file(capsys):
         ["curvature", catalog("unit-sphere"), "--point", "1,0", "--check=-1e-5"],
         ["verify", catalog("unit-sphere"), "--tol", "nan"],
         ["verify", catalog("unit-sphere"), "--tol", "inf"],
+        # text that is not a number or a span
+        ["curvature", catalog("unit-sphere"), "--point", "1,x"],
+        ["verify", catalog("unit-sphere"), "--box", "0..1,2"],
         *[
             ["geodesic", catalog("unit-sphere"), "--init", "1.2,0;0.3,1", "--s-end", "0.5",
              "--step", "0.01", "--rhs", "both", f"{flag}={value}"]

@@ -15,11 +15,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from warpcurv.derivative import derived
+from warpcurv.derivative import derived, outputs_of
 from warpcurv.errors import EvalDomainError, WarpcurvError
 from warpcurv.expr import (
+    _OP_BIN,
+    _OP_CONST,
+    _OP_OUT,
+    _OP_VAR,
     Expression,
     _columns,
+    _compile,
+    _postfix,
     _run,
     evaluate,
     format_expression,
@@ -332,3 +338,75 @@ def test_derivatives_at_the_domain_edges(text, arity, point, gradient, hessian):
     if scalar is not None:
         assert scalar[0] == evaluate(expr, point)  # the value is the same tree's, bitwise
     _same_as_sympy(expr, point, jet_reference(expr), rtol=1e-14)
+
+
+def _two_walks(outputs) -> tuple:
+    """(ops, registers) of outputs in the order of two walks: the first
+    numbers every output's tree, as _compile does, and then a depth-first
+    search from each output over the numbered graph states each number not
+    stated yet, its operands first, before the output's OUT."""
+    numbers, known, nodes, outs = {}, {}, [], []
+    for root, check in outputs:
+        stack = []
+        for code, arg, node in _postfix(root, known):
+            number = known.get(id(node))
+            if number is None:
+                if code is _OP_CONST or code is _OP_VAR:
+                    operands, key = (), (code, arg.hex() if code is _OP_CONST else arg)
+                else:
+                    operands = tuple(reversed([stack.pop() for _ in range(1 + (code is _OP_BIN))]))
+                    name = node.op if code is _OP_BIN else getattr(node, "name", "-")
+                    key = (code, name, *operands)
+                number = numbers.setdefault(key, len(nodes))
+                if number == len(nodes):
+                    nodes.append((code, arg, node, operands))
+                known[id(node)] = number
+            stack.append(number)
+        outs.append((stack.pop(), root, check))
+    registers = [arg if code is _OP_CONST else None for code, arg, *_ in nodes if code is not _OP_VAR]
+    fixed = iter(range(len(registers)))
+    where = [len(registers) + arg if code is _OP_VAR else next(fixed) for code, arg, *_ in nodes]
+    ops, done = [], set()
+    for out, root, check in outs:
+        todo = [(out, False)]
+        while todo:
+            number, expanded = todo.pop()
+            code, arg, node, operands = nodes[number]
+            if not operands or number in done:
+                continue
+            if expanded:
+                done.add(number)
+                a, b, *_ = [where[o] for o in operands] + [None]
+                ops.append((code, arg, node, where[number], a, b))
+            else:
+                todo.append((number, True))
+                todo.extend((o, False) for o in reversed(operands))
+        ops.append((_OP_OUT, check, root, None, where[out], None))
+    return ops, registers
+
+
+@st.composite
+def _chart(draw):
+    """The output groups (derivative.outputs_of) of one to four grammar
+    expressions over one chart, 30% of them raised to the power 0, at an
+    order 0, 1 or 2."""
+    rnd = draw(st.randoms(use_true_random=False))
+    arity, order = rnd.randint(1, 3), rnd.randint(0, 2)
+    outputs = []
+    for _ in range(rnd.randint(1, 4)):
+        text = _text(rnd, arity, rnd.randint(1, 4))
+        expr = parse_expression(f"({text})^0" if rnd.random() < 0.3 else text, arity)
+        outputs_of(outputs, expr.root, range(arity), order, ("finite", expr, "value"))
+    return outputs
+
+
+@settings(FUZZ, max_examples=150)
+@given(_chart())
+def test_compile_states_each_number_where_a_depth_first_search_would(outputs):
+    """_compile's ops, each with its rules, node, target and operands, and
+    its registers are those of the two-walk order (_two_walks)."""
+    program = _compile(outputs)
+    ops, registers = _two_walks(outputs)
+    assert [op[0] for op in program.ops] == [op[0] for op in ops]
+    assert all(a[1] is b[1] and a[2] is b[2] and a[3:] == b[3:] for a, b in zip(program.ops, ops))
+    assert list(map(repr, program.registers)) == list(map(repr, registers))

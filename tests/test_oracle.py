@@ -316,6 +316,26 @@ def test_a_row_that_fails_in_the_kernels_raises_what_the_walk_raises():
         assert type(exc.value.__cause__) is type(cause)
 
 
+def test_an_axis_kernel_whose_test_fails_raises_what_the_walk_raises():
+    """The centre is finite, but at the level-0 +h row x0*1e308 overflows
+    to inf without raising, so the axis kernel's finiteness test fails
+    after the centre kernel passed, and bundle_fd raises the walk's
+    error."""
+    spec = MetricSpec.from_strings(2, [["(x0*1e308)*0 + 1", "0"], ["0", "1"]])
+    c, policy = np.array([1.7975, 0.5]), DiffPolicy()
+    h = policy.steps_at(c)
+    program = _grid(spec, 1)[0]
+    centre, axes = kernel.stencil(program, 2)
+    assert centre(c.tolist())[:4] == [1.0, 0.0, 0.0, 0.0] and [a for a, _ in axes] == [0]
+    assert kernel.stencil_rows(program, c.tolist(), (h[:, None] / 2.0 ** np.arange(2)).tolist()) is None
+    axis, delta, cause = _first_stencil_failure(spec, c, policy)
+    assert (axis, delta) == (0, h[0])
+    with pytest.raises(StencilDomainError) as exc:
+        bundle_fd(spec, c, policy)
+    assert str(exc.value) == f"stencil point at x{axis} {delta:+.3e} failed: {cause}"
+    assert type(exc.value.__cause__) is type(cause)
+
+
 def test_oracle_imports_neither_warped_nor_closed_form():
     # the cross-check is only worth something while the oracle cannot
     # reach the product-structure code it checks
